@@ -27,6 +27,7 @@ from .base import (
     EncodeSpec,
     Segment,
     SparseFormat,
+    Trace,
     apply_mask,
     merge_contiguous,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "Segment",
     "SparseFormat",
     "StorageElement",
+    "Trace",
     "TraceValidationError",
     "TrafficReport",
     "VALUE_BYTES",

@@ -12,9 +12,10 @@ utilization (Fig. 7):
   (CSR's scattered short row segments).
 
 Every encoder returns an :class:`EncodedMatrix` carrying the storage
-footprint breakdown, the consumption-order trace as address segments, and
-enough arrays to decode the matrix back exactly (used by the round-trip
-tests and by the functional simulator).
+footprint breakdown, the consumption-order trace as a :class:`Trace` (one
+int64 address array and one int64 length array), and enough arrays to
+decode the matrix back exactly (used by the round-trip tests and by the
+functional simulator).
 
 Consumption **orientation** is a first-class axis: the forward pass
 drains the matrix block-major, the backward pass drains the *transpose*
@@ -31,7 +32,7 @@ import abc
 import sys
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -64,6 +65,84 @@ class Segment:
     @property
     def end(self) -> int:
         return self.addr + self.nbytes
+
+
+class Trace:
+    """A consumption-order access trace as two parallel int64 arrays.
+
+    Segment ``i`` reads ``nbytes[i]`` bytes from ``addr[i]``.  The whole
+    trace is checked against :class:`Segment`'s rule once, at
+    construction, and raises the same ``ValueError`` for the first bad
+    segment.  Iterating or indexing yields :class:`Segment` values, so
+    per-access consumers (DRAM replay, transaction faults) read it like
+    a list; the formats, the merge and the traffic analysis work on the
+    arrays.
+    """
+
+    __slots__ = ("addr", "nbytes")
+
+    def __init__(self, addr=(), nbytes=()) -> None:
+        addr = np.asarray(addr, dtype=np.int64)
+        nbytes = np.asarray(nbytes, dtype=np.int64)
+        if addr.ndim != 1 or addr.shape != nbytes.shape:
+            raise ValueError(
+                f"trace addr and nbytes must be 1-D and of equal length, "
+                f"got shapes {addr.shape} and {nbytes.shape}"
+            )
+        bad = np.flatnonzero((addr < 0) | (nbytes < 0))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"invalid segment ({int(addr[i])}, {int(nbytes[i])})")
+        self.addr = addr
+        self.nbytes = nbytes
+
+    @classmethod
+    def of(cls, segments: Union["Trace", Iterable[Segment]]) -> "Trace":
+        """``segments`` as a :class:`Trace` (returned as is if it is one)."""
+        if isinstance(segments, Trace):
+            return segments
+        segments = list(segments)
+        return cls([s.addr for s in segments], [s.nbytes for s in segments])
+
+    @classmethod
+    def after_header(cls, header_bytes: int, addr, nbytes) -> "Trace":
+        """A ``header_bytes`` read at address 0 (none if 0), then ``addr``/``nbytes``."""
+        if not header_bytes:
+            return cls(addr, nbytes)
+        return cls(np.concatenate(([0], addr)), np.concatenate(([header_bytes], nbytes)))
+
+    @property
+    def end(self) -> np.ndarray:
+        return self.addr + self.nbytes
+
+    @property
+    def total_bytes(self) -> int:
+        return int(self.nbytes.sum())
+
+    def __len__(self) -> int:
+        return self.addr.size
+
+    def __iter__(self) -> Iterator[Segment]:
+        return map(Segment, self.addr.tolist(), self.nbytes.tolist())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trace(self.addr[index], self.nbytes[index])
+        return Segment(int(self.addr[index]), int(self.nbytes[index]))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Trace):
+            return np.array_equal(self.addr, other.addr) and np.array_equal(
+                self.nbytes, other.nbytes
+            )
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None  # mutable arrays
+
+    def __repr__(self) -> str:
+        return f"Trace({len(self)} segments, {self.total_bytes} bytes)"
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,9 +201,9 @@ class EncodedMatrix:
     value_bytes / index_bytes / meta_bytes:
         Storage footprint breakdown.
     segments:
-        Forward (block-major) consumption-order access trace, matching
-        how the PE array drains the matrix.  Use :meth:`trace` to obtain
-        the trace for either orientation.
+        Forward (block-major) consumption-order access :class:`Trace`,
+        matching how the PE array drains the matrix.  Use :meth:`trace`
+        to obtain the trace for either orientation.
     arrays:
         Format-specific payload arrays, sufficient for exact decode.
     orientation:
@@ -140,13 +219,13 @@ class EncodedMatrix:
     value_bytes: int
     index_bytes: int
     meta_bytes: int
-    segments: List[Segment] = field(default_factory=list)
+    segments: Trace = field(default_factory=Trace)
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
     orientation: str = DEFAULT_ORIENTATION
     block_size: int = 8
     #: Lazily-built transposed-orientation trace (cached; derived from the
     #: stored layout by the owning format -- never by re-encoding).
-    transposed_segments: Optional[List[Segment]] = None
+    transposed_segments: Optional[Trace] = None
 
     @property
     def total_bytes(self) -> int:
@@ -160,14 +239,16 @@ class EncodedMatrix:
     @property
     def traced_bytes(self) -> int:
         """Total bytes of the forward consumption trace."""
-        return sum(seg.nbytes for seg in self.segments)
+        return self.trace("forward").total_bytes
 
-    def trace(self, orientation: Optional[str] = None) -> List[Segment]:
+    def trace(self, orientation: Optional[str] = None) -> Trace:
         """Access trace for ``orientation`` (default: the encoded one).
 
         The transposed trace is derived once from the stored layout via
         the registered format's :meth:`SparseFormat.transposed_trace` and
-        cached -- requesting it never re-encodes the matrix.
+        cached -- requesting it never re-encodes the matrix.  A forward
+        trace assigned as a list of :class:`Segment` is converted (and
+        stored back) on first use.
         """
         if orientation is None:
             orientation = self.orientation
@@ -176,6 +257,7 @@ class EncodedMatrix:
                 f"orientation must be one of {ORIENTATIONS}, got {orientation!r}"
             )
         if orientation == "forward":
+            self.segments = Trace.of(self.segments)
             return self.segments
         if self.transposed_segments is None:
             from .registry import get_format
@@ -185,7 +267,7 @@ class EncodedMatrix:
 
     def traced_bytes_for(self, orientation: Optional[str] = None) -> int:
         """Total bytes of the trace for ``orientation``."""
-        return sum(seg.nbytes for seg in self.trace(orientation))
+        return self.trace(orientation).total_bytes
 
 
 #: Call-sites (file, line) that already received the legacy-kwargs warning.
@@ -263,7 +345,7 @@ class SparseFormat(abc.ABC):
         """
         return self.decode(encoded).T
 
-    def transposed_trace(self, encoded: EncodedMatrix) -> List[Segment]:
+    def transposed_trace(self, encoded: EncodedMatrix) -> Trace:
         """Transposed-orientation access trace, derived from ``encoded``.
 
         Implementations must read only ``encoded`` (its arrays, footprint
@@ -289,12 +371,30 @@ def apply_mask(values: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
     return np.where(mask, values, 0.0)
 
 
-def merge_contiguous(segments: List[Segment]) -> List[Segment]:
-    """Coalesce address-adjacent segments (a streaming prefetcher's view)."""
-    merged: List[Segment] = []
-    for seg in segments:
-        if merged and merged[-1].end == seg.addr:
-            merged[-1] = Segment(merged[-1].addr, merged[-1].nbytes + seg.nbytes)
-        else:
-            merged.append(Segment(seg.addr, seg.nbytes))
-    return merged
+def merge_contiguous(
+    trace: Union[Trace, Iterable[Segment]], window: Optional[int] = None
+) -> Trace:
+    """Coalesce address-adjacent segments (a streaming prefetcher's view).
+
+    A merged segment starts wherever a segment's address differs from
+    the previous segment's end.  ``window`` caps how many segments one
+    merged segment may fuse: a contiguous chain is cut every ``window``
+    segments (``None`` fuses whole chains, ``1`` fuses nothing).
+    Zero-length segments take part like any other.
+    """
+    if window is not None and window < 1:
+        raise ValueError(f"merge window must be >= 1, got {window}")
+    trace = Trace.of(trace)
+    n = len(trace)
+    if n == 0:
+        return Trace()
+    addr, nbytes = trace.addr, trace.nbytes
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(addr[1:], trace.end[:-1], out=head[1:])
+    if window is not None:
+        chains = np.flatnonzero(head)
+        rank = np.arange(n) - np.repeat(chains, np.diff(chains, append=n))
+        head = rank % window == 0
+    starts = np.flatnonzero(head)
+    return Trace(addr[starts], np.add.reduceat(nbytes, starts))

@@ -31,8 +31,8 @@ from .base import (
     VALUE_BYTES,
     EncodedMatrix,
     EncodeSpec,
-    Segment,
     SparseFormat,
+    Trace,
     apply_mask,
 )
 
@@ -41,6 +41,14 @@ __all__ = ["BCSRCOOFormat"]
 #: Per-block COO/CSR side-table entry: 16-bit block column + 16-bit block
 #: row + 16-bit transpose-permutation slot + 32-bit payload offset.
 BCSRCOO_BLOCK_META_BYTES = 2 + 2 + 2 + 4
+
+
+def _payload_offsets(meta_bytes: int, block_ptr: np.ndarray, m: int) -> np.ndarray:
+    """Byte address of each stored block's payload run, plus the end address."""
+    blk_bytes = int(math.ceil(m * m / 8.0)) + np.diff(block_ptr) * VALUE_BYTES
+    offsets = np.zeros(blk_bytes.size + 1, dtype=np.int64)
+    np.cumsum(blk_bytes, out=offsets[1:])
+    return meta_bytes + offsets
 
 
 class BCSRCOOFormat(SparseFormat):
@@ -103,14 +111,8 @@ class BCSRCOOFormat(SparseFormat):
 
         # Byte layout: side tables first, then per-block payloads
         # (bitmap + values) back to back in stored (forward) order.
-        segments: List[Segment] = []
-        if meta_bytes:
-            segments.append(Segment(0, meta_bytes))
-        addr = meta_bytes
-        for b in range(nblk):
-            nbytes = bitmap_block_bytes + int(nnz_arr[b]) * VALUE_BYTES
-            segments.append(Segment(addr, nbytes))
-            addr += nbytes
+        offsets = _payload_offsets(meta_bytes, block_ptr, m)
+        segments = Trace.after_header(meta_bytes, offsets[:-1], np.diff(offsets))
 
         return EncodedMatrix(
             format_name=self.name,
@@ -132,18 +134,7 @@ class BCSRCOOFormat(SparseFormat):
             },
         )
 
-    def _block_byte_offsets(self, encoded: EncodedMatrix) -> np.ndarray:
-        """Byte address of each stored block's payload run."""
-        m = int(encoded.arrays["m"])
-        block_ptr = encoded.arrays["block_ptr"]
-        bitmap_block_bytes = int(math.ceil(m * m / 8.0))
-        nnz_per_block = np.diff(block_ptr)
-        blk_bytes = bitmap_block_bytes + nnz_per_block * VALUE_BYTES
-        offsets = np.zeros(blk_bytes.size + 1, dtype=np.int64)
-        np.cumsum(blk_bytes, out=offsets[1:])
-        return encoded.meta_bytes + offsets
-
-    def transposed_trace(self, encoded: EncodedMatrix) -> List[Segment]:
+    def transposed_trace(self, encoded: EncodedMatrix) -> Trace:
         """Side tables, then the stored payload runs walked in ``t_order``.
 
         Same blocks, same bytes as the forward stream -- only the
@@ -153,14 +144,12 @@ class BCSRCOOFormat(SparseFormat):
         CSR's one fragment per element.
         """
         t_order = encoded.arrays["t_order"]
-        offsets = self._block_byte_offsets(encoded)
-        segments: List[Segment] = []
-        if encoded.meta_bytes:
-            segments.append(Segment(0, encoded.meta_bytes))
-        for b in t_order:
-            b = int(b)
-            segments.append(Segment(int(offsets[b]), int(offsets[b + 1] - offsets[b])))
-        return segments
+        offsets = _payload_offsets(
+            encoded.meta_bytes, encoded.arrays["block_ptr"], int(encoded.arrays["m"])
+        )
+        return Trace.after_header(
+            encoded.meta_bytes, offsets[t_order], offsets[t_order + 1] - offsets[t_order]
+        )
 
     @timed("formats.bcsrcoo.decode")
     def decode(self, encoded: EncodedMatrix) -> np.ndarray:

@@ -11,12 +11,11 @@ model via ``datapath_energy_scale``).
 from __future__ import annotations
 
 import math
-from typing import List
 
 import numpy as np
 
 from ..perf import timed
-from .base import VALUE_BYTES, EncodedMatrix, EncodeSpec, Segment, SparseFormat, apply_mask
+from .base import VALUE_BYTES, EncodedMatrix, EncodeSpec, SparseFormat, Trace, apply_mask
 
 
 class BitmapFormat(SparseFormat):
@@ -33,11 +32,10 @@ class BitmapFormat(SparseFormat):
         nnz = int(nz_values.size)
         bitmap_bytes = int(math.ceil(rows * cols / 8.0)) if rows * cols else 0
         value_bytes = nnz * VALUE_BYTES
-        segments = []
-        if bitmap_bytes:
-            segments.append(Segment(0, bitmap_bytes))
-        if value_bytes:
-            segments.append(Segment(bitmap_bytes, value_bytes))
+        # Two streams back to back: the bitmap, then the packed values.
+        addr = np.array([0, bitmap_bytes])
+        nbytes = np.array([bitmap_bytes, value_bytes])
+        segments = Trace(addr[nbytes > 0], nbytes[nbytes > 0])
         return EncodedMatrix(
             format_name=self.name,
             shape=(rows, cols),
@@ -49,7 +47,7 @@ class BitmapFormat(SparseFormat):
             arrays={"bitmap": occupancy, "values": nz_values},
         )
 
-    def transposed_trace(self, encoded: EncodedMatrix) -> List[Segment]:
+    def transposed_trace(self, encoded: EncodedMatrix) -> Trace:
         """Transposed reads: bitmap stream, then per-element value picks.
 
         The bitmap itself is orientation-agnostic (it streams whole
@@ -60,19 +58,14 @@ class BitmapFormat(SparseFormat):
         """
         occupancy = encoded.arrays["bitmap"]
         bitmap_bytes = encoded.meta_bytes
-        segments: List[Segment] = []
-        if bitmap_bytes:
-            segments.append(Segment(0, bitmap_bytes))
         r, c = np.nonzero(occupancy)
-        if r.size == 0:
-            return segments
         bs = encoded.block_size
-        ranks = np.arange(r.size, dtype=np.int64)  # np.nonzero is row-major = pack order
-        order = np.lexsort((r, c, r // bs, c // bs))
-        segments.extend(
-            Segment(bitmap_bytes + int(rank) * VALUE_BYTES, VALUE_BYTES) for rank in ranks[order]
+        # np.nonzero is row-major = pack order, so a non-zero's position
+        # in ``r``/``c`` is its rank in the value stream.
+        ranks = np.lexsort((r, c, r // bs, c // bs))
+        return Trace.after_header(
+            bitmap_bytes, bitmap_bytes + ranks * VALUE_BYTES, np.full(r.size, VALUE_BYTES)
         )
-        return segments
 
     @timed("formats.bitmap.decode")
     def decode(self, encoded: EncodedMatrix) -> np.ndarray:

@@ -24,6 +24,7 @@ from .base import (
     EncodeSpec,
     Segment,
     SparseFormat,
+    Trace,
     apply_mask,
 )
 
@@ -81,7 +82,7 @@ class CSRFormat(SparseFormat):
         rows: int,
         cols: int,
         block_size: int,
-    ) -> List[Segment]:
+    ) -> Trace:
         """Reads issued when draining the matrix block by block.
 
         We model the accelerator-friendly packed layout where each
@@ -92,8 +93,8 @@ class CSRFormat(SparseFormat):
         array, which is the non-contiguity the paper calls out.
         """
         elem_bytes = VALUE_BYTES + CSR_INDEX_BYTES
-        segments: List[Segment] = []
         if use_reference_impl():
+            segments: List[Segment] = []
             for idx in iter_blocks(rows, cols, block_size):
                 for r in range(idx.r0, idx.r0 + idx.height):
                     lo, hi = int(row_ptr[r]), int(row_ptr[r + 1])
@@ -106,7 +107,7 @@ class CSRFormat(SparseFormat):
                     if count <= 0:
                         continue
                     segments.append(Segment(start * elem_bytes, count * elem_bytes))
-            return segments
+            return Trace.of(segments)
         # Each segment is a maximal run of consecutive non-zeros sharing
         # (row, block-column); CSR order already groups them, so the run
         # boundaries fall where either key changes.  Runs are then
@@ -114,7 +115,7 @@ class CSRFormat(SparseFormat):
         # block-col, row) emission order.
         n = int(col_idx.size)
         if n == 0:
-            return segments
+            return Trace()
         r_idx = np.repeat(np.arange(rows, dtype=np.int64), np.diff(row_ptr))
         bc = col_idx // block_size
         boundary = np.empty(n, dtype=bool)
@@ -125,11 +126,9 @@ class CSRFormat(SparseFormat):
         seg_r = r_idx[starts]
         seg_bc = bc[starts]
         order = np.lexsort((seg_r, seg_bc, seg_r // block_size))
-        for i in order:
-            segments.append(Segment(int(starts[i]) * elem_bytes, int(counts[i]) * elem_bytes))
-        return segments
+        return Trace(starts[order] * elem_bytes, counts[order] * elem_bytes)
 
-    def transposed_trace(self, encoded: EncodedMatrix) -> List[Segment]:
+    def transposed_trace(self, encoded: EncodedMatrix) -> Trace:
         """Reads issued when draining the *transpose* block by block.
 
         CSR is laid out along rows of the stored matrix, but the
@@ -144,14 +143,14 @@ class CSRFormat(SparseFormat):
         block_size = encoded.block_size
         n = int(col_idx.size)
         if n == 0:
-            return []
+            return Trace()
         elem_bytes = VALUE_BYTES + CSR_INDEX_BYTES
         r_idx = np.repeat(np.arange(rows, dtype=np.int64), np.diff(row_ptr))
         # Transposed block-major emission: outer key is the stored
         # block-column (= transposed block-row), then the stored
         # block-row, then column (= transposed row), then row.
         order = np.lexsort((r_idx, col_idx, r_idx // block_size, col_idx // block_size))
-        return [Segment(int(i) * elem_bytes, elem_bytes) for i in order]
+        return Trace(order * elem_bytes, np.full(n, elem_bytes))
 
     @timed("formats.csr.decode")
     def decode(self, encoded: EncodedMatrix) -> np.ndarray:

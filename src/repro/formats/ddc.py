@@ -31,8 +31,8 @@ from .base import (
     VALUE_BYTES,
     EncodedMatrix,
     EncodeSpec,
-    Segment,
     SparseFormat,
+    Trace,
     apply_mask,
 )
 
@@ -67,10 +67,13 @@ def infer_block_pattern(block: np.ndarray) -> tuple:
     return col_max, Direction.COL, False
 
 
-def _index_bytes(count: int, m: int) -> int:
-    """Packed position-index bytes: log2(M) bits per kept element."""
+def _index_bytes(count, m: int):
+    """Packed position-index bytes: log2(M) bits per kept element.
+
+    ``count`` may be an int or an integer array (one count per block).
+    """
     bits_per = max(1, int(math.ceil(math.log2(max(2, m)))))
-    return int(math.ceil(count * bits_per / 8.0))
+    return -(-(count * bits_per) // 8)
 
 
 class DDCFormat(SparseFormat):
@@ -91,15 +94,15 @@ class DDCFormat(SparseFormat):
         offset = 0
         value_bytes = 0
         index_bytes = 0
-        segments: List[Segment] = []
 
         block_list = list(iter_blocks(rows, cols, m))
+        # The streamed Info table, then each non-empty block's payload run.
         info_bytes = len(block_list) * DDC_INFO_BYTES
-        if info_bytes:
-            segments.append(Segment(0, info_bytes))  # streamed Info table
         payload_base = info_bytes
 
         if use_reference_impl():
+            seg_addr: List[int] = []
+            seg_bytes: List[int] = []
             for bidx in block_list:
                 block = extract_block(dense, bidx, m)
                 if tbs is not None:
@@ -129,10 +132,12 @@ class DDCFormat(SparseFormat):
                 payload_vals.append(vals)
                 payload_idx.append(idxs)
                 if v_bytes + i_bytes:
-                    segments.append(Segment(payload_base + offset, v_bytes + i_bytes))
+                    seg_addr.append(payload_base + offset)
+                    seg_bytes.append(v_bytes + i_bytes)
                 offset += v_bytes + i_bytes
                 value_bytes += v_bytes
                 index_bytes += i_bytes
+            segments = Trace.after_header(info_bytes, seg_addr, seg_bytes)
         else:
             # Vectorized payload construction: pick every block's (n,
             # direction), sort each lane's non-zeros to the front, and
@@ -172,12 +177,11 @@ class DDCFormat(SparseFormat):
             )
             idxs_full = np.take_along_axis(order, clip, axis=-1)
 
-            bits_per = max(1, int(math.ceil(math.log2(max(2, m)))))
             counts_total = m * ns
             v_bytes_arr = counts_total * VALUE_BYTES
-            i_bytes_arr = -(-(counts_total * bits_per) // 8)
+            i_bytes_arr = _index_bytes(counts_total, m)
             blk_bytes = v_bytes_arr + i_bytes_arr
-            offsets = np.concatenate([[0], np.cumsum(blk_bytes)[:-1]])
+            offsets = np.cumsum(blk_bytes) - blk_bytes
             value_bytes = int(v_bytes_arr.sum())
             index_bytes = int(i_bytes_arr.sum())
             for i, bidx in enumerate(block_list):
@@ -193,8 +197,10 @@ class DDCFormat(SparseFormat):
                 )
                 payload_vals.append(vals_full[i, :, :n].copy())
                 payload_idx.append(idxs_full[i, :, :n].copy())
-                if blk_bytes[i]:
-                    segments.append(Segment(payload_base + int(offsets[i]), int(blk_bytes[i])))
+            stored = blk_bytes > 0
+            segments = Trace.after_header(
+                info_bytes, payload_base + offsets[stored], blk_bytes[stored]
+            )
 
         def _object_array(items: List) -> np.ndarray:
             arr = np.empty(len(items), dtype=object)
@@ -218,7 +224,7 @@ class DDCFormat(SparseFormat):
             },
         )
 
-    def transposed_trace(self, encoded: EncodedMatrix) -> List[Segment]:
+    def transposed_trace(self, encoded: EncodedMatrix) -> Trace:
         """Transposed reads: Info table, then payloads in block-column order.
 
         Each block's payload stays one contiguous run either way -- the
@@ -231,18 +237,16 @@ class DDCFormat(SparseFormat):
         m = int(encoded.arrays["m"])
         metas = encoded.arrays["block_meta"]
         info_bytes = encoded.meta_bytes
-        segments: List[Segment] = []
-        if info_bytes:
-            segments.append(Segment(0, info_bytes))
-        payload_base = info_bytes
-        order = sorted(range(len(metas)), key=lambda i: (metas[i]["col"], metas[i]["row"]))
-        for i in order:
-            meta = metas[i]
-            count = m * int(meta["n"])
-            nbytes = count * VALUE_BYTES + _index_bytes(count, m)
-            if nbytes:
-                segments.append(Segment(payload_base + int(meta["offset"]), nbytes))
-        return segments
+        fields = np.array(
+            [(meta["col"], meta["row"], meta["n"], meta["offset"]) for meta in metas],
+            dtype=np.int64,
+        ).reshape(-1, 4)
+        col, row, n, offset = fields.T
+        order = np.lexsort((row, col))
+        count = m * n[order]
+        nbytes = count * VALUE_BYTES + _index_bytes(count, m)
+        stored = nbytes > 0
+        return Trace.after_header(info_bytes, info_bytes + offset[order][stored], nbytes[stored])
 
     @timed("formats.ddc.decode")
     def decode(self, encoded: EncodedMatrix) -> np.ndarray:

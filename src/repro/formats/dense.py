@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from .base import VALUE_BYTES, EncodedMatrix, EncodeSpec, Segment, SparseFormat, apply_mask
+from .base import VALUE_BYTES, EncodedMatrix, EncodeSpec, SparseFormat, Trace, apply_mask
 
 
 class DenseFormat(SparseFormat):
@@ -24,7 +22,7 @@ class DenseFormat(SparseFormat):
         rows, cols = dense.shape
         nbytes = rows * cols * VALUE_BYTES
         # One streaming segment: the whole matrix, row-major.
-        segments = [Segment(0, nbytes)] if nbytes else []
+        segments = Trace([0], [nbytes]) if nbytes else Trace()
         return EncodedMatrix(
             format_name=self.name,
             shape=(rows, cols),
@@ -36,7 +34,7 @@ class DenseFormat(SparseFormat):
             arrays={"dense": dense.copy()},
         )
 
-    def transposed_trace(self, encoded: EncodedMatrix) -> List[Segment]:
+    def transposed_trace(self, encoded: EncodedMatrix) -> Trace:
         """Column-block-major reads of the row-major layout.
 
         Same total bytes as the forward stream, but the transposed pass
@@ -46,14 +44,12 @@ class DenseFormat(SparseFormat):
         """
         rows, cols = encoded.shape
         if rows == 0 or cols == 0:
-            return []
-        bs = encoded.block_size
-        segments: List[Segment] = []
-        for c0 in range(0, cols, bs):
-            width = min(bs, cols - c0)
-            for r in range(rows):
-                segments.append(Segment((r * cols + c0) * VALUE_BYTES, width * VALUE_BYTES))
-        return segments
+            return Trace()
+        c0 = np.arange(0, cols, encoded.block_size, dtype=np.int64)
+        widths = np.minimum(encoded.block_size, cols - c0)
+        # Block column outer, row inner.
+        addr = (np.arange(rows, dtype=np.int64)[None, :] * cols + c0[:, None]) * VALUE_BYTES
+        return Trace(addr.ravel(), np.repeat(widths * VALUE_BYTES, rows))
 
     def decode(self, encoded: EncodedMatrix) -> np.ndarray:
         return encoded.arrays["dense"].copy()

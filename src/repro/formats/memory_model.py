@@ -99,23 +99,6 @@ _MERGE_WINDOW = {
 }
 
 
-def _merge_with_window(segments, window):
-    """Coalesce address-adjacent segments, fusing at most ``window`` each."""
-    if window is None:
-        return merge_contiguous(segments)
-    merged = []
-    run = 0
-    for seg in segments:
-        if merged and run < window and merged[-1].end == seg.addr:
-            prev = merged[-1]
-            merged[-1] = type(prev)(prev.addr, prev.nbytes + seg.nbytes)
-            run += 1
-        else:
-            merged.append(type(seg)(seg.addr, seg.nbytes))
-            run = 1
-    return merged
-
-
 def traffic_report(
     encoded: EncodedMatrix,
     burst_bytes: int = DEFAULT_BURST_BYTES,
@@ -138,17 +121,14 @@ def traffic_report(
     if burst_bytes < 1:
         raise ValueError(f"burst_bytes must be positive, got {burst_bytes}")
     window = _MERGE_WINDOW.get(encoded.format_name)
-    merged = _merge_with_window(encoded.trace(orientation), window)
-    num_bursts = 0
-    fetched = 0
-    for seg in merged:
-        # A segment not starting on a burst boundary drags in the head of
-        # its first burst too.
-        first = (seg.addr // burst_bytes) * burst_bytes
-        last = seg.addr + seg.nbytes
-        bursts = max(1, -(-(last - first) // burst_bytes)) if seg.nbytes else 0
-        num_bursts += bursts
-        fetched += bursts * burst_bytes
+    merged = merge_contiguous(encoded.trace(orientation), window)
+    # A segment not starting on a burst boundary drags in the head of its
+    # first burst too; a zero-length segment fetches nothing.
+    first = merged.addr - merged.addr % burst_bytes
+    spans = merged.end - first
+    bursts = np.where(merged.nbytes > 0, -(-spans // burst_bytes), 0)
+    num_bursts = int(bursts.sum())
+    fetched = num_bursts * burst_bytes
     useful = useful_bytes_floor(encoded, m=m)
     ecc_bytes = 0
     if ecc is not None and getattr(ecc, "enabled", False):

@@ -9,7 +9,7 @@ padding (invalid elements) averages >61.54% of the fetched bytes.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -18,8 +18,8 @@ from .base import (
     VALUE_BYTES,
     EncodedMatrix,
     EncodeSpec,
-    Segment,
     SparseFormat,
+    Trace,
     apply_mask,
 )
 
@@ -83,14 +83,11 @@ class SDCFormat(SparseFormat):
         # Streaming trace: whole padded row-groups in block-row order.
         # Access is regular (directly addressable) but every padded slot
         # travels over the bus.
-        segments: List[Segment] = []
-        addr = 0
-        for r0 in range(0, rows, block_size):
-            height = min(block_size, rows - r0)
-            nbytes = int(sum(widths[r0 : r0 + height]) * (VALUE_BYTES + SDC_INDEX_BYTES))
-            if nbytes:
-                segments.append(Segment(addr, nbytes))
-            addr += nbytes
+        group_slots = np.add.reduceat(widths, np.arange(0, rows, block_size))
+        group_bytes = (group_slots * (VALUE_BYTES + SDC_INDEX_BYTES)).astype(np.int64)
+        group_addr = np.cumsum(group_bytes) - group_bytes
+        keep = group_bytes > 0
+        segments = Trace(group_addr[keep], group_bytes[keep])
 
         return EncodedMatrix(
             format_name=self.name,
@@ -103,7 +100,7 @@ class SDCFormat(SparseFormat):
             arrays={"values": vals, "indices": idxs, "valid": valid, "widths": widths},
         )
 
-    def transposed_trace(self, encoded: EncodedMatrix) -> List[Segment]:
+    def transposed_trace(self, encoded: EncodedMatrix) -> Trace:
         """Transposed reads: every row-group re-fetched per block column.
 
         A compressed SDC row is directly addressable as a *whole*, but a
@@ -116,7 +113,8 @@ class SDCFormat(SparseFormat):
         _, cols = encoded.shape
         bs = encoded.block_size
         n_block_cols = (cols + bs - 1) // bs
-        return [seg for _ in range(n_block_cols) for seg in encoded.segments]
+        forward = encoded.trace("forward")
+        return Trace(np.tile(forward.addr, n_block_cols), np.tile(forward.nbytes, n_block_cols))
 
     @timed("formats.sdc.decode")
     def decode(self, encoded: EncodedMatrix) -> np.ndarray:

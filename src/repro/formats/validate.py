@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from .base import ORIENTATIONS, EncodedMatrix
 
 __all__ = ["TraceValidationError", "trace_violations", "validate_trace"]
@@ -32,24 +34,26 @@ def trace_violations(
     encoded: EncodedMatrix, orientation: Optional[str] = None
 ) -> List[str]:
     """Violation descriptions for one orientation's trace (empty = valid)."""
-    segments = encoded.trace(orientation)
+    trace = encoded.trace(orientation)
+    addr, nbytes, end = trace.addr, trace.nbytes, trace.end
     total = encoded.total_bytes
     problems: List[str] = []
-    for i, seg in enumerate(segments):
-        if seg.end > total:
-            problems.append(
-                f"segment {i} ({seg.addr}, {seg.nbytes}) ends at {seg.end}, "
-                f"past the declared footprint of {total} bytes"
-            )
+    for i in np.flatnonzero(end > total).tolist():
+        problems.append(
+            f"segment {i} ({addr[i]}, {nbytes[i]}) ends at {end[i]}, "
+            f"past the declared footprint of {total} bytes"
+        )
     # Partial-overlap check: sort distinct extents by address; exact
     # duplicates collapse (whole-segment re-fetch is a legal access
     # pattern), anything else sharing bytes is a layout inconsistency.
-    extents = sorted({(seg.addr, seg.end) for seg in segments if seg.nbytes})
-    for (a0, a1), (b0, b1) in zip(extents, extents[1:]):
-        if b0 < a1:
-            problems.append(
-                f"segments ({a0}, {a1 - a0}) and ({b0}, {b1 - b0}) partially overlap"
-            )
+    stored = nbytes > 0
+    extents = np.unique(np.stack([addr[stored], end[stored]], axis=1), axis=0)
+    (a0, a1), (b0, b1) = extents[:-1].T, extents[1:].T
+    for j in np.flatnonzero(b0 < a1).tolist():
+        problems.append(
+            f"segments ({a0[j]}, {a1[j] - a0[j]}) and ({b0[j]}, {b1[j] - b0[j]}) "
+            "partially overlap"
+        )
     return problems
 
 

@@ -132,5 +132,9 @@ class BankedDRAM:
         )
 
     def replay_encoded(self, encoded) -> DRAMTraceResult:
-        """Replay an :class:`~repro.formats.base.EncodedMatrix` trace."""
-        return self.replay(encoded.segments)
+        """Replay an :class:`~repro.formats.base.EncodedMatrix` trace.
+
+        Replays ``encoded.trace()``: the walk of the orientation the
+        matrix was encoded for, the same trace ``traffic_report`` analyses.
+        """
+        return self.replay(encoded.trace())

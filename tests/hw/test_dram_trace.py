@@ -97,3 +97,17 @@ class TestFormatContrast:
             ddc, csr = _tbs_encodings(seed=2, sparsity=sparsity)
             dram = BankedDRAM()
             assert dram.replay_encoded(ddc).cycles < dram.replay_encoded(csr).cycles
+
+
+class TestReplayOrientation:
+    def test_replay_encoded_follows_the_encoded_orientation(self):
+        """A transposed encoding replays its transposed walk, the same
+        trace ``traffic_report`` analyses, not the forward one."""
+        rng = np.random.default_rng(4)
+        w = rng.normal(size=(64, 64))
+        res = tbs_sparsify(w, m=8, sparsity=0.5)
+        enc = CSRFormat().encode(w * res.mask, EncodeSpec(orientation="transposed"))
+        dram = BankedDRAM()
+        replayed = dram.replay_encoded(enc)
+        assert replayed == dram.replay(enc.trace("transposed"))
+        assert replayed.accesses > dram.replay(enc.trace("forward")).accesses
