@@ -27,7 +27,7 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from ..formats.base import EncodedMatrix
+from ..formats.base import DDC_INFO_BYTES, EncodedMatrix
 
 __all__ = [
     "FAULT_TARGETS",
@@ -48,7 +48,7 @@ _TARGET_ARRAYS: Dict[str, Dict[str, Tuple[str, ...]]] = {
     "dense": {"values": ("dense",), "indices": (), "metadata": ()},
     "csr": {"values": ("values",), "indices": ("col_idx",), "metadata": ("row_ptr",)},
     "sdc": {"values": ("values",), "indices": ("indices",), "metadata": ("valid",)},
-    "ddc": {"values": ("block_values",), "indices": ("block_indices",), "metadata": ("block_meta",)},
+    "ddc": {"values": ("values",), "indices": ("indices",), "metadata": ("info",)},
     "bitmap": {"values": ("values",), "indices": (), "metadata": ("bitmap",)},
     "bcsrcoo": {
         "values": ("values",),
@@ -60,6 +60,7 @@ _TARGET_ARRAYS: Dict[str, Dict[str, Tuple[str, ...]]] = {
 #: DDC Info-word field layout: 1b dimension + 3b ratio + 12b offset.
 _DDC_DIR_BITS = 1
 _DDC_N_BITS = 3
+_DDC_INFO_BITS = DDC_INFO_BYTES * 8
 
 
 @dataclass(frozen=True)
@@ -118,22 +119,24 @@ def _flip_ndarray_bit(arr: np.ndarray, element: int, bit: int) -> None:
     view[bit // 8] ^= np.uint8(1 << (bit % 8))
 
 
-def _flip_ddc_info_bit(meta: dict, bit: int) -> None:
+def _flip_ddc_info_bit(info: np.ndarray, block: int, bit: int) -> None:
     """Flip one bit of a DDC Info word (direction | n | offset fields)."""
     if bit < _DDC_DIR_BITS:
-        meta["direction"] ^= 1
+        field_name, shift = "direction", bit
     elif bit < _DDC_DIR_BITS + _DDC_N_BITS:
-        meta["n"] ^= 1 << (bit - _DDC_DIR_BITS)
+        field_name, shift = "n", bit - _DDC_DIR_BITS
     else:
-        meta["offset"] ^= 1 << (bit - _DDC_DIR_BITS - _DDC_N_BITS)
+        field_name, shift = "offset", bit - _DDC_DIR_BITS - _DDC_N_BITS
+    info[field_name][block] ^= 1 << shift
 
 
 def _apply_flip(encoded: EncodedMatrix, format_name: str, target: str, flip: BitFlip) -> None:
     arr = encoded.arrays[flip.key]
     if format_name == "ddc" and target == "metadata":
-        _flip_ddc_info_bit(arr[flip.element], flip.bit)
-    elif flip.block >= 0:  # DDC payload: object array of per-block ndarrays
-        _flip_ndarray_bit(arr[flip.block], flip.element, flip.bit)
+        _flip_ddc_info_bit(arr, flip.element, flip.bit)
+    elif flip.block >= 0:  # DDC payload: element is a slot of the block's run
+        start = int(encoded.arrays["block_ptr"][flip.block])
+        _flip_ndarray_bit(arr, start + flip.element, flip.bit)
     else:
         _flip_ndarray_bit(arr, flip.element, flip.bit)
 
@@ -143,10 +146,8 @@ def _bits_per_element(arr: np.ndarray) -> int:
     return 1 if arr.dtype == bool else arr.dtype.itemsize * 8
 
 
-def _metadata_word(format_name: str, arr: np.ndarray, element: int, bit: int, word_bits: int) -> int:
+def _metadata_word(arr: np.ndarray, element: int, bit: int, word_bits: int) -> int:
     """Index of the protected word a metadata bit falls in."""
-    if format_name == "ddc":
-        return element  # one 16-bit Info word per block
     global_bit = element * _bits_per_element(arr) + bit
     return global_bit // word_bits
 
@@ -180,8 +181,10 @@ def inject_payload_bitflips(
     arr = encoded.arrays[key]
 
     if encoded.format_name == "ddc" and target == "metadata":
+        # One Info word per block, whatever the ECC word size: the flips
+        # land in the word's own bits.
         block = int(rng.integers(arr.size))
-        bits = _sample_bits(rng, word_bits, nbits)
+        bits = _sample_bits(rng, _DDC_INFO_BITS, min(nbits, _DDC_INFO_BITS))
         for bit in bits:
             flip = BitFlip(key, block, int(bit), word=block)
             _apply_flip(encoded, encoded.format_name, target, flip)
@@ -189,12 +192,12 @@ def inject_payload_bitflips(
         return record
 
     if encoded.format_name == "ddc":
-        candidates = [i for i in range(arr.size) if arr[i].size]
-        if not candidates:
-            return record
-        block = candidates[int(rng.integers(len(candidates)))]
-        per_elem = _bits_per_element(arr[block])
-        total_bits = int(arr[block].size) * per_elem
+        # Pick a non-empty block's payload run, then bits within it.
+        block_ptr = encoded.arrays["block_ptr"]
+        candidates = np.flatnonzero(np.diff(block_ptr))
+        block = int(candidates[int(rng.integers(candidates.size))])
+        per_elem = _bits_per_element(arr)
+        total_bits = int(block_ptr[block + 1] - block_ptr[block]) * per_elem
         for pos in _sample_bits(rng, total_bits, min(nbits, total_bits)):
             flip = BitFlip(key, int(pos) // per_elem, int(pos) % per_elem, word=-1, block=block)
             _apply_flip(encoded, encoded.format_name, target, flip)
@@ -215,7 +218,7 @@ def inject_payload_bitflips(
     for pos in positions:
         element, bit = int(pos) // per_elem, int(pos) % per_elem
         word = (
-            _metadata_word(encoded.format_name, arr, element, bit, word_bits)
+            _metadata_word(arr, element, bit, word_bits)
             if target == "metadata"
             else -1
         )

@@ -21,10 +21,10 @@ instead of one stream.
 from __future__ import annotations
 
 import math
-from typing import List
 
 import numpy as np
 
+from ..core.blocks import block_grid_shape, split_into_blocks
 from ..perf import timed
 from .base import (
     CSR_PTR_BYTES,
@@ -61,47 +61,27 @@ class BCSRCOOFormat(SparseFormat):
         dense = apply_mask(values, spec.mask)
         rows, cols = dense.shape
         m = spec.effective_block_size
-        n_block_rows = -(-rows // m) if rows else 0
-        n_block_cols = -(-cols // m) if cols else 0
+        n_block_rows, _ = block_grid_shape(rows, cols, m)
 
-        row_idx: List[int] = []
-        col_idx: List[int] = []
-        bitmaps: List[np.ndarray] = []
-        val_parts: List[np.ndarray] = []
-        block_nnz: List[int] = []
+        blocks = split_into_blocks(dense, m)
+        occ = blocks != 0.0
+        block_nnz = np.count_nonzero(occ, axis=(2, 3))
+        stored = block_nnz > 0
+        # Stored blocks in block-row-major order, each payload row-major
+        # within its block (ragged-edge padding is never occupied).
+        row_idx, col_idx = np.nonzero(stored)
         row_ptr = np.zeros(n_block_rows + 1, dtype=np.int64)
-        for br in range(n_block_rows):
-            for bc in range(n_block_cols):
-                tile = dense[br * m : (br + 1) * m, bc * m : (bc + 1) * m]
-                occ = tile != 0.0
-                count = int(np.count_nonzero(occ))
-                if count == 0:
-                    continue
-                bitmap = np.zeros((m, m), dtype=bool)
-                bitmap[: occ.shape[0], : occ.shape[1]] = occ
-                row_idx.append(br)
-                col_idx.append(bc)
-                bitmaps.append(bitmap)
-                val_parts.append(tile[occ])  # row-major within the block
-                block_nnz.append(count)
-            row_ptr[br + 1] = len(row_idx)
-
-        nblk = len(row_idx)
-        row_idx_arr = np.asarray(row_idx, dtype=np.int64)
-        col_idx_arr = np.asarray(col_idx, dtype=np.int64)
-        nnz_arr = np.asarray(block_nnz, dtype=np.int64)
+        np.cumsum(np.count_nonzero(stored, axis=1), out=row_ptr[1:])
+        nnz_arr = block_nnz[stored]
+        nblk = nnz_arr.size
         block_ptr = np.zeros(nblk + 1, dtype=np.int64)
         np.cumsum(nnz_arr, out=block_ptr[1:])
-        vals = np.concatenate(val_parts) if val_parts else np.zeros(0)
-        bitmap_arr = (
-            np.stack(bitmaps) if bitmaps else np.zeros((0, m, m), dtype=bool)
-        )
+        vals = blocks[occ]
+        bitmaps = occ[stored]
         # The COO transpose permutation: stored blocks reordered by
         # (block column, block row).  Built once, here; the transposed
         # trace and decode walk it without ever re-encoding.
-        t_order = (
-            np.lexsort((row_idx_arr, col_idx_arr)) if nblk else np.zeros(0, dtype=np.int64)
-        )
+        t_order = np.lexsort((row_idx, col_idx))
 
         nnz = int(nnz_arr.sum())
         bitmap_block_bytes = int(math.ceil(m * m / 8.0))
@@ -124,11 +104,11 @@ class BCSRCOOFormat(SparseFormat):
             segments=segments,
             arrays={
                 "row_ptr": row_ptr,
-                "row_idx": row_idx_arr,
-                "col_idx": col_idx_arr,
+                "row_idx": row_idx,
+                "col_idx": col_idx,
                 "block_ptr": block_ptr,
                 "t_order": t_order,
-                "bitmaps": bitmap_arr,
+                "bitmaps": bitmaps,
                 "values": vals,
                 "m": np.array(m),
             },

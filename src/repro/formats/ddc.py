@@ -23,7 +23,13 @@ from typing import List
 
 import numpy as np
 
-from ..core.blocks import extract_block, iter_blocks, scatter_block, split_into_blocks
+from ..core.blocks import (
+    block_grid_shape,
+    extract_block,
+    iter_blocks,
+    merge_from_blocks,
+    split_into_blocks,
+)
 from ..core.patterns import Direction
 from ..perf import timed, use_reference_impl
 from .base import (
@@ -36,7 +42,12 @@ from .base import (
     apply_mask,
 )
 
-__all__ = ["DDCFormat", "infer_block_pattern"]
+__all__ = ["DDC_INFO_DTYPE", "DDCFormat", "infer_block_pattern"]
+
+#: One Info-table entry per block (Fig. 8(a)): the block's sparsity
+#: dimension (a :class:`Direction` value), its N, and the byte offset of
+#: its payload run from the end of the Info table.
+DDC_INFO_DTYPE = np.dtype([("direction", np.int64), ("n", np.int64), ("offset", np.int64)])
 
 
 def infer_block_pattern(block: np.ndarray) -> tuple:
@@ -67,6 +78,43 @@ def infer_block_pattern(block: np.ndarray) -> tuple:
     return col_max, Direction.COL, False
 
 
+def _pack_lanes(work: np.ndarray, ns: np.ndarray):
+    """Every block's ``(m, n)`` payload, flattened back to back.
+
+    ``work`` holds the blocks as ``(blocks, m, m)`` with lanes along the
+    last axis, ``ns`` each block's N.  A lane keeps its first ``n``
+    non-zeros in ascending index order.  Unused slots hold value 0 and
+    repeat the lane's last non-zero index (index 0 in an empty lane), so
+    the decode scatter stays idempotent.  Returns ``(values, indices)``.
+    """
+    m = work.shape[-1]
+    lane_n = np.repeat(ns, m)
+    lane_ptr = np.zeros(lane_n.size + 1, dtype=np.int64)
+    np.cumsum(lane_n, out=lane_ptr[1:])
+    flat = work.reshape(-1)
+    # Non-zeros in (lane, index) order; each one's slot is its rank in
+    # its lane, and only the first n slots of a lane are stored.
+    pos = np.flatnonzero(flat)
+    lane = pos // m
+    lane_count = np.bincount(lane, minlength=lane_n.size)
+    slot = np.arange(pos.size) - (np.cumsum(lane_count) - lane_count)[lane]
+    keep = slot < lane_n[lane]
+    pos, lane, slot = pos[keep], lane[keep], slot[keep]
+    dest = lane_ptr[lane] + slot
+    values = np.zeros(lane_ptr[-1])
+    values[dest] = flat[pos]
+    # A running max over the stored flat positions carries a lane's last
+    # non-zero into its padding slots (positions grow with the lane);
+    # subtracting the lane's base position gives the in-lane index, and
+    # an empty lane, left with an earlier lane's position, clips to 0.
+    indices = np.zeros(lane_ptr[-1], dtype=np.int64)
+    indices[dest] = pos
+    np.maximum.accumulate(indices, out=indices)
+    indices -= np.repeat(np.arange(0, flat.size, m), lane_n)
+    np.maximum(indices, 0, out=indices)
+    return values, indices
+
+
 def _index_bytes(count, m: int):
     """Packed position-index bytes: log2(M) bits per kept element.
 
@@ -77,7 +125,14 @@ def _index_bytes(count, m: int):
 
 
 class DDCFormat(SparseFormat):
-    """The paper's dual-dimensional compression format."""
+    """The paper's dual-dimensional compression format.
+
+    Encoded arrays: ``info``, the Info table as one :data:`DDC_INFO_DTYPE`
+    entry per block in row-major block order; ``values`` and
+    ``indices``, every block's ``(m, n)`` lane-major payload flattened
+    back to back; and ``block_ptr``, where block ``b``'s payload is
+    ``values[block_ptr[b]:block_ptr[b + 1]]``.
+    """
 
     name = "ddc"
 
@@ -87,23 +142,13 @@ class DDCFormat(SparseFormat):
         dense = apply_mask(values, mask)
         rows, cols = dense.shape
         m = spec.effective_block_size
-
-        block_meta: List[dict] = []
-        payload_vals: List[np.ndarray] = []
-        payload_idx: List[np.ndarray] = []
-        offset = 0
-        value_bytes = 0
-        index_bytes = 0
-
-        block_list = list(iter_blocks(rows, cols, m))
-        # The streamed Info table, then each non-empty block's payload run.
-        info_bytes = len(block_list) * DDC_INFO_BYTES
-        payload_base = info_bytes
+        n_br, n_bc = block_grid_shape(rows, cols, m)
+        info = np.zeros(n_br * n_bc, dtype=DDC_INFO_DTYPE)
 
         if use_reference_impl():
-            seg_addr: List[int] = []
-            seg_bytes: List[int] = []
-            for bidx in block_list:
+            payload_vals: List[np.ndarray] = []
+            payload_idx: List[np.ndarray] = []
+            for i, bidx in enumerate(iter_blocks(rows, cols, m)):
                 block = extract_block(dense, bidx, m)
                 if tbs is not None:
                     n = int(tbs.block_n[bidx.row, bidx.col])
@@ -123,31 +168,23 @@ class DDCFormat(SparseFormat):
                     if nz.size < n and nz.size > 0:
                         idxs[lane, nz.size :] = nz[-1]
 
-                count = m * n
-                v_bytes = count * VALUE_BYTES
-                i_bytes = _index_bytes(count, m)
-                block_meta.append(
-                    {"n": n, "direction": direction.value, "offset": offset, "row": bidx.row, "col": bidx.col}
-                )
-                payload_vals.append(vals)
-                payload_idx.append(idxs)
-                if v_bytes + i_bytes:
-                    seg_addr.append(payload_base + offset)
-                    seg_bytes.append(v_bytes + i_bytes)
-                offset += v_bytes + i_bytes
-                value_bytes += v_bytes
-                index_bytes += i_bytes
-            segments = Trace.after_header(info_bytes, seg_addr, seg_bytes)
+                info["direction"][i] = direction.value
+                info["n"][i] = n
+                payload_vals.append(vals.ravel())
+                payload_idx.append(idxs.ravel())
+            flat_vals = np.concatenate(payload_vals) if payload_vals else np.zeros(0)
+            flat_idx = (
+                np.concatenate(payload_idx) if payload_idx else np.zeros(0, dtype=np.int64)
+            )
         else:
-            # Vectorized payload construction: pick every block's (n,
-            # direction), sort each lane's non-zeros to the front, and
-            # slice the per-block (m, n) payloads out of one batch.
+            # Vectorized: pick every block's (n, direction), then pack
+            # each lane's non-zeros to the front in one batch.
             # Bit-exact with the loop above (equivalence suite).
             flat = split_into_blocks(dense, m).reshape(-1, m, m)
             if tbs is not None:
-                ns = tbs.block_n.reshape(-1).astype(np.int64)
-                dir_vals = tbs.block_direction.reshape(-1).astype(np.int64)
-                dir_row = dir_vals == Direction.ROW.value
+                info["n"] = tbs.block_n.reshape(-1)
+                info["direction"] = tbs.block_direction.reshape(-1)
+                dir_row = info["direction"] == Direction.ROW.value
             else:
                 row_counts = np.count_nonzero(flat, axis=2)
                 col_counts = np.count_nonzero(flat, axis=1)
@@ -156,70 +193,38 @@ class DDCFormat(SparseFormat):
                 row_uniform = ((row_counts == 0) | (row_counts == row_max[:, None])).all(axis=1)
                 col_uniform = ((col_counts == 0) | (col_counts == col_max[:, None])).all(axis=1)
                 dir_row = row_uniform | (~col_uniform & (row_max <= col_max))
-                ns = np.where(dir_row, row_max, col_max)
-                dir_vals = np.where(
-                    dir_row, Direction.ROW.value, Direction.COL.value
-                ).astype(np.int64)
-
+                info["n"] = np.where(dir_row, row_max, col_max)
+                info["direction"] = np.where(dir_row, Direction.ROW.value, Direction.COL.value)
             work = np.where(dir_row[:, None, None], flat, flat.transpose(0, 2, 1))
-            # Stable sort on the zero predicate moves each lane's
-            # non-zeros to the front in ascending column order -- `order`
-            # holds their original indices, `vals_full` their values
-            # (zero in every padding slot by construction).
-            order = np.argsort(work == 0, axis=-1, kind="stable")
-            vals_full = np.take_along_axis(work, order, axis=-1)
-            counts = np.count_nonzero(work, axis=-1)
-            # Slot k >= count repeats the last non-zero's index (decode
-            # idempotence); empty lanes clip to slot 0, which stable
-            # argsort leaves at index 0.
-            clip = np.minimum(
-                np.arange(m)[None, None, :], np.maximum(counts[:, :, None] - 1, 0)
-            )
-            idxs_full = np.take_along_axis(order, clip, axis=-1)
+            flat_vals, flat_idx = _pack_lanes(work, info["n"])
 
-            counts_total = m * ns
-            v_bytes_arr = counts_total * VALUE_BYTES
-            i_bytes_arr = _index_bytes(counts_total, m)
-            blk_bytes = v_bytes_arr + i_bytes_arr
-            offsets = np.cumsum(blk_bytes) - blk_bytes
-            value_bytes = int(v_bytes_arr.sum())
-            index_bytes = int(i_bytes_arr.sum())
-            for i, bidx in enumerate(block_list):
-                n = int(ns[i])
-                block_meta.append(
-                    {
-                        "n": n,
-                        "direction": int(dir_vals[i]),
-                        "offset": int(offsets[i]),
-                        "row": bidx.row,
-                        "col": bidx.col,
-                    }
-                )
-                payload_vals.append(vals_full[i, :, :n].copy())
-                payload_idx.append(idxs_full[i, :, :n].copy())
-            stored = blk_bytes > 0
-            segments = Trace.after_header(
-                info_bytes, payload_base + offsets[stored], blk_bytes[stored]
-            )
-
-        def _object_array(items: List) -> np.ndarray:
-            arr = np.empty(len(items), dtype=object)
-            for i, item in enumerate(items):
-                arr[i] = item
-            return arr
+        count = m * info["n"]
+        block_ptr = np.zeros(info.size + 1, dtype=np.int64)
+        np.cumsum(count, out=block_ptr[1:])
+        v_bytes = count * VALUE_BYTES
+        i_bytes = _index_bytes(count, m)
+        blk_bytes = v_bytes + i_bytes
+        info["offset"] = np.cumsum(blk_bytes) - blk_bytes
+        # The streamed Info table, then each non-empty block's payload run.
+        info_bytes = info.size * DDC_INFO_BYTES
+        stored = blk_bytes > 0
+        segments = Trace.after_header(
+            info_bytes, info_bytes + info["offset"][stored], blk_bytes[stored]
+        )
 
         return EncodedMatrix(
             format_name=self.name,
             shape=(rows, cols),
             nnz=int(np.count_nonzero(dense)),
-            value_bytes=value_bytes,
-            index_bytes=index_bytes,
+            value_bytes=int(v_bytes.sum()),
+            index_bytes=int(i_bytes.sum()),
             meta_bytes=info_bytes,
             segments=segments,
             arrays={
-                "block_meta": _object_array(block_meta),
-                "block_values": _object_array(payload_vals),
-                "block_indices": _object_array(payload_idx),
+                "info": info,
+                "values": flat_vals,
+                "indices": flat_idx,
+                "block_ptr": block_ptr,
                 "m": np.array(m),
             },
         )
@@ -234,42 +239,47 @@ class DDCFormat(SparseFormat):
         become block rows).  The direction bit changes which codec path
         expands the run, not how many bytes travel.
         """
+        rows, cols = encoded.shape
         m = int(encoded.arrays["m"])
-        metas = encoded.arrays["block_meta"]
+        info = encoded.arrays["info"]
         info_bytes = encoded.meta_bytes
-        fields = np.array(
-            [(meta["col"], meta["row"], meta["n"], meta["offset"]) for meta in metas],
-            dtype=np.int64,
-        ).reshape(-1, 4)
-        col, row, n, offset = fields.T
-        order = np.lexsort((row, col))
-        count = m * n[order]
+        # The Info table is row-major over the block grid; walk it
+        # column-major.
+        order = np.arange(info.size).reshape(block_grid_shape(rows, cols, m)).T.ravel()
+        count = m * info["n"][order]
         nbytes = count * VALUE_BYTES + _index_bytes(count, m)
         stored = nbytes > 0
-        return Trace.after_header(info_bytes, info_bytes + offset[order][stored], nbytes[stored])
+        return Trace.after_header(
+            info_bytes, info_bytes + info["offset"][order][stored], nbytes[stored]
+        )
 
     @timed("formats.ddc.decode")
     def decode(self, encoded: EncodedMatrix) -> np.ndarray:
+        """Scatter every payload back, reading only the Info direction field.
+
+        Each block's payload run is sliced by ``block_ptr``, not by the
+        Info table's N or offset.
+        """
         rows, cols = encoded.shape
         m = int(encoded.arrays["m"])
-        dense = np.zeros((rows, cols))
-        metas = encoded.arrays["block_meta"]
-        all_vals = encoded.arrays["block_values"]
-        all_idxs = encoded.arrays["block_indices"]
-        blocks = {(b.row, b.col): b for b in iter_blocks(rows, cols, m)}
-        lane_ids = np.arange(m)
-        for meta, vals, idxs in zip(metas, all_vals, all_idxs):
-            bidx = blocks[(meta["row"], meta["col"])]
-            block = np.zeros((m, m))
-            # Padding slots carry value 0 with a duplicated index;
-            # skipping them keeps the real value intact.
-            keep = vals != 0.0
-            lanes = np.broadcast_to(lane_ids[:, None], vals.shape)
-            block[lanes[keep], idxs[keep]] = vals[keep]
-            if Direction(meta["direction"]) is Direction.COL:
-                block = block.T
-            scatter_block(dense, bidx, block)
-        return dense
+        block_ptr = encoded.arrays["block_ptr"]
+        vals = encoded.arrays["values"]
+        idxs = encoded.arrays["indices"]
+        count = np.diff(block_ptr)
+        slot_block = np.repeat(np.arange(count.size), count)
+        slot = np.arange(vals.size) - block_ptr[slot_block]
+        lane = slot // (count // m)[slot_block]
+        blocks = np.zeros((count.size, m, m))
+        # Padding slots carry value 0 with a duplicated index;
+        # skipping them keeps the real value intact.
+        keep = vals != 0.0
+        blocks[slot_block[keep], lane[keep], idxs[keep]] = vals[keep]
+        col = encoded.arrays["info"]["direction"] == Direction.COL.value
+        blocks[col] = blocks[col].transpose(0, 2, 1)
+        n_br, n_bc = block_grid_shape(rows, cols, m)
+        return np.ascontiguousarray(
+            merge_from_blocks(blocks.reshape(n_br, n_bc, m, m), rows, cols)
+        )
 
     @staticmethod
     def compression_ratio(encoded: EncodedMatrix) -> float:

@@ -54,10 +54,8 @@ class SDCFormat(SparseFormat):
         row_nnz = np.count_nonzero(dense, axis=1) if rows else np.zeros(0, dtype=int)
         group = self.group_rows or max(1, rows)
         # Per-row padded width: the max occupancy within the row's group.
-        widths = np.zeros(rows, dtype=np.int64)
-        for g0 in range(0, rows, group):
-            g1 = min(rows, g0 + group)
-            widths[g0:g1] = int(row_nnz[g0:g1].max()) if g1 > g0 else 0
+        starts = np.arange(0, rows, group)
+        widths = np.repeat(np.maximum.reduceat(row_nnz, starts), np.diff(starts, append=rows))
         width = int(widths.max()) if rows and cols else 0
 
         if use_reference_impl():

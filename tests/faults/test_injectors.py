@@ -121,6 +121,24 @@ class TestPayloadFlips:
         record.revert(encoded)
         np.testing.assert_array_equal(fmt.decode(encoded), fmt.decode(pristine))
 
+    @pytest.mark.parametrize("word_bits", [8, 32])
+    def test_ddc_info_flips_stay_in_the_16_bit_word(self, word_bits):
+        """A DDC Info entry is 16 bits whatever the ECC word size: flips
+        reach all of its bits and none beyond."""
+        expected, tbs = _case()
+        fmt, pristine = _encode("ddc", expected, tbs)
+        hit = set()
+        for seed in range(50):
+            _, encoded = _encode("ddc", expected, tbs)
+            record = inject_payload_bitflips(
+                encoded, "metadata", np.random.default_rng(seed), word_bits=word_bits
+            )
+            hit.update(flip.bit for flip in record.flips)
+            record.revert(encoded)
+            np.testing.assert_array_equal(fmt.decode(encoded), fmt.decode(pristine))
+        assert max(hit) < 16
+        assert set(range(8, 16)) <= hit
+
     def test_ddc_payload_flip_targets_nonempty_block(self):
         expected, tbs = _case()
         _, encoded = _encode("ddc", expected, tbs)

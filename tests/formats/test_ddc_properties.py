@@ -1,13 +1,18 @@
 """Property-based tests for DDC inference and format invariants."""
 
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.blocks import block_grid_shape
 from repro.core.patterns import Direction
 from repro.core.sparsify import tbs_sparsify
 from repro.formats import CSRFormat, DDCFormat, EncodeSpec, SDCFormat
-from repro.formats.ddc import infer_block_pattern
+from repro.formats.ddc import DDC_INFO_DTYPE, infer_block_pattern
+
+from ..sim.test_vectorized_equivalence import reference_impl
 
 
 class TestInferBlockPattern:
@@ -85,3 +90,54 @@ class TestFootprintInvariants:
             enc = fmt.encode(sparse, EncodeSpec(tbs=res if fmt.name == "ddc" else None))
             if enc.segments:
                 assert max(s.end for s in enc.segments) <= enc.total_bytes + 8
+
+
+class TestBlockTablesMatchLoop:
+    """The vectorized encode fills the same per-field block tables as
+    the per-block reference loop, on inputs the TBS solver never
+    produces: ragged shapes, M=4, signed zeros and NaNs, and Info
+    metadata whose N is below a lane's count (the lane is truncated) or
+    above it (the lane is padded)."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        rows=st.integers(0, 37),
+        cols=st.integers(0, 37),
+        m=st.sampled_from([4, 8]),
+        density=st.floats(0.0, 1.0),
+        given_pattern=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_encode_matches_reference_loop(self, seed, rows, cols, m, density, given_pattern):
+        rng = np.random.default_rng(seed)
+        dense = np.where(rng.random((rows, cols)) < density, rng.normal(size=(rows, cols)), 0.0)
+        if dense.size:
+            dense[rng.integers(rows, size=2), rng.integers(cols, size=2)] = (-0.0, np.nan)
+        tbs = None
+        if given_pattern:
+            grid = block_grid_shape(rows, cols, m)
+            tbs = SimpleNamespace(
+                m=m,
+                block_n=rng.integers(0, m + 1, size=grid),
+                block_direction=rng.integers(0, 2, size=grid),
+            )
+        spec = EncodeSpec(tbs=tbs, block_size=m)
+        fmt = DDCFormat()
+        fast = fmt.encode(dense, spec)
+        with reference_impl():
+            ref = fmt.encode(dense, spec)
+        assert fast.arrays["info"].dtype == DDC_INFO_DTYPE
+        assert sorted(fast.arrays) == sorted(ref.arrays)
+        for key in fast.arrays:
+            assert fast.arrays[key].dtype == ref.arrays[key].dtype, key
+            np.testing.assert_array_equal(fast.arrays[key], ref.arrays[key], err_msg=key)
+        assert (fast.nnz, fast.value_bytes, fast.index_bytes, fast.meta_bytes) == (
+            ref.nnz,
+            ref.value_bytes,
+            ref.index_bytes,
+            ref.meta_bytes,
+        )
+        for orientation in ("forward", "transposed"):
+            assert fast.trace(orientation) == ref.trace(orientation), orientation
+        if not given_pattern:
+            np.testing.assert_array_equal(fmt.decode(fast), np.where(dense == 0, 0.0, dense))

@@ -1,8 +1,9 @@
 """Golden-file regression tests for the serialized result schemas.
 
 Pins the exact JSON a consumer sees: the versioned ``SimResult
-.to_dict`` payload for one reference workload, and the aggregated
-sweep JSON for a small Table 1 grid (mlp task, seed 0, one epoch).
+.to_dict`` payload for one reference workload, the aggregated
+sweep JSON for a small Table 1 grid (mlp task, seed 0, one epoch), and
+the per-cell outcome counts of a seeded fault campaign.
 Values are rounded to :data:`_PLACES` decimals before comparison, so
 the files survive last-bit float drift while still catching any real
 change to the numbers, the key set, or the schema version.
@@ -33,6 +34,7 @@ _SIMRESULT_GOLDEN = _GOLDEN_DIR / "simresult_tbstc_64x64.json"
 _TABLE1_GOLDEN = _GOLDEN_DIR / "table1_mlp_seed0.json"
 _FIG7BOTH_GOLDEN = _GOLDEN_DIR / "fig7both_64.json"
 _SCENARIOS_GOLDEN = _GOLDEN_DIR / "scenarios_64.json"
+_FAULTS_GOLDEN = _GOLDEN_DIR / "faults_seed0.json"
 _PLACES = 6
 
 
@@ -73,6 +75,25 @@ def _scenarios_payload():
     from repro.analysis.experiments import run_scenarios
 
     return run_scenarios(scale=64, workers=1)
+
+
+def _faults_payload():
+    """Class counts of a seed-0 campaign (10 trials, default ECC):
+    every format at 16x16, plus the block formats at a ragged 20x28."""
+    from repro.faults import CampaignSpec, run_campaign
+    from repro.formats import available_formats
+
+    parts = {
+        "16x16": CampaignSpec(formats=available_formats(), trials=10, rows=16, cols=16),
+        "20x28": CampaignSpec(formats=("ddc", "bcsrcoo"), trials=10, rows=20, cols=28),
+    }
+    return {
+        size: {
+            f"{cell.format_name} {cell.model}": dict(cell.counts, skipped=cell.skipped)
+            for cell in run_campaign(spec, workers=1).cells
+        }
+        for size, spec in parts.items()
+    }
 
 
 class TestSimResultGolden:
@@ -183,6 +204,22 @@ class TestScenariosGolden:
             assert entry["speedup_vs_dense"]["dense"] == 1.0, family
 
 
+class TestFaultsGolden:
+    """Pins the seeded fault campaign's outcome table, so a refactor of
+    a format's arrays or of the injectors cannot move a fault outcome
+    unseen."""
+
+    def test_matches_golden_file(self):
+        expected = json.loads(_FAULTS_GOLDEN.read_text())
+        actual = json.loads(_canon(_faults_payload()))
+        assert sorted(actual) == sorted(expected), "faults size set changed"
+        for size in expected:
+            assert sorted(actual[size]) == sorted(expected[size]), (
+                f"faults[{size!r}] cell set changed"
+            )
+        assert actual == expected
+
+
 def _regenerate() -> None:  # pragma: no cover - maintenance entry point
     _SIMRESULT_GOLDEN.write_text(_canon(_simresult_payload()))
     print(f"wrote {_SIMRESULT_GOLDEN}")
@@ -192,6 +229,8 @@ def _regenerate() -> None:  # pragma: no cover - maintenance entry point
     print(f"wrote {_FIG7BOTH_GOLDEN}")
     _SCENARIOS_GOLDEN.write_text(_canon(_scenarios_payload()))
     print(f"wrote {_SCENARIOS_GOLDEN}")
+    _FAULTS_GOLDEN.write_text(_canon(_faults_payload()))
+    print(f"wrote {_FAULTS_GOLDEN}")
 
 
 if __name__ == "__main__":  # pragma: no cover
