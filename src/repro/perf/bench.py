@@ -277,8 +277,8 @@ def _tsolver_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, C
 
 def _macro_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, Callable[[], None]]]:
     from ..hw.config import all_baselines
-    from ..sim import engine
     from ..sim.baselines import ARCH_FAMILY, simulate_arch
+    from ..sim.engine import clear_cost_memo
     from ..workloads.generator import build_workload
     from ..workloads.layers import LayerSpec
 
@@ -289,9 +289,11 @@ def _macro_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, Cal
 
     def _sweep() -> None:
         # Fresh workloads per arch family (mask generation included, as
-        # in the real fig13 sweep); the cost memo is cleared so repeated
+        # in the real fig13 sweep).  Every memo is emptied first, so each
+        # call generates the layer's weights once and shares them across
+        # its architectures, exactly as the real sweep does, and repeated
         # suite runs measure the same work.
-        engine._COST_MEMO.clear()
+        clear_cost_memo()
         from ..core.patterns import PatternFamily
 
         for config in configs:
@@ -300,7 +302,7 @@ def _macro_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, Cal
             simulate_arch(config, w)
 
     def _simulate_layer() -> None:
-        engine._COST_MEMO.clear()
+        clear_cost_memo()
         simulate_arch(configs[0], workload)
 
     return [
@@ -317,24 +319,23 @@ def _scenario_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, 
     (stencil tap structure / MoE block-diagonal combine / inference
     projections) and the pattern projection -- at the profile's pinned
     ``scenario_scale``, so a regression in any family's generator shows
-    up before the ``run_scenarios`` sweep does.
+    up before the ``run_scenarios`` sweep does.  Every memo is emptied
+    before each call, or repeated calls would time weight-memo hits.
     """
+    from ..sim.engine import clear_cost_memo
     from ..workloads.scenarios import SCENARIO_FAMILIES, build_scenario
 
     scale = sizes["scenario_scale"]
+
+    def _build(family: str) -> None:
+        clear_cost_memo()
+        build_scenario(family, "TBS", seed=seed, scale=scale)
+
     benches: List[Tuple[str, int, Callable[[], None]]] = []
     for family in SCENARIO_FAMILIES:
         bundle = build_scenario(family, "TBS", seed=seed, scale=scale)
         cells = sum(wl.values.size for wl in bundle.layers) + bundle.format_workload.values.size
-        benches.append(
-            (
-                f"scenario_{family}",
-                int(cells),
-                lambda family=family, scale=scale: build_scenario(
-                    family, "TBS", seed=seed, scale=scale
-                ),
-            )
-        )
+        benches.append((f"scenario_{family}", int(cells), lambda family=family: _build(family)))
     return benches
 
 

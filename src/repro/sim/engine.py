@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -48,6 +47,7 @@ from ..hw.scheduler import SimStallError, schedule_direct, schedule_sparsity_awa
 from ..obs import metrics as obs_metrics
 from ..obs.state import enabled as _obs_enabled
 from ..perf import stage, use_reference_impl
+from ..perf.memo import ArrayMemo, clear_memos
 from ..perf.timers import capture
 from ..perf.timers import enabled as _perf_enabled
 from ..runtime.checks import check_format_roundtrip, check_workload, get_check_level
@@ -137,7 +137,6 @@ def _block_costs(
     )
     cached = _COST_MEMO.get(key)
     if cached is not None:
-        _COST_MEMO.move_to_end(key)
         if _obs_enabled():
             obs_metrics.counter_add("sim.cost_memo.hits")
         return cached
@@ -156,11 +155,7 @@ def _block_costs(
         # CSR-style machines); it aggregates across blocks rather than
         # rounding up per block.
         costs = costs + row_overhead * (row_counts > 0).sum(axis=1)
-    costs.setflags(write=False)
-    _COST_MEMO[key] = costs
-    if len(_COST_MEMO) > _COST_MEMO_SIZE:
-        _COST_MEMO.popitem(last=False)
-    return costs
+    return _COST_MEMO.put(key, costs)
 
 
 def _block_costs_reference(
@@ -188,22 +183,27 @@ def _block_costs_reference(
 #: counts plus every ArchConfig field the DVPE cost model reads.  Sweeps
 #: (fig13/fig15/fig16) re-simulate the same layer across architectures
 #: and sweep axes that share these fields, so repeated cells become a
-#: dictionary lookup.  Entries are marked read-only before sharing.
-_COST_MEMO: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-_COST_MEMO_SIZE = 256
+#: dictionary lookup.  The byte budget counts keys too: a fig13 run at
+#: the CLI's default ``--scale 4`` keeps 104 cost vectors worth ~76 MiB,
+#: none evicted.
+COST_MEMO_BYTES = 128 << 20
+_COST_MEMO = ArrayMemo(COST_MEMO_BYTES)
 
 
 def clear_cost_memo() -> None:
-    """Empty the block-cost memo.
+    """Empty every in-process memo: block costs and synthetic weights.
 
-    The sweep engine calls this at each cell boundary when observability
-    is on: memo warmth is process-history-dependent, so without the
-    reset a cell's hit/miss counters would depend on which worker ran it
-    -- and ``--workers N`` metrics would stop being byte-identical to
-    serial.  (With obs off the memo is left warm; it is a pure cache and
-    never changes results.)
+    This is the one public reset; it empties every
+    :class:`~repro.perf.memo.ArrayMemo` in the process.  The sweep engine
+    calls it at each cell boundary when observability is on: memo warmth
+    is process-history-dependent, so without the reset a cell's hit/miss
+    counters would depend on which worker ran it -- and ``--workers N``
+    metrics would stop being byte-identical to serial.  Benchmarks call
+    it before each timed repetition, because every fresh process pays
+    the cold cost.  (With obs off the memos stay warm; they are pure
+    caches and never change results.)
     """
-    _COST_MEMO.clear()
+    clear_memos()
 
 
 #: Codec lane provisioning: 16 lanes x 2 elements/cycle matches the

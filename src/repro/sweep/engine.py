@@ -257,12 +257,13 @@ class SweepResult:
 class _ObsCellScope:
     """Isolated observability collection for one sweep cell.
 
-    Installs a fresh metrics registry and trace buffer (and clears the
-    block-cost memo, whose warmth is process-history-dependent), enables
-    obs, and wraps the cell in a ``sweep.cell.<key>`` span.  ``close()``
-    exports the cell's deterministic metrics plus its trace events and
-    restores the previous sinks -- the same code runs inline and in
-    workers, which is what makes serial and parallel metrics identical.
+    Installs a fresh metrics registry and trace buffer (and empties
+    every in-process memo, whose warmth is process-history-dependent),
+    enables obs, and wraps the cell in a ``sweep.cell.<key>`` span.
+    ``close()`` exports the cell's deterministic metrics plus its trace
+    events and restores the previous sinks -- the same code runs inline
+    and in workers, which is what makes serial and parallel metrics
+    identical.
     """
 
     def __init__(self, key: str):

@@ -13,10 +13,19 @@ generate weights with the *statistics that matter for the hardware*:
 
 ``build_workload`` projects the weights onto any pattern family at a
 target sparsity and packages everything the simulator needs.
+
+Under the iso-accuracy protocol every architecture prunes the *same*
+layer weights, so a sweep asks for each layer many times.
+``synthetic_weights`` generates each distinct argument set once per
+process and hands every later caller the same read-only array (see
+:func:`_memoized`).
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,6 +35,7 @@ from ..core.masks import make_mask
 from ..core.patterns import DEFAULT_M, PatternFamily, PatternSpec
 from ..core.sparsify import TBSResult, tbs_sparsify
 from ..core.transposable import transposable_sparsify
+from ..perf.memo import ArrayMemo
 from .layers import LayerSpec
 
 __all__ = ["GEMMWorkload", "synthetic_weights", "build_workload", "pattern_mask"]
@@ -87,6 +97,45 @@ class GEMMWorkload:
         return self.values.size * self.b_cols
 
 
+#: Byte budget of the weights memo.  It holds one whole model at the
+#: CLI's default ``--scale 4`` (OPT-6.7B's four layers are ~101 MB there;
+#: all of fig13's layers at scale 8 are ~27 MB), so the architectures of
+#: a model share its weights at the sizes people run.
+WEIGHTS_MEMO_BYTES = 256 << 20
+
+_WEIGHTS_MEMO = ArrayMemo(WEIGHTS_MEMO_BYTES)
+
+
+def _memoized(generate):
+    """Serve ``generate`` from the weights memo for integer seeds.
+
+    The key is every argument bound against ``generate``'s signature,
+    defaults applied, so a parameter added to the signature joins the
+    key by construction.  Any other seed (``None``, a ``Generator``, a
+    ``SeedSequence``, a sequence) draws fresh entropy or carries state,
+    so it bypasses the memo.  Every returned array is read-only: a hit
+    hands the same object to each caller.
+    """
+    signature = inspect.signature(generate)
+
+    @functools.wraps(generate)
+    def memoized(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        if not isinstance(bound.arguments["seed"], numbers.Integral):
+            weights = generate(*args, **kwargs)
+            weights.setflags(write=False)
+            return weights
+        key = tuple(bound.arguments.values())
+        hit = _WEIGHTS_MEMO.get(key)
+        if hit is not None:
+            return hit
+        return _WEIGHTS_MEMO.put(key, generate(*args, **kwargs))
+
+    return memoized
+
+
+@_memoized
 def synthetic_weights(
     rows: int,
     cols: int,
@@ -106,6 +155,8 @@ def synthetic_weights(
     show exactly this local anisotropy -- it is what gives TBS's
     per-block direction choice its edge over matrix-level row-wise
     patterns (Fig. 4(b), Fig. 17).
+
+    The returned array is read-only; copy it before writing.
     """
     if rows < 1 or cols < 1:
         raise ValueError("weight dims must be positive")
