@@ -21,7 +21,7 @@ from .patterns import (
     NMConfig,
     PatternFamily,
     PatternSpec,
-    nearest_candidate,
+    nearest_candidates_grid,
 )
 
 __all__ = [
@@ -35,26 +35,34 @@ __all__ = [
 ]
 
 
-def _as_scores(scores: np.ndarray) -> np.ndarray:
+def _as_matrix(scores: np.ndarray) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError(f"expected a 2-D score matrix, got shape {scores.shape}")
-    return np.abs(scores)
+    return scores
+
+
+def _as_scores(scores: np.ndarray) -> np.ndarray:
+    return np.abs(_as_matrix(scores))
+
+
+def _keep_top_k(magnitudes: np.ndarray, sparsity: float) -> np.ndarray:
+    """:func:`unstructured_mask` of scores that are already ``|scores|``."""
+    if not 0.0 <= sparsity <= 1.0:
+        raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
+    total = magnitudes.size
+    keep = total - int(round(sparsity * total))
+    mask = np.zeros(total, dtype=bool)
+    if keep > 0:
+        flat = magnitudes.ravel()
+        kept_idx = np.argpartition(flat, total - keep)[total - keep :]
+        mask[kept_idx] = True
+    return mask.reshape(magnitudes.shape)
 
 
 def unstructured_mask(scores: np.ndarray, sparsity: float) -> np.ndarray:
     """Global top-k mask: keep the ``(1 - sparsity)`` highest-score entries."""
-    scores = _as_scores(scores)
-    if not 0.0 <= sparsity <= 1.0:
-        raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
-    total = scores.size
-    keep = total - int(round(sparsity * total))
-    mask = np.zeros(total, dtype=bool)
-    if keep > 0:
-        flat = scores.ravel()
-        kept_idx = np.argpartition(flat, total - keep)[total - keep :]
-        mask[kept_idx] = True
-    return mask.reshape(scores.shape)
+    return _keep_top_k(_as_scores(scores), sparsity)
 
 
 def global_threshold(scores: np.ndarray, sparsity: float) -> float:
@@ -78,19 +86,35 @@ def topn_along_last(scores: np.ndarray, n: int) -> np.ndarray:
     Works on any leading shape; this is the N:M primitive used by every
     structured generator.  ``n`` may be an integer array broadcastable over
     the leading axes (per-group N), enabling the variable-N patterns.
+
+    Entries rank by ``|score|`` exactly as a stable descending sort
+    would place them: ties go to the lower index, ``inf`` ranks first and
+    NaN last.  The rank is counted rather than sorted (DESIGN.md §4b,
+    "Top-N by counting"), and the mask is C-contiguous whatever the
+    input layout.
     """
-    scores = np.abs(np.asarray(scores, dtype=np.float64))
+    scores = np.asarray(scores, dtype=np.float64)
     m = scores.shape[-1]
     n_arr = np.asarray(n)
     if np.any(n_arr < 0) or np.any(n_arr > m):
         raise ValueError(f"N must be within [0, {m}]")
-    # Rank entries within each group: rank 0 is the largest.
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    ranks = np.empty_like(order)
-    # put_along_axis only reads `values`, so the read-only broadcast view
-    # is fine -- materialising it would dominate this hot path.
-    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(m), scores.shape), axis=-1)
-    return ranks < np.expand_dims(n_arr, axis=-1) if n_arr.ndim else ranks < n_arr
+    # |scores| as an M-first C-ordered copy, so each pass below is one flat
+    # compare of a group slot against all slots.  NaN moves below every
+    # magnitude: a stable descending sort puts it last.
+    mags = np.abs(np.moveaxis(scores, -1, 0), order="C")
+    np.fmax(mags, -1.0, out=mags)
+    # rank_i = #{j : s_j > s_i} + #{j < i : s_j == s_i}
+    ranks = np.zeros(mags.shape, dtype=np.min_scalar_type(m))
+    for j in range(m):
+        ranks[: j + 1] += mags[j] > mags[: j + 1]
+        ranks[j + 1 :] += mags[j] >= mags[j + 1 :]
+    if n_arr.dtype.kind in "biu":
+        n_arr = n_arr.astype(ranks.dtype)  # compare without widening the ranks
+    if n_arr.ndim:
+        n_arr = np.expand_dims(n_arr, axis=-1)
+    # Back to the caller's group-last shape, C-ordered: tbs_sparsify's
+    # direction tie-break sums score mass in this memory order.
+    return np.less(np.moveaxis(ranks, 0, -1), n_arr, order="C")
 
 
 def tile_mask(scores: np.ndarray, nm: NMConfig) -> np.ndarray:
@@ -99,7 +123,7 @@ def tile_mask(scores: np.ndarray, nm: NMConfig) -> np.ndarray:
     This is the NVIDIA Sparse Tensor Core pattern (2:4 in hardware; the
     paper's TS baseline uses 4:8).
     """
-    scores = _as_scores(scores)
+    scores = _as_matrix(scores)  # topn_along_last ranks by |score| itself
     rows, cols = scores.shape
     pad_c = (-cols) % nm.m
     padded = np.pad(scores, ((0, 0), (0, pad_c)), constant_values=-np.inf)
@@ -109,15 +133,14 @@ def tile_mask(scores: np.ndarray, nm: NMConfig) -> np.ndarray:
     return mask.reshape(rows, -1)[:, :cols]
 
 
-def _row_densities_from_unstructured(scores: np.ndarray, sparsity: float) -> np.ndarray:
+def _row_densities_from_unstructured(magnitudes: np.ndarray, sparsity: float) -> np.ndarray:
     """Per-row densities implied by the global unstructured mask.
 
     Both row-wise baselines calibrate their per-row N against the density
     the unstructured pattern would give that row, which is how they reach
     the matrix-level target sparsity while redistributing across rows.
     """
-    us = unstructured_mask(scores, sparsity)
-    return us.mean(axis=1)
+    return _keep_top_k(magnitudes, sparsity).mean(axis=1)
 
 
 def vegeta_mask(
@@ -140,7 +163,7 @@ def vegeta_mask(
     spec = PatternSpec(PatternFamily.RS_V, m=m, sparsity=sparsity, candidates=tuple(candidates))
     rows, cols = scores.shape
     densities = _row_densities_from_unstructured(scores, sparsity)
-    row_n = np.array([nearest_candidate(d, m, spec.candidates) for d in densities])
+    row_n = nearest_candidates_grid(densities, m, spec.candidates)
 
     pad_c = (-cols) % m
     padded = np.pad(scores, ((0, 0), (0, pad_c)), constant_values=-np.inf)

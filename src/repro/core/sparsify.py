@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .blocks import merge_from_blocks, split_into_blocks
-from .masks import topn_along_last, unstructured_mask
+from .masks import _keep_top_k, topn_along_last
 from .patterns import (
     DEFAULT_M,
     BlockPattern,
@@ -148,7 +148,9 @@ def tbs_sparsify(
         Precomputed unstructured mask (step 1).  Supplying it lets callers
         reuse one unstructured solution across pattern comparisons.
     """
-    scores = np.abs(np.asarray(scores, dtype=np.float64))
+    # C order whatever the caller's layout: the direction tie-break below
+    # sums score mass in memory order, so the layout must not vary.
+    scores = np.abs(np.asarray(scores, dtype=np.float64), order="C")
     if scores.ndim != 2:
         raise ValueError(f"expected 2-D scores, got shape {scores.shape}")
     spec = PatternSpec(
@@ -157,24 +159,23 @@ def tbs_sparsify(
 
     # Step 1: unstructured pruning at the target sparsity.
     if us_mask is None:
-        us_mask = unstructured_mask(scores, sparsity)
+        us_mask = _keep_top_k(scores, sparsity)
     elif us_mask.shape != scores.shape:
         raise ValueError("us_mask shape must match scores")
 
     rows, cols = scores.shape
     score_blocks = split_into_blocks(scores, m)
-    us_blocks = split_into_blocks(us_mask.astype(np.float64), m)
+    us_blocks = split_into_blocks(np.asarray(us_mask, dtype=bool), m)
 
     # Step 2: per-block N from the unstructured density.  Padding at the
     # ragged edge counts as zeros, exactly as the padded hardware tile does.
-    block_density = us_blocks.mean(axis=(2, 3))
+    block_density = np.count_nonzero(us_blocks, axis=(2, 3)) / (m * m)
     block_n = nearest_candidates_grid(block_density, m, spec.candidates)
 
     # Step 3: per-block direction by L1 distance to the unstructured pattern.
     row_masks, col_masks = _directional_masks(score_blocks, block_n)
-    us_bool = us_blocks.astype(bool)
-    dist_row = np.abs(row_masks ^ us_bool).sum(axis=(2, 3))
-    dist_col = np.abs(col_masks ^ us_bool).sum(axis=(2, 3))
+    dist_row = np.count_nonzero(row_masks ^ us_blocks, axis=(2, 3))
+    dist_col = np.count_nonzero(col_masks ^ us_blocks, axis=(2, 3))
     # Tie-break toward the direction keeping more total score mass, then ROW.
     mass_row = (score_blocks * row_masks).sum(axis=(2, 3))
     mass_col = (score_blocks * col_masks).sum(axis=(2, 3))

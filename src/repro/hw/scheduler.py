@@ -253,8 +253,8 @@ def schedule_sparsity_aware(
 
     The optimized path keeps the window in a max-heap keyed
     ``(-cost, -block_id)`` -- the exact tie-break of the reference's
-    ``sort(reverse=True); pop(0)`` -- and accumulates per-PE busy time
-    and total work in numpy arrays instead of re-reading the stream.
+    ``sort(reverse=True); pop(0)`` -- and dispatches each block with one
+    sift of each heap.
     """
     if use_reference_impl():
         return _schedule_sparsity_aware_reference(
@@ -341,6 +341,13 @@ def _dispatch_array(
     -- identical arithmetic (IEEE-754 double either way) and identical
     ``(-cost, -block_id)`` tie-breaks, without per-element numpy scalar
     overhead.
+
+    The window holds ``window - 1`` blocks between steps, so each step
+    is one ``heappushpop`` (fetch the next block, take the heaviest
+    visible one) and one ``heapreplace`` on the PE heap (the earliest-free
+    PE takes the block).  Both heaps hold distinct keys, so every pop
+    returns what the reference's pop-then-push returns, and
+    ``free_time - neg_cost`` is exactly ``free_time + cost``.
     """
     if window < 1 or fetch_per_cycle < 1:
         raise ValueError("window and fetch rate must be positive")
@@ -352,24 +359,24 @@ def _dispatch_array(
         for c in costs_list:
             obs_metrics.observe("hw.scheduler.block_cycles", c)
     busy = [0] * num_pes if int_costs else [0.0] * num_pes
-    buffer: List[Tuple] = []  # max-heap of (-cost, -block_id)
-    heap = [(0, pe) for pe in range(num_pes)]  # (free_time, pe)
-    heapq.heapify(heap)
+    heap = [(0, pe) for pe in range(num_pes)]  # (free_time, pe); sorted, so a heap
     assignments: List[Assignment] = []
-    push, pop = heapq.heappush, heapq.heappop
-    fetch_cursor = 0
-    for _ in range(n_blocks):
-        while fetch_cursor < n_blocks and len(buffer) < window:
-            push(buffer, (-costs_list[fetch_cursor], -fetch_cursor))
-            fetch_cursor += 1
-        # Dispatch the heaviest visible block to the earliest-free PE.
-        neg_cost, neg_id = pop(buffer)
-        cost = -neg_cost
-        free_time, pe = pop(heap)
-        push(heap, (free_time + cost, pe))
-        busy[pe] += cost
+    pushpop, replace, pop = heapq.heappushpop, heapq.heapreplace, heapq.heappop
+    ahead = min(window - 1, n_blocks)
+    buffer = [(-costs_list[b], -b) for b in range(ahead)]  # max-heap of (-cost, -block_id)
+    heapq.heapify(buffer)
+    for b in range(ahead, n_blocks + ahead):
+        # Fetch block b while any is left, dispatch the heaviest visible
+        # block to the earliest-free PE.
+        if b < n_blocks:
+            neg_cost, neg_id = pushpop(buffer, (-costs_list[b], -b))
+        else:
+            neg_cost, neg_id = pop(buffer)
+        free_time, pe = heap[0]
+        replace(heap, (free_time - neg_cost, pe))
+        busy[pe] -= neg_cost
         if record:
-            assignments.append(Assignment(-neg_id, pe, free_time, free_time + cost))
+            assignments.append(Assignment(-neg_id, pe, free_time, free_time - neg_cost))
 
     makespan = max(t for t, _ in heap) if heap else 0
     # Same total as re-reading the stream (float arrays sum left-to-right
