@@ -61,8 +61,7 @@ run.
 ``--checks {off,warn,strict}`` (all commands) selects the runtime
 invariant level (:mod:`repro.runtime.checks`); under ``strict``,
 invalid masks or storage-format round-trip failures abort instead of
-propagating silently.  ``--strict-checks`` survives as a hidden alias
-for ``--checks strict``.
+propagating silently.
 """
 
 from __future__ import annotations
@@ -120,14 +119,9 @@ _ORIENTATIONS = ("forward", "transposed")
 
 
 def _add_checks_flags(cmd: argparse.ArgumentParser, help_text: str, default=None) -> None:
-    """The canonical ``--checks {off,warn,strict}`` flag plus the hidden
-    legacy ``--strict-checks`` alias (same dest, pinned to ``strict``)."""
+    """The ``--checks {off,warn,strict}`` flag."""
     cmd.add_argument(
         "--checks", default=default, choices=["off", "warn", "strict"], help=help_text
-    )
-    cmd.add_argument(
-        "--strict-checks", action="store_const", const="strict", dest="checks",
-        help=argparse.SUPPRESS,
     )
 
 

@@ -338,7 +338,6 @@ def run_cell(spec: CampaignSpec, fmt_name: str, model: str) -> CellOutcome:
 
 def run_campaign(
     spec: CampaignSpec,
-    runner=None,
     workers: Optional[int] = None,
     cache_dir=None,
     resume: bool = False,
@@ -361,21 +360,7 @@ def run_campaign(
     :class:`repro.sweep.SweepOptions`) threads the supervised-executor
     knobs -- per-cell ``timeout``, transient ``retries``, executor
     choice -- through to :func:`repro.sweep.run_sweep`.
-
-    ``runner`` (a :class:`repro.runtime.runner.ExperimentRunner`) is the
-    legacy serial cell-isolation path and is mutually exclusive with the
-    sweep knobs.
     """
-    if runner is not None:
-        result = CampaignResult(spec)
-        for fmt_name in spec.formats:
-            for model in spec.models:
-                cell_key = f"faults-{fmt_name}-{model}"
-                cell = runner.run(cell_key, run_cell, spec=spec, fmt_name=fmt_name, model=model)
-                if cell.ok:
-                    result.cells.append(cell.value)
-        return result
-
     from ..sweep import SweepCell, SweepSpec, configured_workers, run_sweep
 
     cells = [

@@ -29,10 +29,8 @@ pays whatever fragmentation or re-fetch cost that layout implies.
 from __future__ import annotations
 
 import abc
-import sys
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -149,11 +147,9 @@ class Trace:
 class EncodeSpec:
     """Every non-``values`` knob of one :meth:`SparseFormat.encode` call.
 
-    Replaces the old ``encode(values, mask=None, tbs=None, block_size=8)``
-    kwarg tail with one immutable value object, mirroring the
-    ``SimOptions`` migration: pass ``EncodeSpec(...)`` as the second
-    argument; the legacy kwargs still work through a shim that warns once
-    per call-site.
+    One immutable value object in place of loose keyword arguments,
+    mirroring ``SimOptions``: pass ``EncodeSpec(...)`` as the second
+    argument of :meth:`SparseFormat.encode`.
 
     ``orientation`` records the *primary* consumption orientation the
     encoding will be traced in; either orientation can still be requested
@@ -270,11 +266,6 @@ class EncodedMatrix:
         return self.trace(orientation).total_bytes
 
 
-#: Call-sites (file, line) that already received the legacy-kwargs warning.
-_LEGACY_ENCODE_WARNED_SITES: Set[Tuple[str, int]] = set()
-_LEGACY_ENCODE_KWARGS = ("mask", "tbs", "block_size")
-
-
 class SparseFormat(abc.ABC):
     """Interface implemented by every storage format.
 
@@ -285,49 +276,18 @@ class SparseFormat(abc.ABC):
 
     name: str = "abstract"
 
-    def encode(
-        self,
-        values: np.ndarray,
-        spec: Optional[EncodeSpec] = None,
-        **legacy,
-    ) -> EncodedMatrix:
+    def encode(self, values: np.ndarray, spec: Optional[EncodeSpec] = None) -> EncodedMatrix:
         """Encode ``values`` per ``spec`` (an :class:`EncodeSpec`).
 
         Zeros are either already applied to ``values`` or given via
-        ``spec.mask``.  The legacy ``encode(values, mask=..., tbs=...,
-        block_size=...)`` spelling still works through a deprecation shim
-        that warns once per call-site.
+        ``spec.mask``.
         """
-        if legacy or (spec is not None and not isinstance(spec, EncodeSpec)):
-            spec = self._coerce_legacy(spec, legacy)
-        elif spec is None:
+        if spec is None:
             spec = EncodeSpec()
         encoded = self._encode(values, spec)
         encoded.orientation = spec.orientation
         encoded.block_size = spec.effective_block_size
         return encoded
-
-    @staticmethod
-    def _coerce_legacy(mask_positional, legacy) -> EncodeSpec:
-        for key in legacy:
-            if key not in _LEGACY_ENCODE_KWARGS:
-                raise TypeError(f"encode() got an unexpected keyword argument {key!r}")
-        if mask_positional is not None:
-            if "mask" in legacy:
-                raise TypeError("encode() got multiple values for argument 'mask'")
-            legacy = dict(legacy, mask=mask_positional)
-        caller = sys._getframe(2)
-        site = (caller.f_code.co_filename, caller.f_lineno)
-        if site not in _LEGACY_ENCODE_WARNED_SITES:
-            _LEGACY_ENCODE_WARNED_SITES.add(site)
-            warnings.warn(
-                "passing mask/tbs/block_size keywords to SparseFormat.encode() is "
-                "deprecated; pass an EncodeSpec instead: "
-                "fmt.encode(values, EncodeSpec(mask=..., tbs=..., block_size=...))",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return EncodeSpec(**legacy)
 
     @abc.abstractmethod
     def _encode(self, values: np.ndarray, spec: EncodeSpec) -> EncodedMatrix:

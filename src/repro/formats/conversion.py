@@ -157,8 +157,8 @@ def batch_conversion_cycles(
     Only the cycle count (``max(input_cycles, output_beats)``) is
     produced -- the element schedule itself is not materialised, which
     is what makes the batching worthwhile.  Bit-exact with the scalar
-    path; the loop implementation stays available via
-    ``REPRO_REFERENCE_IMPL=1``.
+    path: the per-block :class:`repro.hw.codec.CodecUnit` loop in
+    ``tests/sim/engine_oracle.py`` is its oracle.
     """
     if in_width < 1 or out_width < 1 or threshold < 1:
         raise ValueError("widths and threshold must be positive")

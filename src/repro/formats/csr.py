@@ -10,19 +10,15 @@ effective bandwidth drops below 38.2%.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from ..core.blocks import iter_blocks
-from ..perf import timed, use_reference_impl
+from ..perf import timed
 from .base import (
     CSR_INDEX_BYTES,
     CSR_PTR_BYTES,
     VALUE_BYTES,
     EncodedMatrix,
     EncodeSpec,
-    Segment,
     SparseFormat,
     Trace,
     apply_mask,
@@ -40,30 +36,16 @@ class CSRFormat(SparseFormat):
         dense = apply_mask(values, mask)
         rows, cols = dense.shape
 
-        if use_reference_impl():
-            row_ptr = np.zeros(rows + 1, dtype=np.int64)
-            col_idx_parts: List[np.ndarray] = []
-            val_parts: List[np.ndarray] = []
-            for r in range(rows):
-                nz = np.nonzero(dense[r])[0]
-                row_ptr[r + 1] = row_ptr[r] + nz.size
-                col_idx_parts.append(nz)
-                val_parts.append(dense[r, nz])
-            col_idx = (
-                np.concatenate(col_idx_parts) if col_idx_parts else np.zeros(0, dtype=np.int64)
-            )
-            vals = np.concatenate(val_parts) if val_parts else np.zeros(0)
-        else:
-            # np.nonzero walks the matrix row-major, which *is* CSR
-            # element order; bincount of the row ids gives the pointers.
-            r_idx, col_idx = np.nonzero(dense)
-            row_ptr = np.zeros(rows + 1, dtype=np.int64)
-            np.cumsum(np.bincount(r_idx, minlength=rows), out=row_ptr[1:])
-            col_idx = col_idx.astype(np.int64, copy=False)
-            vals = dense[r_idx, col_idx]
+        # np.nonzero walks the matrix row-major, which *is* CSR element
+        # order; bincount of the row ids gives the pointers.
+        r_idx, col_idx = np.nonzero(dense)
+        row_ptr = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(r_idx, minlength=rows), out=row_ptr[1:])
+        col_idx = col_idx.astype(np.int64, copy=False)
+        vals = dense[r_idx, col_idx]
         nnz = int(vals.size)
 
-        segments = self._block_major_trace(row_ptr, col_idx, rows, cols, block_size)
+        segments = self._block_major_trace(row_ptr, col_idx, rows, block_size)
         return EncodedMatrix(
             format_name=self.name,
             shape=(rows, cols),
@@ -80,7 +62,6 @@ class CSRFormat(SparseFormat):
         row_ptr: np.ndarray,
         col_idx: np.ndarray,
         rows: int,
-        cols: int,
         block_size: int,
     ) -> Trace:
         """Reads issued when draining the matrix block by block.
@@ -93,26 +74,11 @@ class CSRFormat(SparseFormat):
         array, which is the non-contiguity the paper calls out.
         """
         elem_bytes = VALUE_BYTES + CSR_INDEX_BYTES
-        if use_reference_impl():
-            segments: List[Segment] = []
-            for idx in iter_blocks(rows, cols, block_size):
-                for r in range(idx.r0, idx.r0 + idx.height):
-                    lo, hi = int(row_ptr[r]), int(row_ptr[r + 1])
-                    if lo == hi:
-                        continue
-                    row_cols = col_idx[lo:hi]
-                    start = lo + int(np.searchsorted(row_cols, idx.c0, side="left"))
-                    stop = lo + int(np.searchsorted(row_cols, idx.c0 + idx.width, side="left"))
-                    count = stop - start
-                    if count <= 0:
-                        continue
-                    segments.append(Segment(start * elem_bytes, count * elem_bytes))
-            return Trace.of(segments)
         # Each segment is a maximal run of consecutive non-zeros sharing
         # (row, block-column); CSR order already groups them, so the run
         # boundaries fall where either key changes.  Runs are then
-        # reordered into the reference's block-major (block-row,
-        # block-col, row) emission order.
+        # reordered into block-major (block-row, block-col, row)
+        # emission order.
         n = int(col_idx.size)
         if n == 0:
             return Trace()
@@ -162,8 +128,7 @@ class CSRFormat(SparseFormat):
         # The vectorized scatter expands row ids with np.repeat, which on
         # a corrupted row_ptr (fault injection flips pointer bits) would
         # try to materialise billions of entries.  The loop's slices clamp
-        # such pointers for free, so route anything malformed -- and the
-        # explicit reference mode -- through the original loop.
+        # such pointers for free, so route anything malformed through it.
         diffs = np.diff(row_ptr)
         well_formed = (
             row_ptr.size == rows + 1
@@ -171,7 +136,7 @@ class CSRFormat(SparseFormat):
             and int(row_ptr[-1]) == vals.size
             and bool((diffs >= 0).all())
         )
-        if use_reference_impl() or not well_formed:
+        if not well_formed:
             for r in range(rows):
                 lo, hi = int(row_ptr[r]), int(row_ptr[r + 1])
                 dense[r, col_idx[lo:hi]] = vals[lo:hi]

@@ -19,19 +19,12 @@ from.
 from __future__ import annotations
 
 import math
-from typing import List
 
 import numpy as np
 
-from ..core.blocks import (
-    block_grid_shape,
-    extract_block,
-    iter_blocks,
-    merge_from_blocks,
-    split_into_blocks,
-)
+from ..core.blocks import block_grid_shape, merge_from_blocks, split_into_blocks
 from ..core.patterns import Direction
-from ..perf import timed, use_reference_impl
+from ..perf import timed
 from .base import (
     DDC_INFO_BYTES,
     VALUE_BYTES,
@@ -145,58 +138,25 @@ class DDCFormat(SparseFormat):
         n_br, n_bc = block_grid_shape(rows, cols, m)
         info = np.zeros(n_br * n_bc, dtype=DDC_INFO_DTYPE)
 
-        if use_reference_impl():
-            payload_vals: List[np.ndarray] = []
-            payload_idx: List[np.ndarray] = []
-            for i, bidx in enumerate(iter_blocks(rows, cols, m)):
-                block = extract_block(dense, bidx, m)
-                if tbs is not None:
-                    n = int(tbs.block_n[bidx.row, bidx.col])
-                    direction = Direction(int(tbs.block_direction[bidx.row, bidx.col]))
-                else:
-                    n, direction, _ = infer_block_pattern(block)
-
-                work = block if direction is Direction.ROW else block.T
-                vals = np.zeros((m, n))
-                idxs = np.zeros((m, n), dtype=np.int64)
-                for lane in range(m):
-                    nz = np.nonzero(work[lane])[0][:n]
-                    vals[lane, : nz.size] = work[lane, nz]
-                    idxs[lane, : nz.size] = nz
-                    # Pad unused slots with a repeat of the last index so the
-                    # decode scatter stays idempotent (value 0 writes).
-                    if nz.size < n and nz.size > 0:
-                        idxs[lane, nz.size :] = nz[-1]
-
-                info["direction"][i] = direction.value
-                info["n"][i] = n
-                payload_vals.append(vals.ravel())
-                payload_idx.append(idxs.ravel())
-            flat_vals = np.concatenate(payload_vals) if payload_vals else np.zeros(0)
-            flat_idx = (
-                np.concatenate(payload_idx) if payload_idx else np.zeros(0, dtype=np.int64)
-            )
+        # Pick every block's (n, direction), then pack each lane's
+        # non-zeros to the front in one batch.
+        flat = split_into_blocks(dense, m).reshape(-1, m, m)
+        if tbs is not None:
+            info["n"] = tbs.block_n.reshape(-1)
+            info["direction"] = tbs.block_direction.reshape(-1)
+            dir_row = info["direction"] == Direction.ROW.value
         else:
-            # Vectorized: pick every block's (n, direction), then pack
-            # each lane's non-zeros to the front in one batch.
-            # Bit-exact with the loop above (equivalence suite).
-            flat = split_into_blocks(dense, m).reshape(-1, m, m)
-            if tbs is not None:
-                info["n"] = tbs.block_n.reshape(-1)
-                info["direction"] = tbs.block_direction.reshape(-1)
-                dir_row = info["direction"] == Direction.ROW.value
-            else:
-                row_counts = np.count_nonzero(flat, axis=2)
-                col_counts = np.count_nonzero(flat, axis=1)
-                row_max = row_counts.max(axis=1)
-                col_max = col_counts.max(axis=1)
-                row_uniform = ((row_counts == 0) | (row_counts == row_max[:, None])).all(axis=1)
-                col_uniform = ((col_counts == 0) | (col_counts == col_max[:, None])).all(axis=1)
-                dir_row = row_uniform | (~col_uniform & (row_max <= col_max))
-                info["n"] = np.where(dir_row, row_max, col_max)
-                info["direction"] = np.where(dir_row, Direction.ROW.value, Direction.COL.value)
-            work = np.where(dir_row[:, None, None], flat, flat.transpose(0, 2, 1))
-            flat_vals, flat_idx = _pack_lanes(work, info["n"])
+            row_counts = np.count_nonzero(flat, axis=2)
+            col_counts = np.count_nonzero(flat, axis=1)
+            row_max = row_counts.max(axis=1)
+            col_max = col_counts.max(axis=1)
+            row_uniform = ((row_counts == 0) | (row_counts == row_max[:, None])).all(axis=1)
+            col_uniform = ((col_counts == 0) | (col_counts == col_max[:, None])).all(axis=1)
+            dir_row = row_uniform | (~col_uniform & (row_max <= col_max))
+            info["n"] = np.where(dir_row, row_max, col_max)
+            info["direction"] = np.where(dir_row, Direction.ROW.value, Direction.COL.value)
+        work = np.where(dir_row[:, None, None], flat, flat.transpose(0, 2, 1))
+        flat_vals, flat_idx = _pack_lanes(work, info["n"])
 
         count = m * info["n"]
         block_ptr = np.zeros(info.size + 1, dtype=np.int64)

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..perf import timed, use_reference_impl
+from ..perf import timed
 from .base import (
     VALUE_BYTES,
     EncodedMatrix,
@@ -58,23 +58,12 @@ class SDCFormat(SparseFormat):
         widths = np.repeat(np.maximum.reduceat(row_nnz, starts), np.diff(starts, append=rows))
         width = int(widths.max()) if rows and cols else 0
 
-        if use_reference_impl():
-            vals = np.zeros((rows, width))
-            idxs = np.zeros((rows, width), dtype=np.int64)
-            valid = np.zeros((rows, width), dtype=bool)
-            for r in range(rows):
-                nz = np.nonzero(dense[r])[0]
-                vals[r, : nz.size] = dense[r, nz]
-                idxs[r, : nz.size] = nz
-                valid[r, : nz.size] = True
-        else:
-            # Stable sort on the zero predicate packs each row's
-            # non-zeros to the front in ascending column order --
-            # bit-exact with the per-row loop above.
-            order = np.argsort(dense == 0.0, axis=1, kind="stable")[:, :width]
-            valid = np.arange(width)[None, :] < row_nnz[:, None]
-            vals = np.where(valid, np.take_along_axis(dense, order, axis=1), 0.0)
-            idxs = np.where(valid, order, 0)
+        # Stable sort on the zero predicate packs each row's non-zeros to
+        # the front in ascending column order.
+        order = np.argsort(dense == 0.0, axis=1, kind="stable")[:, :width]
+        valid = np.arange(width)[None, :] < row_nnz[:, None]
+        vals = np.where(valid, np.take_along_axis(dense, order, axis=1), 0.0)
+        idxs = np.where(valid, order, 0)
 
         nnz = int(row_nnz.sum())
         stored_slots = int(widths.sum())

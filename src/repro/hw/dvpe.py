@@ -119,9 +119,10 @@ class DVPE:
         (``map_balanced`` closes a segment in the cycle its last element
         is packed into), the port drains ``output_port_width`` results,
         and overflow past the alternate buffer stalls in
-        ``ceil(excess / port)`` steps.  Bit-exact with the scalar path
-        (see ``tests/sim/test_vectorized_equivalence.py``); the loop
-        implementation stays available via ``REPRO_REFERENCE_IMPL=1``.
+        ``ceil(excess / port)`` steps.  Bit-exact with the scalar
+        :meth:`block_cost` and with the per-block loop oracle in
+        ``tests/sim/engine_oracle.py`` (see
+        ``tests/sim/test_vectorized_equivalence.py``).
         """
         counts = np.asarray(row_counts, dtype=np.int64)
         if counts.ndim != 2:

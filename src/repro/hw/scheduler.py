@@ -13,13 +13,14 @@ slots.  We model both policies event-driven:
   "direct mapping" baseline in Fig. 16(b));
 * :func:`schedule_sparsity_aware` -- windowed earliest-free-PE dispatch.
 
-Both schedulers run an optimized default path (array wave-packing for
-direct; a max-heap window with numpy busy accumulators for
-sparsity-aware) plus the original loop-based reference behind
-``REPRO_REFERENCE_IMPL=1``; the equivalence suite proves the two agree
-bit-exactly.  Duck-typed sequences (e.g. the corrupted descriptor
-streams the stall guards exist for) always take the reference event
-loop, whose length-snapshot guards they exercise.
+Cost arrays, lists and tuples take the array paths: wave packing for
+direct, a one-sift max-heap window for sparsity-aware.  Duck-typed
+sequences (e.g. the corrupted descriptor streams the stall guards
+exist for) take guarded event loops instead, whose length-snapshot
+guards they exercise; ``record=True`` direct schedules take the direct
+loop too.  The sort-based loop the sparsity-aware heap replaced lives
+on as a test oracle (``tests/hw/scheduler_oracle.py``), and the
+equivalence suites prove every path agrees with it bit-exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numpy as np
 from ..obs import metrics as obs_metrics
 from ..obs.state import enabled as _obs_enabled
 from ..obs.tracer import instant as _obs_instant
-from ..perf import use_reference_impl
 from ..perf.timers import enabled as _perf_enabled
 from ..perf.timers import snapshot as _perf_snapshot
 from ..perf.timers import timed
@@ -136,7 +136,7 @@ def _as_cost_array(costs) -> Optional[np.ndarray]:
 
     Only genuine arrays, lists and tuples take the vectorized paths;
     duck-typed sequences (whose ``__len__``/``__getitem__`` the stall
-    guards must observe live) fall back to the reference event loop.
+    guards must observe live) take the guarded event loops.
     """
     if isinstance(costs, np.ndarray):
         arr = costs
@@ -183,7 +183,7 @@ def schedule_direct(
 
     ``record=True`` captures per-block placements for trace rendering.
     """
-    arr = None if record or use_reference_impl() else _as_cost_array(costs)
+    arr = None if record else _as_cost_array(costs)
     if arr is None:
         return _schedule_direct_reference(costs, num_pes, record)
     _validate_array(arr, num_pes)
@@ -197,7 +197,7 @@ def schedule_direct(
         for w in wave_max.tolist():
             obs_metrics.observe("hw.scheduler.wave_cycles", w)
     if arr.dtype.kind == "f":
-        # Left-to-right Python summation: bit-identical to the reference
+        # Left-to-right Python summation: bit-identical to the event
         # loop's sequential accumulation (float addition is not
         # associative, and numpy's pairwise reduction would diverge in
         # the last ulps).
@@ -214,7 +214,12 @@ def schedule_direct(
 def _schedule_direct_reference(
     costs: Sequence[int], num_pes: int, record: bool = False
 ) -> ScheduleResult:
-    """Loop-based reference for :func:`schedule_direct`."""
+    """Event loop of :func:`schedule_direct`, one wave at a time.
+
+    The only path for ``record=True`` (``sim.trace`` renders its
+    placements) and for duck-typed sequences, which the array path
+    does not accept.
+    """
     _validate(costs, num_pes)
     busy = [0] * num_pes
     makespan = 0
@@ -252,14 +257,10 @@ def schedule_sparsity_aware(
     frees first (longest-processing-time within the lookahead).
 
     The optimized path keeps the window in a max-heap keyed
-    ``(-cost, -block_id)`` -- the exact tie-break of the reference's
-    ``sort(reverse=True); pop(0)`` -- and dispatches each block with one
-    sift of each heap.
+    ``(-cost, -block_id)`` -- the exact tie-break of the sort-based
+    oracle's ``sort(reverse=True); pop(0)`` -- and dispatches each block
+    with one sift of each heap.
     """
-    if use_reference_impl():
-        return _schedule_sparsity_aware_reference(
-            costs, num_pes, window, fetch_per_cycle, record
-        )
     arr = _as_cost_array(costs)
     if arr is not None:
         _validate_array(arr, num_pes)
@@ -346,7 +347,7 @@ def _dispatch_array(
     is one ``heappushpop`` (fetch the next block, take the heaviest
     visible one) and one ``heapreplace`` on the PE heap (the earliest-free
     PE takes the block).  Both heaps hold distinct keys, so every pop
-    returns what the reference's pop-then-push returns, and
+    returns what the guarded loop's pop-then-push returns, and
     ``free_time - neg_cost`` is exactly ``free_time + cost``.
     """
     if window < 1 or fetch_per_cycle < 1:
@@ -380,67 +381,7 @@ def _dispatch_array(
 
     makespan = max(t for t, _ in heap) if heap else 0
     # Same total as re-reading the stream (float arrays sum left-to-right
-    # to match the reference accumulation order).
+    # to match the event loop's accumulation order).
     total = int(arr.sum()) if int_costs else float(sum(costs_list))
     return ScheduleResult(makespan, total, num_pes, tuple(busy), tuple(assignments))
 
-
-def _schedule_sparsity_aware_reference(
-    costs: Sequence[int],
-    num_pes: int,
-    window: int = 8,
-    fetch_per_cycle: int = 2,
-    record: bool = False,
-) -> ScheduleResult:
-    """Loop-based reference for :func:`schedule_sparsity_aware`."""
-    _validate(costs, num_pes)
-    if window < 1 or fetch_per_cycle < 1:
-        raise ValueError("window and fetch rate must be positive")
-    pending = costs
-    n_blocks = len(pending)
-    buffer: List[Tuple[float, int]] = []  # (cost, block_id)
-    heap = [(0, pe) for pe in range(num_pes)]  # (free_time, pe)
-    heapq.heapify(heap)
-    busy = [0] * num_pes
-    fetch_cursor = 0
-    dispatched = 0
-    assignments: List[Assignment] = []
-
-    def _stall_state() -> dict:
-        return {
-            "fetch_cursor": fetch_cursor,
-            "dispatched": dispatched,
-            "n_blocks": n_blocks,
-            "claimed_len": len(pending),
-            "window": window,
-            "buffer": buffer[:8],
-        }
-
-    while fetch_cursor < len(pending) or buffer:
-        while fetch_cursor < min(len(pending), n_blocks) and len(buffer) < window:
-            buffer.append((pending[fetch_cursor], fetch_cursor))
-            fetch_cursor += 1
-        if not buffer:
-            raise SimStallError(
-                "scheduler fetch stage made no progress",
-                cause="fetch_no_progress",
-                state=_stall_state(),
-            )
-        if dispatched >= n_blocks:
-            raise SimStallError(
-                "scheduler dispatched every block but the stream claims more pending",
-                cause="stream_overrun",
-                state=_stall_state(),
-            )
-        buffer.sort(reverse=True)
-        cost, block_id = buffer.pop(0)
-        dispatched += 1
-        free_time, pe = heapq.heappop(heap)
-        heapq.heappush(heap, (free_time + cost, pe))
-        busy[pe] += cost
-        if record:
-            assignments.append(Assignment(block_id, pe, free_time, free_time + cost))
-
-    makespan = max(t for t, _ in heap) if heap else 0
-    total = sum(pending[i] for i in range(n_blocks))
-    return ScheduleResult(makespan, total, num_pes, tuple(busy), tuple(assignments))

@@ -1,4 +1,4 @@
-"""Performance subsystem: stage timers, bench harness, dual-impl policy.
+"""Performance subsystem: stage timers and the bench harness.
 
 Two concerns live here:
 
@@ -12,17 +12,13 @@ Two concerns live here:
   ``BENCH_<name>.json`` files that the CI ``bench`` job gates against a
   committed baseline.
 
-The subsystem also owns the *dual implementation policy*: every
-vectorized hot path keeps its original loop-based reference
-implementation, selectable at runtime with ``REPRO_REFERENCE_IMPL=1``.
-The equivalence suite (``tests/sim/test_vectorized_equivalence.py``)
-proves the two agree bit-exactly; the escape hatch exists so a
-regression can always be bisected against the reference semantics.
+Every vectorized hot path has one implementation in ``src/``.  The loop
+it replaced lives on as a test oracle (``tests/<pkg>/*_oracle.py``),
+and the equivalence suites prove the two agree bit-exactly
+(DESIGN.md §4b).
 """
 
 from __future__ import annotations
-
-import os
 
 from .timers import (
     capture,
@@ -37,7 +33,6 @@ from .timers import (
 )
 
 __all__ = [
-    "REFERENCE_ENV",
     "capture",
     "disable",
     "enable",
@@ -47,17 +42,4 @@ __all__ = [
     "snapshot",
     "stage",
     "timed",
-    "use_reference_impl",
 ]
-
-#: Environment variable forcing the loop-based reference implementations.
-REFERENCE_ENV = "REPRO_REFERENCE_IMPL"
-
-
-def use_reference_impl() -> bool:
-    """True when ``REPRO_REFERENCE_IMPL=1`` forces the reference paths.
-
-    Checked per call (not cached) so tests can flip the switch with
-    ``monkeypatch.setenv`` and compare both implementations in-process.
-    """
-    return os.environ.get(REFERENCE_ENV, "") == "1"

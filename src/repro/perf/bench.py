@@ -42,7 +42,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import use_reference_impl
 from .timers import capture, enabled_scope
 
 __all__ = [
@@ -481,7 +480,6 @@ def run_suite(
         "seed": seed,
         "python": sys.version.split()[0],
         "platform": platform.platform(),
-        "reference_impl": use_reference_impl(),
         "calibration_s": calibration_s,
         "benches": benches,
         "total_wall_s": total,

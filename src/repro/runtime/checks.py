@@ -199,13 +199,10 @@ def check_format_roundtrip(
         return True
     expected = np.where(mask, values, 0.0) if mask is not None else np.asarray(values, float)
     try:
-        from ..formats.base import EncodedMatrix, EncodeSpec, SparseFormat
+        from ..formats.base import EncodedMatrix, EncodeSpec
         from ..formats.validate import validate_trace
 
-        if isinstance(fmt, SparseFormat):
-            encoded = fmt.encode(values, EncodeSpec(mask=mask, tbs=tbs, block_size=block_size))
-        else:  # duck-typed stand-ins keep the legacy keyword contract
-            encoded = fmt.encode(values, mask=mask, tbs=tbs, block_size=block_size)
+        encoded = fmt.encode(values, EncodeSpec(mask=mask, tbs=tbs, block_size=block_size))
         if isinstance(encoded, EncodedMatrix):
             validate_trace(encoded)
         decoded = fmt.decode(encoded)

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional
 
 from ..core.patterns import PatternFamily
 from ..hw.config import ArchConfig, dvpe_fan, highlight, rm_stc, sgcn, stc, tb_stc, tensor_core, vegeta
-from ..hw.energy import EnergyParams
 from ..workloads.generator import GEMMWorkload, build_workload
 from ..workloads.layers import LayerSpec
 from .engine import simulate
@@ -70,7 +69,6 @@ def simulate_arch(
     config: ArchConfig,
     workload: GEMMWorkload,
     options: Optional[SimOptions] = None,
-    energy_params: Optional[EnergyParams] = None,
 ) -> SimResult:
     """Simulate with the architecture-specific knobs applied.
 
@@ -79,8 +77,6 @@ def simulate_arch(
     one explicitly.
     """
     opts = options if options is not None else SimOptions()
-    if energy_params is not None:
-        opts = replace(opts, energy_params=energy_params)
     if opts.row_overhead_cycles == 0.0:
         overhead = ARCH_ROW_OVERHEAD.get(config.name, 0.0)
         if overhead:

@@ -25,9 +25,7 @@ One :func:`simulate` call executes one sparse GEMM on one
 from __future__ import annotations
 
 import math
-import sys
-import warnings
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -37,16 +35,14 @@ from ..formats.base import DEFAULT_ORIENTATION, VALUE_BYTES, EncodeSpec
 from ..formats.conversion import batch_conversion_cycles
 from ..formats.memory_model import traffic_report
 from ..formats.registry import available_formats, format_index, get_format
-from ..hw.codec import CodecUnit
 from ..hw.config import ArchConfig
 from ..hw.dram import DRAMModel
 from ..hw.dvpe import DVPE
 from ..hw.energy import EnergyModel, EnergyParams
-from ..hw.mapping import BlockWork
 from ..hw.scheduler import SimStallError, schedule_direct, schedule_sparsity_aware
 from ..obs import metrics as obs_metrics
 from ..obs.state import enabled as _obs_enabled
-from ..perf import stage, use_reference_impl
+from ..perf import stage
 from ..perf.memo import ArrayMemo, clear_memos
 from ..perf.timers import capture
 from ..perf.timers import enabled as _perf_enabled
@@ -118,13 +114,9 @@ def _block_costs(
 ):
     """DVPE cycle cost of every block (intra-block mapping model).
 
-    Default: the vectorized :meth:`~repro.hw.dvpe.DVPE.block_costs_batch`
-    model, memoized across sweep cells (see :data:`_COST_MEMO`).
-    ``REPRO_REFERENCE_IMPL=1`` selects the original per-block loop; both
-    return the same values bit-exactly (equivalence suite).
+    The vectorized :meth:`~repro.hw.dvpe.DVPE.block_costs_batch` model,
+    memoized across sweep cells (see :data:`_COST_MEMO`).
     """
-    if use_reference_impl():
-        return _block_costs_reference(row_counts, config, row_overhead)
     key = (
         row_counts.tobytes(),
         row_counts.shape,
@@ -156,27 +148,6 @@ def _block_costs(
         # rounding up per block.
         costs = costs + row_overhead * (row_counts > 0).sum(axis=1)
     return _COST_MEMO.put(key, costs)
-
-
-def _block_costs_reference(
-    row_counts: np.ndarray, config: ArchConfig, row_overhead: float = 0.0
-) -> List[int]:
-    """Loop-based reference for :func:`_block_costs` (one DVPE per block)."""
-    pe = DVPE(
-        lanes=config.lanes_per_pe,
-        output_port_width=config.output_port_width,
-        alternate_unit=config.alternate_unit,
-        alternate_buffer_depth=config.alternate_buffer_depth,
-        intra_block_mapping=config.intra_block_mapping,
-    )
-    costs: List[float] = []
-    for counts in row_counts:
-        work = BlockWork(tuple(int(c) for c in counts), m=len(counts))
-        cost = float(pe.block_cost(work))
-        if row_overhead:
-            cost += row_overhead * float((counts > 0).sum())
-        costs.append(cost)
-    return costs
 
 
 #: LRU memo for block-cost vectors, keyed on the mask-derived segment
@@ -216,7 +187,6 @@ def _codec_visible_and_elements(
     workload: GEMMWorkload,
     config: ArchConfig,
     dirs: np.ndarray,
-    costs: List[int],
     overlap_cycles: float,
 ) -> Tuple[int, int]:
     """Visible conversion cycles and converted element count.
@@ -234,32 +204,19 @@ def _codec_visible_and_elements(
     sparse = workload.sparse_values
     blocks = split_into_blocks(sparse, m)
     flat_blocks = blocks.reshape(-1, m, m)
-    if use_reference_impl():
-        codec = CodecUnit(lanes=m)
-        conversion_cycles = 0
-        converted = 0
-        elements = 0
-        for i, direction in enumerate(dirs):
-            if direction != Direction.COL.value:
-                continue
-            stats = codec.process_block(flat_blocks[i], Direction.COL, pe_cycles=costs[i])
-            conversion_cycles += stats.conversion_cycles
-            converted += stats.converted_blocks
-            elements += stats.elements
-    else:
-        # Batched queue-group emulation: only COL-direction blocks with
-        # payload convert; empty ones pass through contributing nothing.
-        col_sel = dirs == Direction.COL.value
-        col_blocks = flat_blocks[col_sel]
-        block_nnz = np.count_nonzero(col_blocks, axis=(1, 2))
-        elements = int(block_nnz.sum())
-        conv_blocks = col_blocks[block_nnz > 0]
-        converted = int(conv_blocks.shape[0])
-        conversion_cycles = (
-            int(batch_conversion_cycles(conv_blocks, n_queues=m).sum())
-            if converted
-            else 0
-        )
+    # Batched queue-group emulation: only COL-direction blocks with
+    # payload convert; empty ones pass through contributing nothing.
+    col_sel = dirs == Direction.COL.value
+    col_blocks = flat_blocks[col_sel]
+    block_nnz = np.count_nonzero(col_blocks, axis=(1, 2))
+    elements = int(block_nnz.sum())
+    conv_blocks = col_blocks[block_nnz > 0]
+    converted = int(conv_blocks.shape[0])
+    conversion_cycles = (
+        int(batch_conversion_cycles(conv_blocks, n_queues=m).sum())
+        if converted
+        else 0
+    )
     parallel_conversion = conversion_cycles / CODEC_LANES
     visible = int(math.ceil(max(0.0, parallel_conversion - overlap_cycles)))
     if converted:
@@ -335,65 +292,10 @@ def _memory_cycles_and_bytes(
     return cycles, total_bytes, detail
 
 
-#: (filename, lineno) call-sites that already received the legacy-kwargs
-#: DeprecationWarning -- each site warns exactly once per process.
-_LEGACY_WARNED_SITES: Set[Tuple[str, int]] = set()
-
-#: The nine-kwarg signature's option names, in their historical order
-#: (positional legacy calls are mapped through this).
-_LEGACY_OPTION_FIELDS = (
-    "energy_params",
-    "row_overhead_cycles",
-    "weight_bits",
-    "ecc",
-    "fault",
-    "fault_seed",
-    "cycle_budget",
-)
-
-
-def _coerce_options(options, legacy_args: tuple, legacy_kwargs: dict) -> SimOptions:
-    """Build :class:`SimOptions` from the new or the deprecated calling form.
-
-    The deprecated form (loose ``energy_params=...`` etc. kwargs, or
-    extra positionals) still works but emits one
-    :class:`DeprecationWarning` per call-site -- enough to migrate by,
-    quiet enough not to drown a million-cell sweep.
-    """
-    legacy = dict(zip(_LEGACY_OPTION_FIELDS, legacy_args))
-    for key, value in legacy_kwargs.items():
-        if key not in _LEGACY_OPTION_FIELDS:
-            raise TypeError(f"simulate() got an unexpected keyword argument {key!r}")
-        if key in legacy:
-            raise TypeError(f"simulate() got multiple values for argument {key!r}")
-        legacy[key] = value
-    if not legacy:
-        return options if options is not None else SimOptions()
-    if options is not None:
-        raise TypeError(
-            "simulate() takes either options=SimOptions(...) or the deprecated "
-            f"loose kwargs, not both (got {sorted(legacy)})"
-        )
-    frame = sys._getframe(2)
-    site = (frame.f_code.co_filename, frame.f_lineno)
-    if site not in _LEGACY_WARNED_SITES:
-        _LEGACY_WARNED_SITES.add(site)
-        fields = ", ".join(f"{name}=..." for name in sorted(legacy))
-        warnings.warn(
-            f"simulate({fields}) is deprecated; pass "
-            f"simulate(config, workload, options=SimOptions({fields})) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return SimOptions(**legacy)
-
-
 def simulate(
     config: ArchConfig,
     workload: GEMMWorkload,
     options: Optional[SimOptions] = None,
-    *legacy_args,
-    **legacy_kwargs,
 ) -> SimResult:
     """Execute one sparse GEMM on one architecture.
 
@@ -416,10 +318,6 @@ def simulate(
       :class:`~repro.hw.scheduler.SimStallError` if the modeled
       execution exceeds it -- a runaway guard for sweeps.
 
-    The pre-1.1 loose-kwargs form (``simulate(cfg, wl, weight_bits=8)``)
-    still works through a shim that emits one ``DeprecationWarning`` per
-    call-site.
-
     When invariant checking is on (:mod:`repro.runtime.checks`), the
     workload mask is validated against its declared pattern family, and
     under ``strict`` the architecture's storage format is additionally
@@ -437,12 +335,7 @@ def simulate(
     is traced as a span; with it off (the default) ``metrics`` stays
     ``None`` and outputs are byte-identical to an uninstrumented build.
     """
-    if isinstance(options, SimOptions) or options is None:
-        opts = _coerce_options(options, legacy_args, legacy_kwargs)
-    else:
-        # Positional legacy call: the third positional used to be
-        # energy_params; shift it into the legacy tuple.
-        opts = _coerce_options(None, (options,) + legacy_args, legacy_kwargs)
+    opts = options if options is not None else SimOptions()
     if not _perf_enabled() and not _obs_enabled():
         return _simulate(config, workload, opts)
     if not _obs_enabled():
@@ -519,11 +412,7 @@ def _simulate(
     replication = 1
     if n_blocks < 2 * config.num_pes and k > 1:
         replication = min(k, max(1, math.ceil(2 * config.num_pes / max(1, n_blocks))))
-    if isinstance(costs, np.ndarray):
-        # list * n concatenates; ndarray * n scales -- tile explicitly.
-        task_costs = np.tile(costs, replication) if replication > 1 else costs
-    else:
-        task_costs = costs * replication
+    task_costs = np.tile(costs, replication) if replication > 1 else costs
     column_passes = k / replication
 
     with stage("sim.schedule"):
@@ -552,7 +441,6 @@ def _simulate(
             workload,
             config,
             dirs,
-            costs,
             overlap_cycles=max(mem_detail["a_cycles"], float(compute_cycles)),
         )
 

@@ -13,8 +13,7 @@ immutable, picklable, hashable value object:
   its :meth:`to_dict` round-trips through JSON for cache keys);
 * derive variants with :func:`dataclasses.replace` instead of mutating.
 
-The old loose kwargs still work through a deprecation shim in
-``simulate()`` that warns once per call-site.
+``simulate()`` takes no loose knob keywords: every knob is a field here.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from repro.faults import (
     run_cell,
     run_trial,
 )
-from repro.runtime.runner import ExperimentRunner
 
 SMALL = dict(trials=6, rows=16, cols=16, m=8, sparsity=0.75)
 
@@ -137,13 +136,13 @@ class TestReproducibility:
         assert run_trial(spec, "ddc", "meta_flip", 4) == direct
 
 
-class TestRunnerIntegration:
-    def test_campaign_through_runner_caches_cells(self, tmp_path):
+class TestSweepCaching:
+    def test_resumed_campaign_serves_cells_from_cache(self, tmp_path):
         spec = CampaignSpec(formats=("csr",), models=("meta_flip",), **SMALL)
-        runner = ExperimentRunner(cache_dir=tmp_path, retries=0, resume=False)
-        first = run_campaign(spec, runner=runner)
-        runner2 = ExperimentRunner(cache_dir=tmp_path, retries=0, resume=True)
-        second = run_campaign(spec, runner=runner2)
+        first = run_campaign(spec, cache_dir=tmp_path)
+        second = run_campaign(spec, cache_dir=tmp_path, resume=True)
+        assert "(1 computed, 0 from cache" in first.sweep_summary
+        assert "(0 computed, 1 from cache" in second.sweep_summary
         assert first.cells[0].counts == second.cells[0].counts
 
 

@@ -1,13 +1,10 @@
-"""Tests for EncodeSpec and the legacy encode-kwargs deprecation shim."""
-
-import warnings
+"""Tests for EncodeSpec and SparseFormat.encode()'s spec contract."""
 
 import numpy as np
 import pytest
 
 from repro.core import tbs_sparsify
 from repro.formats import CSRFormat, DenseFormat, EncodeSpec
-from repro.formats.base import _LEGACY_ENCODE_WARNED_SITES
 
 
 class TestEncodeSpec:
@@ -44,51 +41,13 @@ class TestEncodeSpec:
         assert enc.trace() == enc.trace("transposed")  # default follows the spec
 
 
-class TestLegacyShim:
-    def test_legacy_kwargs_still_encode_identically(self):
-        values = np.random.default_rng(1).normal(size=(16, 16))
-        mask = np.random.default_rng(2).random((16, 16)) < 0.5
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = CSRFormat().encode(values, mask=mask, block_size=8)
-        new = CSRFormat().encode(values, EncodeSpec(mask=mask, block_size=8))
-        assert np.array_equal(CSRFormat().decode(legacy), CSRFormat().decode(new))
-        assert legacy.segments == new.segments
-
-    def test_warns_once_per_call_site(self):
-        values = np.ones((8, 8))
-        _LEGACY_ENCODE_WARNED_SITES.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(3):
-                CSRFormat().encode(values, block_size=8)  # one site, three calls
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "EncodeSpec" in str(deprecations[0].message)
-
-    def test_distinct_call_sites_each_warn(self):
-        values = np.ones((8, 8))
-        _LEGACY_ENCODE_WARNED_SITES.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            CSRFormat().encode(values, block_size=8)
-            CSRFormat().encode(values, block_size=8)  # a different line -> warns again
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 2
-
-    def test_positional_mask_still_works(self):
-        values = np.random.default_rng(3).normal(size=(8, 8))
-        mask = np.random.default_rng(4).random((8, 8)) < 0.5
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            enc = CSRFormat().encode(values, mask)
-        assert np.array_equal(CSRFormat().decode(enc), np.where(mask, values, 0.0))
+class TestEncodeSignature:
+    def test_loose_spec_kwargs_raise(self):
+        """Every knob travels in EncodeSpec; a loose keyword is an error."""
+        mask = np.ones((8, 8), dtype=bool)
+        with pytest.raises(TypeError, match="mask"):
+            CSRFormat().encode(np.ones((8, 8)), mask=mask)
 
     def test_rejects_unknown_kwarg(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
             CSRFormat().encode(np.ones((8, 8)), turbo=True)
-
-    def test_rejects_duplicate_mask(self):
-        mask = np.ones((8, 8), dtype=bool)
-        with pytest.raises(TypeError, match="multiple values"):
-            CSRFormat().encode(np.ones((8, 8)), mask, mask=mask)

@@ -1,4 +1,4 @@
-"""The sparsity-aware scheduler matches its reference loop at fig13 scale.
+"""The sparsity-aware scheduler matches its sort-based oracle at fig13 scale.
 
 The hypothesis suite in ``tests/sim/test_vectorized_equivalence.py``
 stops at 64 costs and 8 PEs.  Here the TB-STC configuration (128 PEs,
@@ -12,10 +12,12 @@ them.  Every field, every assignment included, must be bit-identical.
 import numpy as np
 import pytest
 
-from repro.hw.scheduler import _schedule_sparsity_aware_reference, schedule_sparsity_aware
+from repro.hw.scheduler import schedule_sparsity_aware
 from repro.sim.baselines import ARCH_FAMILY, arch_by_name
 from repro.sim.engine import _block_costs, block_segments
 from repro.workloads.models import build_model_workload
+
+from .scheduler_oracle import schedule_sparsity_aware_sort
 
 _CONFIG = arch_by_name("TB-STC")
 
@@ -51,7 +53,7 @@ def test_schedule_matches_reference_on_fig13_costs(model, layer, replication, re
     fast = schedule_sparsity_aware(
         costs, _CONFIG.num_pes, window=_CONFIG.scheduler_window, record=record
     )
-    ref = _schedule_sparsity_aware_reference(
+    ref = schedule_sparsity_aware_sort(
         costs, _CONFIG.num_pes, window=_CONFIG.scheduler_window, record=record
     )
     assert _fields(fast) == _fields(ref)

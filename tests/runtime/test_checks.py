@@ -178,7 +178,8 @@ class TestCheckWorkload:
 class _LossyFormat:
     name = "lossy"
 
-    def encode(self, values, mask=None, tbs=None, block_size=8):
+    def encode(self, values, spec):
+        mask = spec.mask
         return np.where(mask, values, 0.0) if mask is not None else np.asarray(values, float)
 
     def decode(self, encoded):
@@ -188,7 +189,7 @@ class _LossyFormat:
 class _CrashingFormat:
     name = "crashy"
 
-    def encode(self, values, mask=None, tbs=None, block_size=8):
+    def encode(self, values, spec):
         raise RuntimeError("boom")
 
     def decode(self, encoded):  # pragma: no cover - encode already raised

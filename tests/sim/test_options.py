@@ -1,7 +1,6 @@
-"""Tests for the SimOptions value object and the legacy-kwargs shim."""
+"""Tests for the SimOptions value object and simulate()'s options contract."""
 
 import pickle
-import warnings
 
 import pytest
 
@@ -9,7 +8,7 @@ from repro.core.patterns import PatternFamily
 from repro.faults.ecc import ECCConfig
 from repro.hw.config import tb_stc
 from repro.hw.energy import EnergyParams
-from repro.sim.engine import _LEGACY_WARNED_SITES, simulate
+from repro.sim.engine import simulate
 from repro.sim.metrics import SIM_RESULT_SCHEMA, SimResult
 from repro.sim.options import SimOptions
 from repro.workloads.generator import build_workload
@@ -105,65 +104,18 @@ class TestSimOptions:
 
 
 class TestSimulateOptions:
-    def test_options_object_matches_legacy_kwargs(self):
-        wl = _wl()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = simulate(tb_stc(), wl, weight_bits=8, row_overhead_cycles=1.0)
-        new = simulate(
-            tb_stc(), wl, options=SimOptions(weight_bits=8, row_overhead_cycles=1.0)
-        )
-        assert new.to_dict() == legacy.to_dict()
-
-    def test_legacy_kwargs_warn_once_per_call_site(self):
-        wl = _wl()
-        _LEGACY_WARNED_SITES.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(3):
-                simulate(tb_stc(), wl, weight_bits=8)  # one site, three calls
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "SimOptions" in str(deprecations[0].message)
-
-    def test_distinct_call_sites_each_warn(self):
-        wl = _wl()
-        _LEGACY_WARNED_SITES.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            simulate(tb_stc(), wl, weight_bits=8)
-            simulate(tb_stc(), wl, weight_bits=8)  # a different line -> warns again
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 2
-
-    def test_warning_names_the_replacement_fields(self):
-        """The message must tell the reader exactly what to write instead."""
-        wl = _wl()
-        _LEGACY_WARNED_SITES.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            simulate(tb_stc(), wl, weight_bits=8, fault_seed=3)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        assert "fault_seed=..., weight_bits=..." in message  # sorted field names
-        assert "options=SimOptions(fault_seed=..., weight_bits=...)" in message
+    def test_loose_option_kwargs_raise(self):
+        """Every knob travels in SimOptions; a loose keyword is an error."""
+        with pytest.raises(TypeError, match="weight_bits"):
+            simulate(tb_stc(), _wl(), weight_bits=8)
 
     def test_rejects_mixing_options_and_legacy(self):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="weight_bits"):
             simulate(tb_stc(), _wl(), options=SimOptions(), weight_bits=8)
 
     def test_rejects_unknown_kwarg(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
             simulate(tb_stc(), _wl(), turbo=True)
-
-    def test_positional_legacy_energy_params_still_works(self):
-        wl = _wl()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = simulate(tb_stc(), wl, EnergyParams())
-        new = simulate(tb_stc(), wl, options=SimOptions(energy_params=EnergyParams()))
-        assert new.to_dict() == legacy.to_dict()
 
 
 class TestSimulateOrientation:

@@ -1,37 +1,53 @@
-"""Vectorized hot paths agree bit-exactly with the loop references.
+"""Vectorized hot paths agree bit-exactly with their loop oracles.
 
-The perf subsystem's dual-implementation policy (DESIGN.md): every
-vectorized path keeps its original loop implementation selectable with
-``REPRO_REFERENCE_IMPL=1``.  This suite is the proof that the two
-produce *identical* results -- not approximately equal: simulator cycle
-counts and float energies are compared through ``float.hex`` so a
-single-ulp divergence fails.
+The oracle rule (DESIGN.md §4b): ``src/`` holds one implementation of
+every hot path, and the loop it replaced lives on as a test oracle
+(``tests/formats/encode_oracle.py``, ``tests/sim/engine_oracle.py``,
+``tests/hw/scheduler_oracle.py``).  This suite is the proof that the
+two produce *identical* results -- not approximately equal: simulator
+cycle counts and float energies are compared through ``float.hex`` so
+a single-ulp divergence fails.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.formats.base import EncodeSpec
-from repro.perf import REFERENCE_ENV
+
+from ..formats.encode_oracle import ENCODE_ORACLES, ddc_encode_loop
+from ..hw.scheduler_oracle import schedule_sparsity_aware_sort
+from .engine_oracle import block_costs_loop, codec_visible_and_elements_loop
 
 
 @contextmanager
-def reference_impl():
-    prev = os.environ.get(REFERENCE_ENV)
-    os.environ[REFERENCE_ENV] = "1"
-    try:
+def loop_oracles():
+    """Every loop oracle installed where ``simulate()`` looks it up.
+
+    ``_simulate`` calls the cost models and the schedulers through the
+    names ``repro.sim.engine`` binds, and every format's ``encode``
+    through the class's ``_encode``.  Direct schedules get the direct
+    event loop, which stays in ``src/`` for ``record=True``.
+    """
+    from repro.formats.csr import CSRFormat
+    from repro.formats.ddc import DDCFormat
+    from repro.formats.sdc import SDCFormat
+    from repro.hw.scheduler import _schedule_direct_reference
+    from repro.sim import engine
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_block_costs", block_costs_loop)
+        mp.setattr(engine, "_codec_visible_and_elements", codec_visible_and_elements_loop)
+        mp.setattr(engine, "schedule_direct", _schedule_direct_reference)
+        mp.setattr(engine, "schedule_sparsity_aware", schedule_sparsity_aware_sort)
+        for cls in (CSRFormat, SDCFormat, DDCFormat):
+            mp.setattr(cls, "_encode", ENCODE_ORACLES[cls.name])
         yield
-    finally:
-        if prev is None:
-            os.environ.pop(REFERENCE_ENV, None)
-        else:
-            os.environ[REFERENCE_ENV] = prev
 
 
 def _hexify(x):
@@ -80,6 +96,24 @@ def test_dvpe_batch_matches_scalar(seed, n_blocks, m, lanes, port, alternate, de
     assert batch.tolist() == scalar
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_blocks=st.integers(1, 24),
+    arch=st.sampled_from(["TC", "STC", "VEGETA", "HighLight", "RM-STC", "SGCN", "TB-STC"]),
+    row_overhead=st.sampled_from([0.0, 0.05, 0.15, 0.2]),
+)
+def test_block_costs_match_loop_oracle(seed, n_blocks, arch, row_overhead):
+    from repro.sim.baselines import arch_by_name
+    from repro.sim.engine import _block_costs
+
+    config = arch_by_name(arch)
+    counts = np.random.default_rng(seed).integers(0, 9, size=(n_blocks, 8)).astype(np.int64)
+    fast = _block_costs(counts, config, row_overhead=row_overhead)
+    ref = block_costs_loop(counts, config, row_overhead=row_overhead)
+    assert [c.hex() for c in fast.tolist()] == [c.hex() for c in ref.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # schedulers
 # ---------------------------------------------------------------------------
@@ -111,11 +145,10 @@ def _schedule_fields(res):
 @settings(max_examples=40, deadline=None)
 @given(costs=_COST_LISTS, num_pes=st.integers(1, 8), record=st.booleans())
 def test_schedule_direct_matches_reference(costs, num_pes, record):
-    from repro.hw.scheduler import schedule_direct
+    from repro.hw.scheduler import _schedule_direct_reference, schedule_direct
 
     fast = schedule_direct(costs, num_pes, record=record)
-    with reference_impl():
-        ref = schedule_direct(costs, num_pes, record=record)
+    ref = _schedule_direct_reference(costs, num_pes, record=record)
     assert _schedule_fields(fast) == _schedule_fields(ref)
 
 
@@ -130,8 +163,7 @@ def test_schedule_sparsity_aware_matches_reference(costs, num_pes, window, recor
     from repro.hw.scheduler import schedule_sparsity_aware
 
     fast = schedule_sparsity_aware(costs, num_pes, window=window, record=record)
-    with reference_impl():
-        ref = schedule_sparsity_aware(costs, num_pes, window=window, record=record)
+    ref = schedule_sparsity_aware_sort(costs, num_pes, window=window, record=record)
     assert _schedule_fields(fast) == _schedule_fields(ref)
 
 
@@ -194,8 +226,9 @@ def test_format_encode_matches_reference(fmt_name, seed, rows, cols, density):
     fmt = _make_format(fmt_name)
     dense = _random_sparse(seed, rows, cols, density)
     fast = fmt.encode(dense, EncodeSpec(block_size=8))
-    with reference_impl():
-        ref = fmt.encode(dense, EncodeSpec(block_size=8))
+    # Bitmap has no loop oracle; it is held to its round trip below.
+    oracle = ENCODE_ORACLES.get(fmt_name)
+    ref = oracle(fmt, dense, EncodeSpec(block_size=8)) if oracle else fast
     _assert_encoded_equal(fast, ref)
     assert np.array_equal(fmt.decode(fast), dense)
     assert np.array_equal(fmt.decode(ref), dense)
@@ -218,10 +251,38 @@ def test_ddc_encode_with_tbs_matches_reference(seed, rows, cols, sparsity):
     dense = np.where(tbs.mask, weights, 0.0)
     fmt = DDCFormat()
     fast = fmt.encode(dense, EncodeSpec(tbs=tbs, block_size=8))
-    with reference_impl():
-        ref = fmt.encode(dense, EncodeSpec(tbs=tbs, block_size=8))
+    ref = ddc_encode_loop(fmt, dense, EncodeSpec(tbs=tbs, block_size=8))
     _assert_encoded_equal(fast, ref)
     assert np.array_equal(fmt.decode(fast), dense)
+
+
+# ---------------------------------------------------------------------------
+# codec
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    sparsity=st.sampled_from([0.5, 0.75, 0.875]),
+)
+def test_codec_counts_match_loop_oracle(seed, sparsity):
+    """With nothing to hide behind (no overlap window) every conversion
+    cycle shows, so the visible count exposes the codec's cycle total,
+    which the whole-simulator fingerprint below mostly cannot see."""
+    from repro.core.patterns import PatternFamily
+    from repro.sim.baselines import arch_by_name
+    from repro.sim.engine import _codec_visible_and_elements, block_segments
+    from repro.workloads.generator import build_workload
+    from repro.workloads.layers import LayerSpec
+
+    config = arch_by_name("TB-STC")
+    layer = LayerSpec("equiv", 64, 64, 16)
+    workload = build_workload(layer, PatternFamily.TBS, sparsity, m=8, seed=seed)
+    _, dirs = block_segments(workload, config)
+    fast = _codec_visible_and_elements(workload, config, dirs, overlap_cycles=0.0)
+    ref = codec_visible_and_elements_loop(workload, config, dirs, overlap_cycles=0.0)
+    assert fast == ref
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +326,6 @@ def test_simulate_bit_exact_vs_reference(seed, arch, sparsity):
     workload = build_workload(layer, family, sparsity, m=8, seed=seed)
 
     fast = simulate_arch(config, workload)
-    with reference_impl():
+    with loop_oracles():
         ref = simulate_arch(config, workload)
     assert _result_fingerprint(fast) == _result_fingerprint(ref)

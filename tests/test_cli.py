@@ -110,7 +110,7 @@ class TestReport:
     def test_strict_checks_flag(self, capsys):
         from repro.runtime.checks import get_check_level
 
-        assert main(["report", "fig4", "--strict-checks"]) == 0
+        assert main(["report", "fig4", "--checks", "strict"]) == 0
         assert get_check_level() == "off"  # flag must not leak globally
 
 
@@ -222,7 +222,7 @@ class TestPrune:
     def test_strict_checks_pass_on_valid_mask(self, tmp_path):
         path = tmp_path / "w.npy"
         np.save(path, np.random.default_rng(3).normal(size=(32, 32)))
-        assert main(["prune", str(path), "--strict-checks"]) == 0
+        assert main(["prune", str(path), "--checks", "strict"]) == 0
 
     def test_nmt_pattern_with_tsolver(self, tmp_path, capsys):
         from repro.core.patterns import PatternFamily, PatternSpec
@@ -286,7 +286,7 @@ class TestSimulate:
     def test_strict_checks(self, capsys):
         rc = main([
             "simulate", "--rows", "64", "--cols", "64", "--b-cols", "16",
-            "--strict-checks",
+            "--checks", "strict",
         ])
         assert rc == 0
         assert "cycles" in capsys.readouterr().out
