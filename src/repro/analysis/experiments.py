@@ -347,8 +347,7 @@ def _table2_cell(
     snapshot (the expensive dense training is shared inside the cell).
     """
     model, data = _proxy(task, seed)
-    train(model, data, family=None, epochs=epochs, seed=seed)
-    dense_acc = evaluate(model, data[2], data[3])
+    dense_acc = train(model, data, family=None, epochs=epochs, seed=seed).test_accuracy
     snap = snapshot_params(model)
     calib = data[0][:64]
     acts = capture_layer_inputs(model, calib)

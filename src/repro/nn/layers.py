@@ -224,13 +224,24 @@ class Conv2d(Module, MaskableMixin):
         return self._col2im(gcols, x_shape)
 
     def _col2im(self, gcols: np.ndarray, x_shape) -> np.ndarray:
+        """Scatter-add patch gradients back onto the (N, C, H, W) input.
+
+        One strided add per kernel tap, taps in descending order.  Output
+        position i covers padded row ``i*s + ki``, so a per-position loop
+        (i ascending) meets a pixel's taps with ki descending, and likewise
+        j with kj: every pixel sums its terms in that loop's order, bit for
+        bit.  ``gx`` stays a view of the padded buffer with the loop's
+        strides, because later reductions sum in memory order (DESIGN §4b).
+        """
         n, c, h, w = x_shape
         k, s, p = self.kernel_size, self.stride, self.padding
+        out_h, out_w = gcols.shape[1], gcols.shape[2]
         gx = np.zeros((n, c, h + 2 * p, w + 2 * p))
-        gcols = gcols.reshape(n, gcols.shape[1], gcols.shape[2], c, k, k)
-        for i in range(gcols.shape[1]):
-            for j in range(gcols.shape[2]):
-                gx[:, :, i * s : i * s + k, j * s : j * s + k] += gcols[:, i, j]
+        taps = gcols.reshape(n, out_h, out_w, c, k, k).transpose(0, 3, 4, 5, 1, 2)
+        for ki in range(k - 1, -1, -1):
+            rows = slice(ki, ki + s * (out_h - 1) + 1, s)
+            for kj in range(k - 1, -1, -1):
+                gx[:, :, rows, kj : kj + s * (out_w - 1) + 1 : s] += taps[:, :, ki, kj]
         if p:
             gx = gx[:, :, p:-p, p:-p]
         return gx
@@ -275,16 +286,19 @@ class BatchNorm2d(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+            # numpy's own variance steps (mean, centre, square, mean), so
+            # the same bits as x.var; the centred batch is reused for xhat.
+            axes = (0, 2, 3)
+            mean = x.mean(axis=axes, keepdims=True)
+            centred = x - mean
+            var = np.square(centred).mean(axis=axes, keepdims=True)
+            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean.ravel()
+            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var.ravel()
         else:
-            mean, var = self.running_mean, self.running_var
-        m = mean[None, :, None, None]
-        v = var[None, :, None, None]
-        self._xhat = (x - m) / np.sqrt(v + self.eps)
-        self._std = np.sqrt(v + self.eps)
+            centred = x - self.running_mean[None, :, None, None]
+            var = self.running_var[None, :, None, None]
+        self._std = np.sqrt(var + self.eps)
+        self._xhat = centred / self._std
         return self.params["gamma"][None, :, None, None] * self._xhat + self.params["beta"][
             None, :, None, None
         ]

@@ -61,7 +61,6 @@ class TrainResult:
 
     loss_history: List[float] = field(default_factory=list)
     sparsity_history: List[float] = field(default_factory=list)
-    train_accuracy: float = 0.0
     test_accuracy: float = 0.0
     family: Optional[PatternFamily] = None
     sparsity: float = 0.0
@@ -338,7 +337,6 @@ def train(
 
     result.completed_epochs = len(result.loss_history)
     result.watchdog_events = [e.as_dict() for e in wd.events]
-    result.train_accuracy = evaluate(model, train_x, train_y)
     result.test_accuracy = evaluate(model, test_x, test_y)
     return result
 

@@ -3,10 +3,11 @@
 The suite times the simulator's hot paths (micro benches: segment
 derivation, DVPE cost batching, both schedulers, every storage format's
 encode, the codec batch), the transposable-mask solver backends
-(``tsolver_{greedy,tsenor}_m{8,32}`` on seeded block batches), and two
+(``tsolver_{greedy,tsenor}_m{8,32}`` on seeded block batches), two
 macro paths (one full ``simulate`` call and a miniature fig13-style
-sweep).  Every bench is seeded and shape-pinned, so two runs of the same
-profile do identical work.
+sweep), and Table I's CNN proxy (one training step and one test-split
+``evaluate``).  Every bench is seeded and shape-pinned, so two runs of
+the same profile do identical work.
 
 Wall times are normalized by a calibration workload (a fixed numpy +
 Python mix timed on the same machine right before the suite), which is
@@ -338,6 +339,36 @@ def _scenario_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, 
     return benches
 
 
+def _nn_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, Callable[[], None]]]:
+    """Training and evaluation benches on Table I's CNN proxy.
+
+    ``nn_train_step_cnn`` times one forward, backward and SGD step on a
+    batch of 64 (the batch ``train`` uses); ``nn_evaluate_cnn`` times
+    ``evaluate`` on the proxy's 80-sample test split.  The model and data
+    are the ones Table I trains, in every profile, so the shapes are
+    pinned by the experiment rather than by ``sizes``.
+    """
+    from ..analysis.experiments import _proxy
+    from ..nn.losses import softmax_cross_entropy
+    from ..nn.optim import SGD
+    from ..nn.train import evaluate
+
+    model, (train_x, train_y, test_x, test_y) = _proxy("cnn", seed)
+    opt = SGD(model, lr=0.05, momentum=0.9, weight_decay=5e-4)
+    x, y = train_x[:64], train_y[:64]
+
+    def _train_step() -> None:
+        opt.zero_grad()
+        _, dlogits = softmax_cross_entropy(model(x), y)
+        model.backward(dlogits)
+        opt.step()
+
+    return [
+        ("nn_train_step_cnn", int(x.size), _train_step),
+        ("nn_evaluate_cnn", int(test_x.size), lambda: evaluate(model, test_x, test_y)),
+    ]
+
+
 def _all_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, Callable[[], None]]]:
     """The whole suite, in its canonical order."""
     return (
@@ -345,6 +376,7 @@ def _all_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, Calla
         + _tsolver_benches(sizes, seed)
         + _scenario_benches(sizes, seed)
         + _macro_benches(sizes, seed)
+        + _nn_benches(sizes, seed)
     )
 
 

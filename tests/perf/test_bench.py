@@ -33,6 +33,8 @@ def test_suite_covers_micro_and_macro(smoke_run):
         "encode_bitmap",
         "simulate_layer",
         "sweep_fig13_mini",
+        "nn_train_step_cnn",
+        "nn_evaluate_cnn",
     } <= names
 
 

@@ -42,18 +42,30 @@ def _run(model, data, epochs, **kwargs):
     )
 
 
+def _assert_same_params(model, reference):
+    """Every final parameter array of ``model`` equals ``reference``'s, bit for bit."""
+    handles, ref_handles = model.parameters(), reference.parameters()
+    assert [name for _, name in handles] == [name for _, name in ref_handles]
+    for (mod, name), (ref_mod, _) in zip(handles, ref_handles):
+        value, ref_value = mod.params[name], ref_mod.params[name]
+        assert value.shape == ref_value.shape and value.dtype == ref_value.dtype
+        assert value.tobytes() == ref_value.tobytes(), name
+
+
 class TestInProcessResume:
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         data = _data()
-        baseline = _run(_model(), data, epochs=6)
+        baseline_model = _model()
+        baseline = _run(baseline_model, data, epochs=6)
 
         _run(_model(), data, epochs=3, checkpoint_dir=tmp_path)
-        resumed = _run(_model(), data, epochs=6, checkpoint_dir=tmp_path, resume=True)
+        resumed_model = _model()
+        resumed = _run(resumed_model, data, epochs=6, checkpoint_dir=tmp_path, resume=True)
 
         assert resumed.resumed_from == 2
         assert resumed.loss_history == baseline.loss_history
         assert resumed.sparsity_history == baseline.sparsity_history
-        assert resumed.train_accuracy == baseline.train_accuracy
+        _assert_same_params(resumed_model, baseline_model)
         assert resumed.test_accuracy == baseline.test_accuracy
 
     def test_resume_with_scheduler_and_adam(self, tmp_path):
@@ -173,11 +185,13 @@ def test_sigkill_mid_epoch_resumes_bit_exact(tmp_path):
         proc.wait()
 
     data = _data()
-    baseline = _run(_model(), data, epochs=6)
-    resumed = _run(_model(), data, epochs=6, checkpoint_dir=ckpt_dir, resume=True)
+    baseline_model = _model()
+    baseline = _run(baseline_model, data, epochs=6)
+    resumed_model = _model()
+    resumed = _run(resumed_model, data, epochs=6, checkpoint_dir=ckpt_dir, resume=True)
 
     assert resumed.resumed_from == 2  # epochs 0-2 were checkpointed pre-kill
     assert resumed.loss_history == baseline.loss_history
     assert resumed.sparsity_history == baseline.sparsity_history
-    assert resumed.train_accuracy == baseline.train_accuracy
+    _assert_same_params(resumed_model, baseline_model)
     assert resumed.test_accuracy == baseline.test_accuracy
