@@ -44,26 +44,28 @@ def pytest_configure(config):
 def run_once(benchmark, fn, *args, **kwargs):
     """Time one full harness execution (no warmup repetition).
 
-    Set ``REPRO_BENCH_CACHE=<dir>`` to route every experiment through
-    the fault-tolerant runner (:mod:`repro.runtime.runner`): completed
-    cells are cached on disk, so an interrupted ``pytest benchmarks/``
-    sweep resumes from where it died instead of recomputing everything.
-    Cached cells report the (fast) cache-read time.
+    Set ``REPRO_BENCH_CACHE=<dir>`` to keep each benchmark's result in a
+    :class:`repro.runtime.cellcache.CellCache` there: a finished
+    benchmark is read back instead of recomputed, so an interrupted
+    ``pytest benchmarks/`` run resumes from where it died.  Cached
+    results report the (fast) cache-read time.
     """
     cache_dir = os.environ.get("REPRO_BENCH_CACHE")
     if not cache_dir:
         return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
-    from repro.runtime.runner import ExperimentRunner
+    from repro.runtime.cellcache import CellCache
 
-    runner = ExperimentRunner(cache_dir=cache_dir, retries=0, resume=True)
+    cache = CellCache(cache_dir)
     name = getattr(fn, "__name__", "bench")
+    path = cache.path(name, {"key": repr((args, sorted(kwargs.items())))})
 
     def cached(*a, **kw):
-        cell = runner.run(name, lambda **_: fn(*a, **kw), key=repr((a, sorted(kw.items()))))
-        if not cell.ok:
-            raise RuntimeError(cell.error)
-        return cell.value
+        hit, value = cache.read_hit(path)
+        if not hit:
+            value = fn(*a, **kw)
+            cache.write(path, value)
+        return value
 
     return benchmark.pedantic(cached, args=args, kwargs=kwargs, rounds=1, iterations=1)
 

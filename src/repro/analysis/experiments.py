@@ -17,7 +17,7 @@ boundary as versioned ``SimResult.to_dict()`` payloads.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,8 +92,8 @@ ACCURACY_FAMILIES = [
     PatternFamily.TBS,
 ]
 
-#: Canonical experiment-cell names, one per paper table/figure.  This is
-#: the registry the fault-tolerant runner and the CLI dispatch on.
+#: Canonical experiment names, one per paper table/figure.  This is the
+#: registry ``run_experiment`` and the CLI dispatch on.
 EXPERIMENTS = (
     "table1",
     "table2",
@@ -128,17 +128,18 @@ def run_experiment(
 ):
     """Compute the raw data behind one paper table/figure by name.
 
-    One entry point per :data:`EXPERIMENTS` cell, with the three size
+    One entry point per :data:`EXPERIMENTS` name, with the three size
     knobs every driver understands.  Returns whatever the underlying
-    driver returns (plain dicts/lists, picklable), so the fault-tolerant
-    runner (:class:`repro.runtime.runner.ExperimentRunner`) can cache
-    cells on disk and ``repro report all`` can resume mid-sweep.
-    Rendering stays in :mod:`repro.cli`.
+    driver returns (plain dicts/lists, picklable); rendering stays in
+    :mod:`repro.cli`.
 
-    ``workers``/``cache_dir``/``resume`` thread through to the
-    grid-shaped drivers (table1, table2, fig13, fig15, fig17), which
-    shard their cells across the sweep engine; single-shot drivers
-    ignore them.
+    Everything runs through the sweep engine, so every caller gets the
+    same cell cache, supervision, cancellation and failure rule (a cell
+    that raises is never retried).  The grid-shaped drivers shard their
+    own cells; each single-shot driver (and each single-shot part of
+    fig15/fig16) runs as a one-cell sweep keyed by its experiment or
+    part name.  ``workers``/``cache_dir``/``resume``/``options`` reach
+    every sweep unchanged.
     """
     seeds = tuple(seeds)
     sweep = dict(workers=workers, cache_dir=cache_dir, resume=resume, options=options)
@@ -147,44 +148,74 @@ def run_experiment(
     if name == "table2":
         return run_table2(seeds=seeds, epochs=epochs, **sweep)
     if name == "table3":
-        return run_table3()
+        return _one_cell("table3", run_table3, {}, **sweep)
     if name == "fig1":
-        return run_fig1_pareto(seeds=seeds, epochs=epochs, scale=scale)
+        return _one_cell(
+            "fig1", run_fig1_pareto, {"seeds": seeds, "epochs": epochs, "scale": scale}, **sweep
+        )
     if name == "fig4":
-        return run_fig4_maskspace()
+        return _one_cell("fig4", run_fig4_maskspace, {}, **sweep)
     if name == "fig6":
-        return run_fig6_datapath_power()
+        return _one_cell("fig6", run_fig6_datapath_power, {}, **sweep)
     if name == "fig7":
-        return run_fig7_bandwidth()
+        return _one_cell("fig7", run_fig7_bandwidth, {}, **sweep)
     if name == "fig7both":
         return run_fig7_both_passes(**sweep)
     if name == "fig12":
-        return run_fig12_layerwise(scale=scale)
+        return _one_cell("fig12", run_fig12_layerwise, {"scale": scale}, **sweep)
     if name == "fig13":
         return run_fig13_end2end(scale=max(scale, 8), **sweep)
     if name == "fig14":
-        return run_fig14_breakdown(scale=scale)
+        return _one_cell("fig14", run_fig14_breakdown, {"scale": scale}, **sweep)
     if name == "fig15":
         return {
             "block_size": run_fig15_block_size(scale=scale, epochs=epochs, **sweep),
-            "quantization": run_fig15_quantization(epochs=epochs, scale=scale),
+            "quantization": _one_cell(
+                "fig15-quantization", run_fig15_quantization,
+                {"epochs": epochs, "scale": scale}, **sweep,
+            ),
             "bandwidth": run_fig15_bandwidth(scale=scale, **sweep),
             "sparsity_sweep": run_fig15_sparsity_sweep(scale=scale, **sweep),
         }
     if name == "fig16":
         return {
-            "codec": run_fig16_codec_ablation(scale=scale),
-            "scheduling": run_fig16_scheduling_ablation(scale=scale),
+            "codec": _one_cell(
+                "fig16-codec", run_fig16_codec_ablation, {"scale": scale}, **sweep
+            ),
+            "scheduling": _one_cell(
+                "fig16-scheduling", run_fig16_scheduling_ablation, {"scale": scale}, **sweep
+            ),
         }
     if name == "fig17":
         return run_fig17_distribution(**sweep)
     if name == "fig18":
-        return run_fig18_convergence(epochs=epochs)
+        return _one_cell("fig18", run_fig18_convergence, {"epochs": epochs}, **sweep)
     if name == "wide":
         return run_wide_oneshot(scale=scale, **sweep)
     if name == "scenarios":
         return run_scenarios(scale=max(scale, 8), families=families, **sweep)
     raise ValueError(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
+
+
+def _one_cell(
+    key: str,
+    driver: Callable[..., Any],
+    kwargs: Dict[str, Any],
+    workers: Optional[int],
+    cache_dir: Optional[str],
+    resume: bool,
+    options: Optional[SweepOptions],
+):
+    """Run the single-shot ``driver(**kwargs)`` as a one-cell sweep ``key``."""
+    cell = SweepCell(key=key, fn=driver, kwargs=kwargs)
+    return run_sweep(
+        SweepSpec(key, (cell,)),
+        workers=configured_workers(workers),
+        cache_dir=cache_dir,
+        resume=resume,
+        options=options,
+        strict=True,
+    ).value(key)
 
 
 # ---------------------------------------------------------------------------

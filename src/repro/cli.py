@@ -1,19 +1,18 @@
 """Command-line interface: ``python -m repro <command> ...``.
 
-Eight commands:
+Six commands:
 
 * ``report`` -- run one (or all) of the paper's experiments and print
   its table(s); experiment names follow the paper (``table1`` ...
-  ``fig18``).  Experiments run through the fault-tolerant runner
-  (:mod:`repro.runtime.runner`): a crash in one figure no longer kills
-  the sweep, and with ``--checkpoint-dir``/``--resume`` completed cells
-  are cached on disk and replayed instead of recomputed.  ``--workers N``
-  shards the grid-shaped experiments inside each figure across a
-  process pool (:mod:`repro.sweep`) without changing the numbers.
-* ``sweep`` -- run one experiment directly through the parallel sweep
-  engine with per-cell progress, ``--workers N`` sharding, and a
-  ``--cache-dir``/``--resume`` cell cache; ``--json`` prints the raw
-  aggregated data instead of the rendered table.
+  ``fig18``).  It is the one command that runs a paper experiment:
+  every experiment goes through the sweep engine (:mod:`repro.sweep`),
+  grid-shaped ones one cell per grid point and single-shot ones as a
+  one-cell sweep.  A failed experiment does not stop the ones after it;
+  ``--checkpoint-dir``/``--resume`` cache finished cells on disk and
+  recompute only the missing ones; ``--workers N`` shards the cells
+  across processes without changing the numbers; ``--json`` prints the
+  raw data instead of the rendered tables; ``--trace PATH`` writes a
+  Chrome ``trace_event`` JSON viewable in Perfetto.
 * ``prune`` -- prune a ``.npy`` weight matrix with any pattern family
   and write the boolean mask next to it.
 * ``simulate`` -- simulate one GEMM layer on a chosen architecture;
@@ -28,32 +27,28 @@ Eight commands:
   (:mod:`repro.perf.bench`) and write ``BENCH_<name>.json``;
   ``--compare BENCH_baseline.json`` turns it into a regression gate
   (exit 1 when any bench exceeds the baseline by ``--tolerance``).
-* ``trace`` -- run one experiment with observability on
-  (:mod:`repro.obs`) and write a Chrome ``trace_event`` JSON viewable
-  in Perfetto (``--out trace.json``); ``--metrics`` additionally dumps
-  the merged deterministic metrics.
 * ``serve`` -- run the durable simulation service (:mod:`repro.service`):
   an HTTP job server with idempotent submission, crash recovery from a
   SQLite run store, per-client rate limiting with 429 + ``Retry-After``
   load shedding, and graceful SIGTERM drain that re-queues in-flight
   jobs as resumable.
 
-``sweep`` and ``faults`` exit **1** when any cell ends ``failed``,
+``report`` and ``faults`` exit **1** when any cell ends ``failed``,
 ``crashed`` or ``timeout`` (usage errors exit 2); ``--allow-partial``
 downgrades cell failures to a stderr warning, prints the partial data,
 and exits 0.
 
-``--metrics PATH`` (report/sweep/faults/trace) enables the
-observability layer for the run and writes its merged
-counter/gauge/histogram registry -- deterministic and byte-identical at
-any ``--workers N`` -- to ``PATH`` as JSON.
+``--metrics PATH`` (report/faults) enables the observability layer for
+the run and writes its merged counter/gauge/histogram registry --
+deterministic and byte-identical at any ``--workers N`` -- to ``PATH``
+as JSON.
 
 ``--executor {auto,serial,supervised}``, ``--timeout S`` and
-``--retries N`` (report/sweep/faults/perf/trace) select the sweep
-execution backend (:mod:`repro.sweep.executors`): the supervised
-executor runs one process per in-flight cell, classifies worker death
-as ``crashed`` and deadline overruns as ``timeout``, and retries
-exactly those transient outcomes up to N extra attempts with
+``--retries N`` (report/faults/perf/serve) select the sweep execution
+backend (:mod:`repro.sweep.executors`): the supervised executor runs
+one process per in-flight cell, classifies worker death as ``crashed``
+and deadline overruns as ``timeout``, and retries exactly those
+transient outcomes up to N extra attempts (default 0) with
 deterministic backoff.  Deterministic failures (a cell that raises) are
 never retried, and retried results are byte-identical to a clean serial
 run.
@@ -101,7 +96,7 @@ _EXPERIMENTS = (
 #: .scenarios.SCENARIO_FAMILIES`` for the same lazy-import reason (the
 #: sync is asserted in ``tests/test_cli.py``).  ``--families`` choices
 #: are NOT restricted at parse time: the driver's own one-line error
-#: (exit 1) covers typos, and keeps report/sweep behaviour identical.
+#: (exit 1) covers typos.
 _SCENARIO_FAMILIES = ("stencil", "moe", "inference24")
 
 #: Transposable-mask solver backends, duplicated from
@@ -133,9 +128,8 @@ def _add_workers_flag(cmd: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_supervision_flags(cmd: argparse.ArgumentParser, retries: bool = True) -> None:
-    """``--executor``/``--timeout`` (plus ``--retries`` unless the command
-    already defines its own) for the sweep supervision layer."""
+def _add_supervision_flags(cmd: argparse.ArgumentParser) -> None:
+    """``--executor``/``--timeout``/``--retries`` for the sweep supervision layer."""
     cmd.add_argument(
         "--executor", default=None, choices=["auto", "serial", "supervised"],
         help="sweep execution backend: 'serial' runs cells inline, "
@@ -148,13 +142,12 @@ def _add_supervision_flags(cmd: argparse.ArgumentParser, retries: bool = True) -
         help="per-cell deadline in seconds; an overrunning worker is killed "
         "and the cell classified 'timeout' (supervised executor only)",
     )
-    if retries:
-        cmd.add_argument(
-            "--retries", type=int, default=0,
-            help="extra attempts per sweep cell after a transient "
-            "crashed/timeout outcome (deterministic failures are never "
-            "retried; default: 0)",
-        )
+    cmd.add_argument(
+        "--retries", type=int, default=0,
+        help="extra attempts per sweep cell after a transient "
+        "crashed/timeout outcome (deterministic failures are never "
+        "retried; default: 0)",
+    )
 
 
 def _add_metrics_flag(cmd: argparse.ArgumentParser) -> None:
@@ -180,17 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workers_flag(report)
     report.add_argument(
         "--checkpoint-dir", default=None,
-        help="cache completed experiment cells here (enables crash recovery)",
+        help="cache every finished experiment cell here (enables crash recovery)",
     )
     report.add_argument(
         "--resume", action="store_true",
         help="serve cells already cached in --checkpoint-dir instead of recomputing",
-    )
-    report.add_argument(
-        "--retries", type=int, default=1,
-        help="extra attempts per experiment cell before it is declared "
-        "failed; also the per-sweep-cell retry budget for transient "
-        "crashed/timeout outcomes under the supervised executor",
     )
     report.add_argument(
         "--families", nargs="+", default=None, metavar="FAMILY",
@@ -202,44 +189,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="print the raw experiment data as JSON instead of the rendered tables",
     )
-    _add_supervision_flags(report, retries=False)
-    _add_metrics_flag(report)
-    _add_checks_flags(report, "runtime invariant level for mask/format checking")
-
-    sweep = sub.add_parser(
-        "sweep", help="run one experiment through the parallel sweep engine"
-    )
-    sweep.add_argument("experiment", choices=_EXPERIMENTS)
-    sweep.add_argument("--seeds", type=int, default=1, help="number of seeds for accuracy runs")
-    sweep.add_argument("--epochs", type=int, default=8, help="training epochs for accuracy runs")
-    sweep.add_argument("--scale", type=int, default=4, help="layer down-scaling for simulator runs")
-    _add_workers_flag(sweep)
-    sweep.add_argument(
-        "--cache-dir", default=None,
-        help="content-addressed cell cache directory (enables --resume)",
-    )
-    sweep.add_argument(
-        "--resume", action="store_true",
-        help="serve cells already cached in --cache-dir instead of recomputing",
-    )
-    sweep.add_argument(
-        "--json", action="store_true",
-        help="print the raw aggregated data as JSON instead of the rendered table",
-    )
-    sweep.add_argument(
-        "--families", nargs="+", default=None, metavar="FAMILY",
-        help="workload families for the 'scenarios' experiment "
-        f"(default: all: {', '.join(_SCENARIO_FAMILIES)}; other "
-        "experiments ignore it)",
-    )
-    sweep.add_argument(
+    report.add_argument(
         "--allow-partial", action="store_true",
         help="exit 0 even when cells fail: warn on stderr, print the "
         "settled cells' raw values as JSON (default: cell failures exit 1)",
     )
-    _add_supervision_flags(sweep)
-    _add_metrics_flag(sweep)
-    _add_checks_flags(sweep, "runtime invariant level for mask/format checking")
+    report.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="enable the observability layer and write a Chrome trace_event "
+        "JSON to PATH, viewable in Perfetto / chrome://tracing",
+    )
+    _add_supervision_flags(report)
+    _add_metrics_flag(report)
+    _add_checks_flags(report, "runtime invariant level for mask/format checking")
 
     prune = sub.add_parser("prune", help="prune a .npy weight matrix")
     prune.add_argument("weights", help="path to a 2-D .npy array")
@@ -329,13 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve cells already cached in --checkpoint-dir instead of recomputing",
     )
     faults.add_argument(
-        "--retries", type=int, default=0,
-        help="extra attempts per campaign cell after a transient "
-        "crashed/timeout outcome under the supervised executor "
-        "(deterministic classification failures are never retried; "
-        "default: 0)",
-    )
-    faults.add_argument(
         "--json", action="store_true",
         help="emit the campaign spec and per-cell counts as JSON",
     )
@@ -345,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         "print the table over the cells that settled (default: cell "
         "failures exit 1)",
     )
-    _add_supervision_flags(faults, retries=False)
+    _add_supervision_flags(faults)
     _add_metrics_flag(faults)
 
     perf = sub.add_parser("perf", help="run the benchmark suite / regression gate")
@@ -379,26 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(use for committed baselines; default: 1)",
     )
     _add_supervision_flags(perf)
-
-    trace = sub.add_parser(
-        "trace", help="run one experiment with tracing on and write a Chrome trace"
-    )
-    trace.add_argument("experiment", choices=_EXPERIMENTS)
-    trace.add_argument("--seeds", type=int, default=1, help="number of seeds for accuracy runs")
-    trace.add_argument("--epochs", type=int, default=8, help="training epochs for accuracy runs")
-    trace.add_argument("--scale", type=int, default=4, help="layer down-scaling for simulator runs")
-    _add_workers_flag(trace)
-    trace.add_argument(
-        "--out", default="trace.json", metavar="PATH",
-        help="Chrome trace_event JSON output, viewable in Perfetto / "
-        "chrome://tracing (default: trace.json)",
-    )
-    trace.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="also write the run's merged deterministic metrics to PATH as JSON",
-    )
-    _add_supervision_flags(trace)
-    _add_checks_flags(trace, "runtime invariant level for mask/format checking")
 
     serve = sub.add_parser(
         "serve", help="run the durable simulation job service (repro.service)"
@@ -463,38 +398,50 @@ def _write_metrics_file(path: str) -> None:
         fh.write("\n")
 
 
-def _maybe_with_metrics(args, body) -> int:
-    """Run ``body`` with observability on when ``--metrics PATH`` was given.
+def _with_obs(args, body) -> int:
+    """Run ``body`` with observability on when ``--metrics`` or ``--trace``
+    was given.
 
-    The registry and trace buffer are reset first so the file reflects
-    exactly this invocation; the dump happens even when the command
+    The registry and trace buffer are reset first so the files reflect
+    exactly this invocation; they are written even when the command
     fails, so a partial run still leaves forensics behind.
     """
-    path = getattr(args, "metrics", None)
-    if not path:
+    metrics = getattr(args, "metrics", None)
+    trace = getattr(args, "trace", None)
+    if not (metrics or trace):
         return body()
     from . import obs
 
     obs.reset()
     with obs.enabled_scope():
         rc = body()
-        try:
-            _write_metrics_file(path)
-        except OSError as exc:
-            return _fail(f"cannot write metrics to {path!r}: {exc}")
-    print(f"[repro] metrics -> {path}", file=sys.stderr)
+        if trace:
+            events = len(obs.to_chrome_trace()["traceEvents"])
+            try:
+                obs.write_chrome_trace(trace)
+            except OSError as exc:
+                return _fail(f"cannot write trace to {trace!r}: {exc}")
+        if metrics:
+            try:
+                _write_metrics_file(metrics)
+            except OSError as exc:
+                return _fail(f"cannot write metrics to {metrics!r}: {exc}")
+    if trace:
+        print(f"[repro] trace: {events} events -> {trace}",
+              file=sys.stderr if args.json else sys.stdout)
+    if metrics:
+        print(f"[repro] metrics -> {metrics}", file=sys.stderr)
     return rc
 
 
-def _sweep_options(args):
+def _sweep_options(args, progress=None):
     """Build the :class:`repro.sweep.SweepOptions` a command's supervision
     flags describe; raises ``ValueError`` on invalid combinations."""
     from .sweep import SweepOptions
 
     return SweepOptions(
-        executor=getattr(args, "executor", None),
-        timeout=getattr(args, "timeout", None),
-        retries=getattr(args, "retries", 0) or 0,
+        executor=args.executor, timeout=args.timeout, retries=args.retries,
+        progress=progress,
     )
 
 
@@ -594,131 +541,99 @@ def _render_report(experiment: str, res) -> None:
 
 
 def _run_report(args) -> int:
+    import json
+
     from .analysis.experiments import run_experiment
-    from .runtime.runner import ExperimentRunner
+    from .sweep import SweepError, configured_workers
 
     if args.seeds < 1:
         return _fail(f"--seeds must be >= 1, got {args.seeds}")
-    if args.retries < 0:
-        return _fail(f"--retries must be >= 0, got {args.retries}")
+    if args.resume and not args.checkpoint_dir:
+        return _fail("--resume requires --checkpoint-dir")
+    settled: List[str] = []  # statuses of the current experiment's cells
     try:
-        options = _sweep_options(args)
-    except ValueError as exc:
+        workers = configured_workers(args.workers)
+        options = _sweep_options(
+            args, progress=lambda cell, done, total: settled.append(cell.status)
+        )
+    except (ValueError, SweepError) as exc:
         return _fail(str(exc))
 
-    runner = ExperimentRunner(
-        cache_dir=args.checkpoint_dir, retries=args.retries, resume=args.resume
-    )
-
-    # ``workers`` and the sweep options ride in through a wrapper, NOT
-    # through ``runner.run`` kwargs: the runner's cache key hashes its
-    # kwargs, and execution knobs must never change what a cached
-    # experiment is (results are bit-identical at any N).
-    def run_with_workers(**kwargs):
-        return run_experiment(workers=args.workers, options=options, **kwargs)
-
     names = _EXPERIMENTS if args.experiment == "all" else (args.experiment,)
-    seeds = tuple(range(args.seeds))
-    failures = []
+    out = sys.stderr if args.json else sys.stdout  # --json: stdout is the payload
+    counts = {"computed": 0, "from cache": 0, "failed": 0}
     payload = {}
+    rc = 0
     for name in names:
-        kwargs = dict(name=name, seeds=seeds, epochs=args.epochs, scale=args.scale)
-        if name == "scenarios" and args.families:
-            # Part of what the experiment computes (unlike the execution
-            # knobs), so it must participate in the runner's cache key.
-            kwargs["families"] = tuple(args.families)
-        cell = runner.run(name, run_with_workers, **kwargs)
-        suffix = " (cached)" if cell.status == "cached" else ""
-        # With --json, stdout carries only the payload.
-        print(f"\n--- {name}{suffix} ---", file=sys.stderr if args.json else sys.stdout)
-        if not cell.ok:
-            print(
-                f"error: {name} failed after {cell.attempts} attempt(s): {cell.error}",
-                file=sys.stderr,
+        settled.clear()
+        try:
+            value = run_experiment(
+                name=name,
+                seeds=tuple(range(args.seeds)),
+                epochs=args.epochs,
+                scale=args.scale,
+                workers=workers,
+                cache_dir=args.checkpoint_dir,
+                resume=args.resume,
+                options=options,
+                families=tuple(args.families) if args.families else None,
             )
-            failures.append(name)
-            continue
-        if args.json:
-            payload[name] = cell.value
+            error = None
+        except Exception as exc:  # noqa: BLE001 - one experiment must not stop the rest
+            value, error = None, exc
+        cached = error is None and settled and all(s == "cached" for s in settled)
+        print(f"\n--- {name}{' (cached)' if cached else ''} ---", file=out)
+        if error is None:
+            counts["from cache" if cached else "computed"] += 1
         else:
-            _render_report(name, cell.value)
+            counts["failed"] += 1
+            value = _report_failure(name, error, args.allow_partial)
+            if value is None:
+                rc = 1
+                continue
+        if args.json:
+            payload[name] = value
+        elif error is not None:
+            print(json.dumps(value, sort_keys=True, default=repr))
+        else:
+            _render_report(name, value)
     if args.json:
-        import json
-
         print(json.dumps(
             payload[names[0]] if len(names) == 1 and names[0] in payload else payload,
             sort_keys=True, default=repr,
         ))
     if len(names) > 1:
-        print(f"\n[repro] {runner.summary()}", file=sys.stderr if args.json else sys.stdout)
-    return 1 if failures else 0
+        summary = ", ".join(f"{n} {what}" for what, n in counts.items())
+        print(f"\n[repro] {summary}", file=out)
+    return rc
 
 
-def _run_sweep_cmd(args) -> int:
-    import json
+def _report_failure(name: str, exc: Exception, allow_partial: bool):
+    """Say on stderr why experiment ``name`` failed.
 
-    from .analysis.experiments import run_experiment
-    from .sweep import SweepCellsFailed, SweepError, configured_workers
+    Returns the partial data to print in place of its table -- the
+    settled cells' raw values, under ``--allow-partial`` when only cells
+    failed -- or None when the failure counts against the exit code.
+    """
+    from .sweep import SweepCellsFailed
 
-    if args.seeds < 1:
-        return _fail(f"--seeds must be >= 1, got {args.seeds}")
-    try:
-        workers = configured_workers(args.workers)
-    except SweepError as exc:
-        return _fail(str(exc))
-    if args.resume and not args.cache_dir:
-        return _fail("--resume requires --cache-dir")
-    try:
-        options = _sweep_options(args)
-    except ValueError as exc:
-        return _fail(str(exc))
-    name = args.experiment
-    print(f"[repro] sweep {name}: {workers} worker(s)"
-          + (f", cache {args.cache_dir}" + (" (resume)" if args.resume else "")
-             if args.cache_dir else "")
-          + (f", executor {options.executor}" if options.executor else "")
-          + (f", timeout {options.timeout:g}s" if options.timeout else "")
-          + (f", retries {options.retries}" if options.retries else ""),
-          file=sys.stderr)
-    try:
-        value = run_experiment(
-            name,
-            seeds=tuple(range(args.seeds)),
-            epochs=args.epochs,
-            scale=args.scale,
-            workers=workers,
-            cache_dir=args.cache_dir,
-            resume=args.resume,
-            options=options,
-            families=tuple(args.families) if args.families else None,
-        )
-    except ValueError as exc:
-        # Driver-level validation (e.g. an unknown --families entry):
-        # one line on stderr, cell-failure exit code.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SweepCellsFailed as exc:
-        _warn_cell_failures(exc.failures)
-        if not args.allow_partial:
+    if not isinstance(exc, SweepCellsFailed):
+        if isinstance(exc, ValueError):  # driver-level validation, e.g. --families
             print(f"error: {exc}", file=sys.stderr)
-            return 1
-        # The experiment's aggregate needs every cell; with failures
-        # tolerated, the settled cells' raw values are the partial data.
-        partial = exc.result.values() if exc.result is not None else {}
-        print(
-            f"[repro] --allow-partial: {len(exc.failures)} cell(s) failed; "
-            f"printing {len(partial)} settled cell value(s)",
-            file=sys.stderr,
-        )
-        print(json.dumps(partial, sort_keys=True, default=repr))
-        return 0
-    except SweepError as exc:
-        return _fail(str(exc))
-    if args.json:
-        print(json.dumps(value, sort_keys=True, default=repr))
-    else:
-        _render_report(name, value)
-    return 0
+        else:
+            print(f"error: {name} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return None
+    _warn_cell_failures(exc.failures)
+    if not allow_partial:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    partial = exc.result.values() if exc.result is not None else {}
+    print(
+        f"[repro] --allow-partial: {len(exc.failures)} cell(s) failed; "
+        f"printing {len(partial)} settled cell value(s)",
+        file=sys.stderr,
+    )
+    return partial
 
 
 # ---------------------------------------------------------------------------
@@ -907,47 +822,6 @@ def _print_ecc_overheads(spec, ecc) -> None:
           f"+{ecc_pj:.2f} pJ ECC energy")
 
 
-def _run_trace(args) -> int:
-    from . import obs
-    from .analysis.experiments import run_experiment
-    from .sweep import SweepError, configured_workers
-
-    if args.seeds < 1:
-        return _fail(f"--seeds must be >= 1, got {args.seeds}")
-    try:
-        workers = configured_workers(args.workers)
-        options = _sweep_options(args)
-    except (ValueError, SweepError) as exc:
-        return _fail(str(exc))
-
-    obs.reset()
-    with obs.enabled_scope():
-        try:
-            run_experiment(
-                args.experiment,
-                seeds=tuple(range(args.seeds)),
-                epochs=args.epochs,
-                scale=args.scale,
-                workers=workers,
-                options=options,
-            )
-        except SweepError as exc:
-            return _fail(str(exc))
-        trace = obs.to_chrome_trace()
-        try:
-            obs.write_chrome_trace(args.out)
-        except OSError as exc:
-            return _fail(f"cannot write trace to {args.out!r}: {exc}")
-        if args.metrics:
-            try:
-                _write_metrics_file(args.metrics)
-            except OSError as exc:
-                return _fail(f"cannot write metrics to {args.metrics!r}: {exc}")
-    print(f"trace {args.experiment}: {len(trace['traceEvents'])} events -> {args.out}"
-          + (f", metrics -> {args.metrics}" if args.metrics else ""))
-    return 0
-
-
 def _run_perf(args) -> int:
     import os
 
@@ -1062,19 +936,15 @@ def _run_serve(args) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "report":
-        return _maybe_with_metrics(args, lambda: _run_report(args))
-    if args.command == "sweep":
-        return _maybe_with_metrics(args, lambda: _run_sweep_cmd(args))
+        return _with_obs(args, lambda: _run_report(args))
     if args.command == "prune":
         return _run_prune(args)
     if args.command == "simulate":
         return _run_simulate(args)
     if args.command == "faults":
-        return _maybe_with_metrics(args, lambda: _run_faults(args))
+        return _with_obs(args, lambda: _run_faults(args))
     if args.command == "perf":
         return _run_perf(args)
-    if args.command == "trace":
-        return _run_trace(args)
     if args.command == "serve":
         return _run_serve(args)
     raise AssertionError("unreachable")  # pragma: no cover

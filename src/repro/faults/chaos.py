@@ -28,7 +28,7 @@ write-rename publication.
 
 Activation is either programmatic (``run_sweep(chaos=ChaosConfig(...))``
 / ``SweepOptions.chaos``) or ambient via environment variables, which is
-how CI injects chaos under an unmodified ``repro sweep`` invocation:
+how CI injects chaos under an unmodified ``repro report`` invocation:
 
 * ``REPRO_SWEEP_CHAOS`` -- ``"mode[+mode...][:first_n]"``, e.g.
   ``"crash+hang:1"`` (default ``first_n`` 1);

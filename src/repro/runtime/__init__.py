@@ -1,8 +1,8 @@
-"""Resilient-execution layer: checkpoints, watchdog, invariants, runner.
+"""Resilient-execution layer: checkpoints, watchdog, invariants, cell cache.
 
 Long TB-STC reproductions (sparse training sweeps, ``repro report all``)
 must survive crashes, divergence, and partial failures.  This package
-provides the four pieces the rest of the stack wires in:
+provides the pieces the rest of the stack wires in:
 
 * :mod:`~repro.runtime.state`      -- bit-exact capture/restore of model,
   optimizer, mask and RNG state;
@@ -12,8 +12,8 @@ provides the four pieces the rest of the stack wires in:
   bounded rollback + learning-rate backoff;
 * :mod:`~repro.runtime.checks`     -- configurable mask/format invariant
   checking (``off`` / ``warn`` / ``strict``);
-* :mod:`~repro.runtime.runner`     -- fault-tolerant experiment runner
-  with per-cell retries and disk caching.
+* :mod:`~repro.runtime.cellcache`  -- the content-addressed on-disk
+  result cache under every sweep cell (:mod:`repro.sweep`).
 """
 
 from .checkpoint import CheckpointError, CheckpointStore
@@ -30,7 +30,6 @@ from .checks import (
     set_check_level,
     warning_counts,
 )
-from .runner import CellResult, ExperimentRunner
 from .state import (
     TrainState,
     capture_train_state,
@@ -40,11 +39,9 @@ from .watchdog import DivergenceWatchdog, WatchdogConfig, WatchdogEvent
 
 __all__ = [
     "CHECK_LEVELS",
-    "CellResult",
     "CheckpointError",
     "CheckpointStore",
     "DivergenceWatchdog",
-    "ExperimentRunner",
     "InvariantError",
     "InvariantWarning",
     "TrainState",

@@ -1,10 +1,10 @@
 """Content-addressed on-disk cache for experiment/sweep cell results.
 
-This is the persistence layer shared by the fault-tolerant
-:class:`~repro.runtime.runner.ExperimentRunner` (coarse cells: one per
-paper table/figure) and the parallel sweep engine
-(:mod:`repro.sweep.engine`; fine cells: one per grid point).  One cell
--> one pickle file, published with the same atomic write-rename
+This is the persistence layer under the sweep engine
+(:mod:`repro.sweep.engine`), and so under every paper experiment: one
+cell per grid point of a grid-shaped driver, one cell per single-shot
+driver (see :func:`repro.analysis.experiments.run_experiment`).  One
+cell -> one pickle file, published with the same atomic write-rename
 discipline as the training :class:`~repro.runtime.checkpoint
 .CheckpointStore`: a crash mid-write never corrupts an existing entry,
 and a corrupt entry reads as a miss, never as an exception.

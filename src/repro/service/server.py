@@ -30,7 +30,7 @@ Endpoints (all JSON unless noted)::
     GET  /jobs              job summaries
     GET  /jobs/<id>         job detail + per-cell progress
     GET  /jobs/<id>/result  the result JSON exactly as stored (byte-
-                            identical to ``repro sweep <exp> --json``)
+                            identical to ``repro report <exp> --json``)
     POST /jobs/<id>/cancel  cancel a queued or running job
     GET  /healthz           liveness + state counts
     GET  /metrics           service counters (+ obs registry when on)
@@ -208,7 +208,7 @@ def normalize_payload(
 def result_json(value: Any) -> str:
     """Canonical result serialization.
 
-    Byte-for-byte the string ``repro sweep <experiment> --json`` prints
+    Byte-for-byte the string ``repro report <experiment> --json`` prints
     (minus the trailing newline) -- the crash-recovery invariant is
     asserted by ``cmp``-ing this against a clean serial run's output.
     """
@@ -656,7 +656,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         result = self.service.store.result(run_id) or "null"
-        # Raw stored bytes + newline: byte-identical to `repro sweep
+        # Raw stored bytes + newline: byte-identical to `repro report
         # <experiment> --json` stdout, the recovery invariant's anchor.
         self._send_raw(200, (result + "\n").encode())
 

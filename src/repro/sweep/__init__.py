@@ -1,4 +1,4 @@
-"""Sharded parallel sweep execution (the ``repro sweep`` engine).
+"""Sharded parallel sweep execution (the engine under ``repro report``).
 
 Every paper artifact is a grid of independent cells -- ``(task, seed,
 family, criterion)`` for the accuracy tables, ``(model, arch)`` for the

@@ -333,7 +333,7 @@ def _execute_payload(
         finally:
             if scope is not None:
                 obs_export = scope.close()
-    except KeyboardInterrupt:  # pragma: no cover - user abort must propagate
+    except KeyboardInterrupt:  # a user abort must propagate, not settle the cell
         raise
     except BaseException as exc:  # noqa: BLE001 - cell isolation is the point
         detail = {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
@@ -348,7 +348,7 @@ def _execute_payload(
 
 def run_sweep(
     spec: SweepSpec,
-    workers: Optional[int] = None,
+    workers: int = 1,
     cache_dir: Optional[Union[str, os.PathLike]] = None,
     resume: bool = False,
     progress: Optional[Callable[[SweepCellResult, int, int], None]] = None,
@@ -375,18 +375,14 @@ def run_sweep(
     same cache and ``resume=True`` continues from the settled cells.
 
     ``options`` (a :class:`~repro.sweep.options.SweepOptions`) supplies
-    defaults for every execution knob; explicitly-passed keyword
-    arguments win over it.  ``executor`` is ``"auto"`` (default),
-    ``"serial"``, or ``"supervised"``; ``timeout`` is a per-cell
-    deadline in seconds (supervised only); ``retries`` is the number of
-    extra attempts after a transient ``crashed``/``timeout`` outcome.
+    defaults for the executor, timeout, retry, progress and cancel
+    knobs; explicitly-passed keyword arguments win over it.
+    ``executor`` is ``"auto"`` (default), ``"serial"``, or
+    ``"supervised"``; ``timeout`` is a per-cell deadline in seconds
+    (supervised only); ``retries`` is the number of extra attempts after
+    a transient ``crashed``/``timeout`` outcome.
     """
     opts = options if options is not None else SweepOptions()
-    if workers is None:
-        workers = opts.workers if opts.workers is not None else 1
-    if cache_dir is None:
-        cache_dir = opts.cache_dir
-    resume = resume or opts.resume
     if executor is None:
         executor = opts.executor
     if timeout is None:
@@ -541,7 +537,7 @@ def run_sweep(
     ordered = [by_key[cell.key] for cell in spec.cells]
     if obs_state.enabled():
         # Fold cell metrics into the ambient registry in spec order (and
-        # count orchestration outcomes), so `repro report/trace --metrics`
+        # count orchestration outcomes), so `repro report --metrics`
         # can export one registry for a whole experiment.
         for cell_result in ordered:
             if cell_result.metrics is not None:

@@ -1,11 +1,14 @@
 """Frozen sweep-execution options (the ``SimOptions`` of the sweep layer).
 
-:class:`SweepOptions` bundles every *how-to-run* knob of
-:func:`~repro.sweep.engine.run_sweep` -- worker count, executor choice,
-per-cell timeout, retry budget, cache/resume, chaos injection -- into
-one frozen, hashable value that drivers can thread through unchanged
-(``run_experiment`` -> table/figure driver -> ``run_sweep``) instead of
-growing a kwarg tail at every layer.
+:class:`SweepOptions` bundles the *how-to-run* knobs of
+:func:`~repro.sweep.engine.run_sweep` -- executor choice, per-cell
+timeout, retry budget, chaos injection, progress and cancellation --
+into one frozen, hashable value that drivers can thread through
+unchanged (``run_experiment`` -> table/figure driver -> ``run_sweep``)
+instead of growing a kwarg tail at every layer.  Worker count, cache
+directory and resume are not among them: every driver takes those as
+its own ``workers``/``cache_dir``/``resume`` parameters and passes
+them to ``run_sweep`` explicitly.
 
 None of these knobs is part of a cell's logical identity: the cell
 cache hashes the cell payload only, so the same sweep hits the same
@@ -51,9 +54,6 @@ class SweepOptions:
     :class:`~repro.sweep.engine.SweepCancelled`.
     """
 
-    workers: Optional[int] = None
-    cache_dir: Optional[str] = None
-    resume: bool = False
     executor: Optional[str] = None
     timeout: Optional[float] = None
     retries: int = 0
@@ -64,8 +64,6 @@ class SweepOptions:
     cancel: Optional[Any] = None
 
     def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.executor is not None and self.executor not in EXECUTOR_NAMES:
             raise ValueError(
                 f"unknown executor {self.executor!r}; choose from {EXECUTOR_NAMES}"

@@ -166,7 +166,7 @@ class TestTable1Smoke:
             proc.wait(timeout=10)
 
         clean = subprocess.run(
-            [sys.executable, "-m", "repro", "sweep", "table1",
+            [sys.executable, "-m", "repro", "report", "table1",
              "--epochs", "1", "--json"],
             env=_env(), cwd=str(REPO_ROOT), capture_output=True, text=True,
             timeout=600,

@@ -3,7 +3,7 @@
 Jobs here are raw sweep *specs* over the module-level cell bodies in
 ``tests/sweep/_cells.py`` (allowed via ``allow_fn_prefixes``), so the
 tests control exactly how long cells take and whether they fail --
-no paper experiment is computed except in the one smoke test.
+the only paper experiment computed is table3, the cheapest one.
 """
 
 import json
@@ -167,6 +167,15 @@ class TestSubmitExecute:
         assert job["progress"] == {"settled": 4, "ok": 4}
         statuses = {c["status"] for c in job["cells"]}
         assert statuses <= {"ok", "cached"}
+
+    def test_single_shot_experiment_records_its_cell(self, service):
+        # A cell in the run store is also what a cancel or a drain can reach.
+        svc, client = service
+        r = client.submit({"experiment": "table3"})
+        job = client.wait(r["run_id"], timeout=60)
+        assert job["state"] == "done"
+        assert [c["key"] for c in job["cells"]] == ["table3"]
+        assert job["progress"] == {"settled": 1, "ok": 1}
 
     def test_invalid_payload_is_400(self, service):
         svc, client = service

@@ -28,6 +28,10 @@ def boom_on(x, bad):
     return x * 10
 
 
+def interrupt():
+    raise KeyboardInterrupt
+
+
 def unpicklable(x):
     return lambda: x  # lambdas cannot cross the process boundary
 

@@ -70,6 +70,10 @@ class TestRunSweepInline:
         with pytest.raises(SweepError, match="workers"):
             run_sweep(_square_spec(), workers=0)
 
+    def test_rejects_negative_retries(self):
+        with pytest.raises(SweepError, match="retries"):
+            run_sweep(_square_spec(), retries=-1)
+
     def test_progress_called_per_cell(self):
         seen = []
         run_sweep(_square_spec(), progress=lambda cell, done, total: seen.append((cell.key, done, total)))
@@ -105,6 +109,12 @@ class TestFaultIsolation:
     def test_strict_raises_after_completion(self):
         with pytest.raises(SweepError, match="1 cell\\(s\\) failed"):
             run_sweep(self._failing_spec(), strict=True)
+
+    def test_keyboard_interrupt_propagates(self):
+        # A user abort is not a cell failure: it must unwind the sweep.
+        spec = SweepSpec("abort", (SweepCell(key="k", fn=_cells.interrupt),))
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(spec)
 
     def test_unpicklable_value_is_a_failed_cell(self):
         spec = SweepSpec(
@@ -162,6 +172,7 @@ class TestCellCache:
         assert all(c.status == "cached" for c in second.cells)
         assert [c.value for c in second.cells] == [c.value for c in first.cells]
         assert "4 from cache" in second.summary()
+        assert not list(tmp_path.glob(".tmp-cell-*"))  # every publish renamed its temp file
 
     def test_without_resume_cache_is_ignored(self, tmp_path):
         run_sweep(_square_spec(), cache_dir=tmp_path)

@@ -23,6 +23,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_six_commands(self):
+        """`report` is the one command that runs a paper experiment."""
+        assert "{report,prune,simulate,faults,perf,serve}" in build_parser().format_help()
+
     def test_experiment_list_matches_analysis(self):
         """The parser's local copy must track the analysis registry."""
         from repro.analysis import EXPERIMENTS
@@ -104,8 +108,59 @@ class TestReport:
         monkeypatch.setattr(experiments, "run_experiment", boom)
         assert main(["report", "table3", "--retries", "0"]) == 1
         captured = capsys.readouterr()
-        assert "error: table3 failed after 1 attempt(s)" in captured.err
+        assert "error: table3 failed: RuntimeError: injected failure" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_failing_single_shot_experiment_runs_once(self, capsys, monkeypatch):
+        """A cell that raises is never retried, under default flags too."""
+        import repro.analysis.experiments as experiments
+
+        calls = []
+
+        def boom(cfg):
+            calls.append(cfg)
+            raise RuntimeError("injected failure")
+
+        monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)  # count inline calls
+        monkeypatch.setattr(experiments, "area_breakdown", boom)
+        assert main(["report", "table3"]) == 1
+        assert len(calls) == 1
+        err = capsys.readouterr().err
+        assert "error: cell table3: failed: RuntimeError: injected failure" in err
+
+    def test_all_runs_past_a_failed_experiment(self, capsys, monkeypatch):
+        import repro.analysis.experiments as experiments
+        import repro.cli as cli
+
+        def boom(cfg):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(cli, "_EXPERIMENTS", ("table3", "fig6"))
+        monkeypatch.setattr(experiments, "area_breakdown", boom)
+        assert main(["report", "all"]) == 1
+        out = capsys.readouterr().out
+        assert "--- fig6 ---" in out and "ratio" in out
+        assert out.endswith("[repro] 1 computed, 0 from cache, 1 failed\n")
+
+    def test_checkpoint_caches_each_cell_and_resume_recomputes_only_missing(
+        self, tmp_path, capsys
+    ):
+        cache = tmp_path / "cells"
+        assert main(["report", "fig17", "--checkpoint-dir", str(cache)]) == 0
+        first = capsys.readouterr().out
+        entries = sorted(cache.glob("sparsity=*.pkl"))
+        assert len(entries) == 3  # one entry per fig17 cell
+
+        entries[0].unlink()
+        metrics = tmp_path / "metrics.json"
+        assert main([
+            "report", "fig17", "--checkpoint-dir", str(cache), "--resume",
+            "--metrics", str(metrics),
+        ]) == 0
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["sweep.cells_cached"] == 2
+        assert counters["sweep.cells_ok"] == 1
+        assert capsys.readouterr().out == first  # same table, not "(cached)"
 
     def test_strict_checks_flag(self, capsys):
         from repro.runtime.checks import get_check_level
@@ -151,7 +206,7 @@ class TestScenariosCli:
         assert "Traceback" not in err
 
     def test_sweep_unknown_family_fails_with_one_line(self, capsys):
-        assert main(["sweep", "scenarios", "--families", "bogus"]) == 1
+        assert main(["report", "scenarios", "--families", "bogus"]) == 1
         captured = capsys.readouterr()
         error_lines = [l for l in captured.err.splitlines() if l.startswith("error:")]
         assert error_lines == [
@@ -394,9 +449,9 @@ class TestJsonOutputs:
         assert back.to_dict() == payload
 
     def test_sweep_json_is_loadable(self, capsys):
-        assert main(["sweep", "fig17"]) is not None  # warm any caches
+        assert main(["report", "fig17"]) is not None  # warm any caches
         capsys.readouterr()
-        assert main(["sweep", "fig17", "--json"]) == 0
+        assert main(["report", "fig17", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload  # {layer-kind: {direction: share}}
         for table in payload.values():
@@ -423,7 +478,7 @@ class TestJsonOutputs:
         out = tmp_path / "trace.json"
         metrics_path = tmp_path / "metrics.json"
         rc = main([
-            "trace", "fig17", "--out", str(out), "--metrics", str(metrics_path),
+            "report", "fig17", "--trace", str(out), "--metrics", str(metrics_path),
         ])
         assert rc == 0
         assert not enabled()  # the scope must not leak obs globally
@@ -461,21 +516,22 @@ class TestJsonOutputs:
         assert not enabled()
         metrics = json.loads(path.read_text())
         assert metrics["schema_version"] == METRICS_SCHEMA
-        assert metrics["counters"]["runner.cells_ok"] == 1
+        assert metrics["counters"]["sweep.cells_ok"] == 3  # one per fig17 cell
+        assert not [name for name in metrics["counters"] if name.startswith("runner.")]
 
     def test_sweep_metrics_identical_across_workers(self, tmp_path):
         """The acceptance contract: --metrics bytes don't depend on N."""
         serial = tmp_path / "serial.json"
         parallel = tmp_path / "parallel.json"
-        assert main(["sweep", "fig17", "--metrics", str(serial)]) == 0
+        assert main(["report", "fig17", "--metrics", str(serial)]) == 0
         assert main([
-            "sweep", "fig17", "--metrics", str(parallel), "--workers", "2",
+            "report", "fig17", "--metrics", str(parallel), "--workers", "2",
         ]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
 
 class TestCellFailureExitCodes:
-    """sweep/faults exit 1 on cell failures (2 stays for usage errors),
+    """report/faults exit 1 on cell failures (2 stays for usage errors),
     and --allow-partial downgrades them to a warning + exit 0."""
 
     @pytest.fixture
@@ -484,22 +540,22 @@ class TestCellFailureExitCodes:
         monkeypatch.setenv("REPRO_SWEEP_CHAOS", "raise:5")
 
     def test_sweep_cell_failures_exit_1(self, chaos, capsys):
-        assert main(["sweep", "fig17", "--json"]) == 1
+        assert main(["report", "fig17", "--json"]) == 1
         captured = capsys.readouterr()
         assert "error: cell" in captured.err
         assert "ChaosError" in captured.err
 
     def test_sweep_allow_partial_exits_0(self, chaos, capsys):
-        assert main(["sweep", "fig17", "--json", "--allow-partial"]) == 0
+        assert main(["report", "fig17", "--json", "--allow-partial"]) == 0
         captured = capsys.readouterr()
         assert "--allow-partial" in captured.err
         assert json.loads(captured.out.splitlines()[-1]) == {}
 
     def test_sweep_usage_error_still_exits_2(self, capsys):
-        assert main(["sweep", "fig17", "--resume"]) == 2
+        assert main(["report", "fig17", "--resume"]) == 2
 
     def test_sweep_clean_run_still_exits_0(self, capsys):
-        assert main(["sweep", "fig17", "--json"]) == 0
+        assert main(["report", "fig17", "--json"]) == 0
 
     def test_faults_cell_failures_exit_1(self, chaos, capsys):
         rc = main([
