@@ -26,7 +26,8 @@ Six commands:
 * ``perf`` -- run the deterministic benchmark suite
   (:mod:`repro.perf.bench`) and write ``BENCH_<name>.json``;
   ``--compare BENCH_baseline.json`` turns it into a regression gate
-  (exit 1 when any bench exceeds the baseline by ``--tolerance``).
+  (exit 1 when any bench exceeds the baseline by ``--tolerance``, or
+  when a baseline bench is missing from the run).
 * ``serve`` -- run the durable simulation service (:mod:`repro.service`):
   an HTTP job server with idempotent submission, crash recovery from a
   SQLite run store, per-client rate limiting with 429 + ``Retry-After``
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workers_flag(perf)
     perf.add_argument(
         "--compare", default=None, metavar="BASELINE_JSON",
-        help="compare against this baseline and fail on regression",
+        help="compare against this baseline; fail on a regression or a missing bench",
     )
     perf.add_argument(
         "--tolerance", type=float, default=0.25,
@@ -871,10 +872,12 @@ def _run_perf(args) -> int:
         except (OSError, ValueError, KeyError) as exc:
             return _fail(f"cannot load baseline {args.compare!r}: {exc}")
         failures, lines = bench.compare(data, baseline, tolerance=args.tolerance)
-        if failures:
+        missing = set(baseline.get("benches", {})) - set(data["benches"])
+        if failures and not missing:
             # One retry filters scheduler noise on loaded CI machines: a
             # genuine regression slows every round, so only benches that
-            # stay slow after merging in a second round's best fail.
+            # stay slow after merging in a second round's best fail.  A
+            # missing bench fails the gate whatever a re-run measures.
             print("possible regression -- re-running suite once to filter noise")
             data = bench.merge_best(
                 data,
@@ -893,7 +896,7 @@ def _run_perf(args) -> int:
             print(line)
         if failures:
             for failure in failures:
-                print(f"error: perf regression: {failure}", file=sys.stderr)
+                print(f"error: perf gate: {failure}", file=sys.stderr)
             return 1
         print("perf gate passed")
     return 0

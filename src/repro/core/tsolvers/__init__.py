@@ -23,8 +23,9 @@ Backend selection resolves ``explicit argument -> $REPRO_TSOLVER ->
 "greedy"``; every entry point in :mod:`repro.core.transposable`, the
 one-shot pruner and the CLI (``--tsolver``) accepts a backend name.
 Each solve is timed under a ``tsolver.<backend>`` perf stage
-(:mod:`repro.perf.timers`), so backend cost shows up in
-``SimResult.perf_breakdown`` and Chrome traces like any other hot path.
+(:mod:`repro.perf.timers`), so while instrumentation is on
+(:func:`repro.obs.enabled`) backend cost shows up in the metrics
+registry's timer records and in Chrome traces like any other hot path.
 """
 
 from __future__ import annotations

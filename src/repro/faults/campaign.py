@@ -341,7 +341,6 @@ def run_campaign(
     workers: Optional[int] = None,
     cache_dir=None,
     resume: bool = False,
-    progress=None,
     options=None,
     allow_partial: bool = False,
 ) -> CampaignResult:
@@ -377,7 +376,6 @@ def run_campaign(
         workers=configured_workers(workers),
         cache_dir=cache_dir,
         resume=resume,
-        progress=progress,
         strict=not allow_partial,
         options=options,
     )

@@ -26,9 +26,9 @@ chaos action fires.  Sweep attempts for one cell are strictly
 sequential, so the ledger needs no locking -- only crash-safe
 write-rename publication.
 
-Activation is either programmatic (``run_sweep(chaos=ChaosConfig(...))``
-/ ``SweepOptions.chaos``) or ambient via environment variables, which is
-how CI injects chaos under an unmodified ``repro report`` invocation:
+Activation is either programmatic (``SweepOptions(chaos=ChaosConfig(...))``)
+or ambient via environment variables, which is how CI injects chaos
+under an unmodified ``repro report`` invocation:
 
 * ``REPRO_SWEEP_CHAOS`` -- ``"mode[+mode...][:first_n]"``, e.g.
   ``"crash+hang:1"`` (default ``first_n`` 1);

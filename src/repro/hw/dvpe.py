@@ -110,7 +110,7 @@ class DVPE:
         """Cycles to execute one block (the scheduler's cost metric)."""
         return self.execute(work).total_cycles
 
-    @timed("hw.dvpe.block_costs_batch")
+    @timed("hw.dvpe")
     def block_costs_batch(self, row_counts: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`block_cost` over ``(n_blocks, m)`` segments.
 

@@ -35,9 +35,7 @@ import numpy as np
 from ..obs import metrics as obs_metrics
 from ..obs.state import enabled as _obs_enabled
 from ..obs.tracer import instant as _obs_instant
-from ..perf.timers import enabled as _perf_enabled
-from ..perf.timers import snapshot as _perf_snapshot
-from ..perf.timers import timed
+from ..perf import timed
 
 __all__ = [
     "Assignment",
@@ -55,15 +53,15 @@ class SimStallError(RuntimeError):
     descriptor stream, lying length, non-finite costs) would otherwise
     hang the event loop, or when a simulation blows through its cycle
     budget.  ``state`` carries a diagnostic snapshot (cursors, pending
-    blocks, buffer contents, and -- when stage timing is enabled -- the
-    perf snapshot taken at stall time under the ``"perf"`` key) so the
-    stall is debuggable post-mortem.
+    blocks, buffer contents) so the stall is debuggable post-mortem.
 
     ``cause`` is a short machine-readable tag (``"fetch_no_progress"``,
-    ``"stream_overrun"``, ``"cycle_budget"``); when observability is on,
-    constructing the error bumps the ``stall.<cause>`` counter and emits
-    an instant trace event, so stall distribution is visible in sweep
-    metrics without the raise site doing anything extra.
+    ``"stream_overrun"``, ``"cycle_budget"``).  When instrumentation is
+    on (:func:`repro.obs.enabled`), constructing the error also stores
+    the installed registry's stage-timer records under ``state["perf"]``,
+    bumps the ``stall.<cause>`` counter and emits an instant trace
+    event, so stall distribution is visible in sweep metrics without the
+    raise site doing anything extra.
     """
 
     def __init__(
@@ -76,11 +74,10 @@ class SimStallError(RuntimeError):
         if self.state:
             detail = ", ".join(f"{k}={v!r}" for k, v in sorted(self.state.items()))
             message = f"{message} [{detail}]"
-        if _perf_enabled():
+        if _obs_enabled():
             # Kept out of the message (stage splits are bulky); available
             # to post-mortem tooling via the state dump.
-            self.state.setdefault("perf", _perf_snapshot())
-        if _obs_enabled():
+            self.state.setdefault("perf", obs_metrics.registry().timer_records())
             obs_metrics.counter_add(f"stall.{cause or 'unknown'}")
             _obs_instant("stall", cause=cause or "unknown")
         super().__init__(message)

@@ -122,7 +122,7 @@ def _global_layer_sparsities(layers, sparsity: float) -> List[float]:
     ]
 
 
-@timed("nn.train.apply_masks")
+@timed("nn.apply_masks")
 def apply_masks(
     model: Module,
     family: Optional[PatternFamily],
@@ -166,7 +166,7 @@ def apply_masks(
     return 1.0 - kept / total if total else 0.0
 
 
-@timed("nn.train.evaluate")
+@timed("nn.evaluate")
 def evaluate(model: Module, x: np.ndarray, y: np.ndarray, batch: int = 128) -> float:
     """Top-1 accuracy in eval mode."""
     model.eval()
@@ -186,7 +186,7 @@ def _watchdog_for(watchdog: Union[None, bool, WatchdogConfig]) -> DivergenceWatc
     return DivergenceWatchdog(WatchdogConfig())
 
 
-@timed("nn.train.train")
+@timed("nn.train")
 def train(
     model: Module,
     data,

@@ -1,21 +1,22 @@
 """repro.obs -- zero-cost-when-off observability (tracing + metrics).
 
-One master switch (:func:`enabled` / :func:`enable` / :func:`disable`)
-gates two sinks:
+One master switch (:func:`enabled` / :func:`enable` / :func:`disable`
+/ :class:`enabled_scope`) gates two sinks, and it is the program's only
+instrumentation switch:
 
 * the **tracer** (:mod:`repro.obs.tracer`): span/instant events in
   Chrome ``trace_event`` shape, exportable for Perfetto;
 * the **metrics registry** (:mod:`repro.obs.metrics`):
   counters/gauges/histograms whose merge is associative and
-  order-insensitive, plus the wall-time stage timers that
-  :mod:`repro.perf.timers` adapts over.
+  order-insensitive, plus the wall-time records of the
+  :mod:`repro.perf.timers` stages, which also emit tracer spans.
 
 Typical use::
 
     from repro import obs
 
     with obs.enabled_scope():
-        result = simulate(config, workload)   # result.metrics now set
+        result = simulate(config, workload)   # .metrics and .perf_breakdown set
         obs.write_chrome_trace("trace.json")
 
 Instrumentation sites import the functions they need and guard hot
@@ -70,6 +71,7 @@ __all__ = [
     "reset_metrics",
     "reset_trace",
     "span",
+    "swap_buffer",
     "swap_registry",
     "timer_add",
     "to_chrome_trace",

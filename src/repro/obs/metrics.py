@@ -14,9 +14,9 @@ registries is associative and order-insensitive**:
   (``tests/obs/test_metrics_properties.py``) pins.  Float observations
   are accepted but their sums are only order-insensitive up to IEEE-754
   rounding.
-* **timers** -- ``[calls, total_ns]`` wall-time records, the storage
-  behind :mod:`repro.perf.timers` (now a thin adapter over this
-  registry).  Wall time is inherently nondeterministic, so timers are
+* **timers** -- ``[calls, total_ns]`` wall-time records, added by the
+  :mod:`repro.perf.timers` stages while obs is on.  Wall time is
+  inherently nondeterministic, so timers are
   **excluded** from the deterministic export that crosses process
   boundaries: sweep workers ship ``to_dict(deterministic_only=True)``
   payloads, which is what makes ``--workers N`` metrics byte-identical
@@ -42,7 +42,6 @@ __all__ = [
     "bucket_exponent",
     "capture",
     "counter_add",
-    "current_timers",
     "gauge_max",
     "merge_payload",
     "metrics_dict",
@@ -215,11 +214,15 @@ class MetricsRegistry:
             },
         }
         if not deterministic_only:
-            out["timers"] = {
-                name: {"calls": rec[0], "seconds": rec[1] / 1e9}
-                for name, rec in sorted(self.timers.items())
-            }
+            out["timers"] = self.timer_records()
         return out
+
+    def timer_records(self) -> Dict[str, Dict[str, Number]]:
+        """The timers as ``{name: {"calls": n, "seconds": s}}``, sorted."""
+        return {
+            name: {"calls": rec[0], "seconds": rec[1] / 1e9}
+            for name, rec in sorted(self.timers.items())
+        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "MetricsRegistry":
@@ -289,12 +292,6 @@ def timer_add(name: str, elapsed_ns: int) -> None:
     _REGISTRY.timer_add(name, elapsed_ns)
 
 
-def current_timers() -> Dict[str, List[int]]:
-    """Live view of the installed registry's timer records (the storage
-    :mod:`repro.perf.timers` adapts over)."""
-    return _REGISTRY.timers
-
-
 def metrics_dict(deterministic_only: bool = False) -> Dict[str, Any]:
     """``to_dict`` of the installed registry."""
     return _REGISTRY.to_dict(deterministic_only=deterministic_only)
@@ -320,18 +317,23 @@ class capture:
     Runs the block against a fresh registry, merges it back into the
     surrounding registry on exit (timers included, so ambient
     accounting is preserved), and fills the yielded dict with the fresh
-    registry's ``to_dict(deterministic_only=True)`` -- this is how
-    ``simulate()`` attaches a per-call ``SimResult.metrics``.
+    registry's ``to_dict(deterministic_only=True)``.  The block's
+    wall-time records stay out of that dict; after exit they are
+    :attr:`timers` (``MetricsRegistry.timer_records`` shape).  This is
+    how ``simulate()`` attaches a per-call ``SimResult.metrics`` and
+    ``SimResult.perf_breakdown``.
     """
 
     def __enter__(self) -> Dict[str, Any]:
         self._child = MetricsRegistry()
         self._parent = swap_registry(self._child)
         self.data: Dict[str, Any] = {}
+        self.timers: Dict[str, Dict[str, Number]] = {}
         return self.data
 
     def __exit__(self, *exc) -> bool:
         swap_registry(self._parent)
         self._parent.merge(self._child)
         self.data.update(self._child.to_dict(deterministic_only=True))
+        self.timers = self._child.timer_records()
         return False

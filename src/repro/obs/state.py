@@ -1,9 +1,9 @@
-"""The observability master switch (shared by tracer and metrics).
+"""The instrumentation switch (shared by tracer, metrics and stage timers).
 
-One process-global boolean gates every obs sink.  Instrumentation sites
-in hot paths guard on :func:`enabled` (a single global read) so the
-subsystem is zero-cost when off -- the same discipline as
-:mod:`repro.perf.timers`, which this module generalizes.
+One process-global boolean gates every obs sink and the
+:mod:`repro.perf.timers` stage timers; there is no other on/off.
+Instrumentation sites in hot paths guard on :func:`enabled` (a single
+global read) so the subsystem is zero-cost when off.
 
 The flag is process-global and inherited across ``fork``; the sweep
 engine does **not** rely on that inheritance and instead ships the
@@ -20,7 +20,7 @@ _enabled = False
 
 
 def enabled() -> bool:
-    """Whether observability (tracing + metrics) is collecting."""
+    """Whether instrumentation (tracing, metrics, stage timing) is collecting."""
     return _enabled
 
 

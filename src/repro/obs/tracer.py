@@ -3,9 +3,10 @@
 The event half of :mod:`repro.obs`.  Instrumented code emits **spans**
 (``with span("sim.engine.wave"): ...``) and **instants**
 (``instant("nn.train.rollback", epoch=3)``); when observability is off
-(:func:`repro.obs.state.enabled` false) both return a shared null
-object / no-op, so hot paths pay a single boolean test -- the same
-null-object discipline as :mod:`repro.perf.timers`.
+(:func:`repro.obs.state.enabled` false) ``span`` returns the shared
+:data:`NULL_SPAN` and ``instant`` returns at once, so hot paths pay a
+single boolean test.  :mod:`repro.perf.timers` builds ``stage()`` and
+``@timed`` on ``span`` under the same switch.
 
 Events accumulate in a process-global buffer as plain dicts already in
 Chrome ``trace_event`` shape (``ph`` ``B``/``E`` duration events and
@@ -37,6 +38,7 @@ from typing import Any, Dict, List, Optional
 from . import state
 
 __all__ = [
+    "NULL_SPAN",
     "events",
     "ingest",
     "instant",
@@ -66,7 +68,8 @@ class _NullSpan:
         return False
 
 
-_NULL = _NullSpan()
+#: The one do-nothing span, also returned by ``repro.perf.stage`` when off.
+NULL_SPAN = _NullSpan()
 
 
 class _Span:
@@ -109,7 +112,7 @@ def span(name: str, track: str = "main", **args: Any):
     """A context manager tracing ``name`` as a B/E duration event pair
     on ``track``; extra kwargs become the event's ``args``."""
     if not state.enabled():
-        return _NULL
+        return NULL_SPAN
     return _Span(name, track, args or None)
 
 

@@ -2,11 +2,12 @@
 
 Two concerns live here:
 
-* :mod:`repro.perf.timers` -- lightweight per-stage timers
-  (``perf_counter_ns`` based, zero overhead when disabled) wired into the
-  simulator pipeline, the schedulers, the format codecs and the training
-  loop.  ``simulate()`` surfaces a per-stage split as
-  ``SimResult.perf_breakdown`` when timing is enabled.
+* :mod:`repro.perf.timers` -- ``stage()`` and ``@timed``, the per-stage
+  instrumentation wired into the simulator pipeline, the schedulers,
+  the format codecs and the training loop.  They record only while
+  :func:`repro.obs.enabled` is on, the one instrumentation switch;
+  ``simulate()`` then surfaces its per-stage split as
+  ``SimResult.perf_breakdown``.
 * :mod:`repro.perf.bench` -- the deterministic micro/macro benchmark
   suite behind ``python -m repro perf``; it emits machine-readable
   ``BENCH_<name>.json`` files that the CI ``bench`` job gates against a
@@ -20,26 +21,6 @@ and the equivalence suites prove the two agree bit-exactly
 
 from __future__ import annotations
 
-from .timers import (
-    capture,
-    disable,
-    enable,
-    enabled,
-    enabled_scope,
-    reset,
-    snapshot,
-    stage,
-    timed,
-)
+from .timers import stage, timed
 
-__all__ = [
-    "capture",
-    "disable",
-    "enable",
-    "enabled",
-    "enabled_scope",
-    "reset",
-    "snapshot",
-    "stage",
-    "timed",
-]
+__all__ = ["stage", "timed"]

@@ -26,8 +26,11 @@ Output schema (``BENCH_<name>.json``)::
       "total_wall_s": ..., "peak_rss_kb": ...
     }
 
-``stages`` is the per-stage timer split captured while the bench ran
-(:mod:`repro.perf.timers`).  ``peak_rss_kb`` comes from
+The timed reps run with instrumentation off, as users and ``e2ebench``
+run the program.  ``stages`` is the per-stage timer split
+(:mod:`repro.perf.timers`) of one extra call per bench, made under
+``obs.enabled_scope()`` once the timing is done, with the trace buffer
+swapped out so its spans are dropped.  ``peak_rss_kb`` comes from
 ``resource.getrusage`` -- no third-party dependency.
 """
 
@@ -43,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .timers import capture, enabled_scope
+from .. import obs
 
 __all__ = [
     "PROFILES",
@@ -385,9 +388,10 @@ def _time_bench(
 ) -> Tuple[Dict, float]:
     """Warm up, autorange, and time one bench callable.
 
-    Returns the per-bench record plus the total wall time spent (the
-    suite's ``total_wall_s`` contribution).  Shared by the serial suite
-    loop and the per-bench worker cell, so both measure identically.
+    Returns the per-bench record (without ``stages``) plus the total
+    wall time spent (the suite's ``total_wall_s`` contribution).  Shared
+    by the serial suite loop and the per-bench worker cell, so both
+    measure identically.
     """
     # Warm-up excludes one-time allocation/import effects and
     # sizes the autorange: sub-millisecond callables are pure
@@ -398,13 +402,11 @@ def _time_bench(
     warm = time.perf_counter() - t0
     inner = max(1, min(_MAX_INNER, int(math.ceil(_MIN_REP_S / max(warm, 1e-9)))))
     rep_times: List[float] = []
-    cap = capture()
-    with cap as stages:
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            for _ in range(inner):
-                fn()
-            rep_times.append((time.perf_counter() - t0) / inner)
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        for _ in range(inner):
+            fn()
+        rep_times.append((time.perf_counter() - t0) / inner)
     # min-of-reps: scheduling noise only ever adds time, so the
     # fastest rep is the best estimate of the true cost.
     wall = min(rep_times)
@@ -413,9 +415,21 @@ def _time_bench(
         "normalized": wall / calibration_s,
         "cells": int(cells),
         "cells_per_s": cells / wall if wall > 0 else float("inf"),
-        "stages": stages,
     }
     return record, sum(t * inner for t in rep_times)
+
+
+def _stage_split(fn: Callable[[], None]) -> Dict[str, Dict[str, float]]:
+    """The stage-timer records of one instrumented, untimed call of ``fn``."""
+    events = obs.swap_buffer()
+    try:
+        with obs.enabled_scope():
+            cap = obs.capture()
+            with cap:
+                fn()
+    finally:
+        obs.swap_buffer(events)
+    return cap.timers
 
 
 def _bench_cell(profile: str, seed: int, bench_name: str) -> Dict:
@@ -434,8 +448,8 @@ def _bench_cell(profile: str, seed: int, bench_name: str) -> Dict:
             break
     else:
         raise ValueError(f"unknown bench {bench_name!r}")
-    with enabled_scope():
-        record, spent = _time_bench(fn, cells, sizes["reps"], calibration_s)
+    record, spent = _time_bench(fn, cells, sizes["reps"], calibration_s)
+    record["stages"] = _stage_split(fn)
     record["calibration_s"] = calibration_s
     record["spent_wall_s"] = spent
     record["peak_rss_kb"] = peak_rss_kb()
@@ -498,11 +512,14 @@ def run_suite(
     else:
         calibration_s = calibrate()
         suite = _all_benches(sizes, seed)
-        with enabled_scope():
-            for bench_name, cells, fn in suite:
-                record, spent = _time_bench(fn, cells, reps, calibration_s)
-                total += spent
-                benches[bench_name] = record
+        for bench_name, cells, fn in suite:
+            record, spent = _time_bench(fn, cells, reps, calibration_s)
+            total += spent
+            benches[bench_name] = record
+        # Instrumented calls only after every bench is timed, so none
+        # runs between two timed benches.
+        for bench_name, _, fn in suite:
+            benches[bench_name]["stages"] = _stage_split(fn)
         peak_rss = peak_rss_kb()
 
     return {
@@ -587,9 +604,10 @@ def compare(
 
     Returns ``(failures, report_lines)``.  A bench fails when its
     normalized time exceeds the baseline's by more than ``tolerance``
-    (speed-ups never fail).  Benches present on only one side are
-    reported but do not fail -- renames should not break CI silently, and
-    the report line makes the drift visible.
+    (speed-ups never fail), and when it is in the baseline but not in
+    this run: a change that retires or renames a bench deletes its
+    baseline entry in the same commit.  A bench only in this run is
+    reported and passes.
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
@@ -601,7 +619,11 @@ def compare(
         cur = cur_benches.get(bench_name)
         base = base_benches.get(bench_name)
         if cur is None:
-            lines.append(f"  {bench_name:<24} only in baseline (removed?)")
+            lines.append(f"  {bench_name:<24} only in baseline  MISSING")
+            failures.append(
+                f"{bench_name}: in the baseline but not run (delete its baseline "
+                "entry with the bench)"
+            )
             continue
         if base is None:
             lines.append(f"  {bench_name:<24} new bench ({cur['normalized']:.3f} normalized)")

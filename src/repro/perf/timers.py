@@ -1,194 +1,72 @@
-"""Lightweight hierarchical stage timers (``perf_counter_ns`` based).
+"""Stage timing: ``stage()`` and ``@timed`` over :mod:`repro.obs`.
 
-Since the observability layer landed this module is a **thin adapter**
-over :mod:`repro.obs`: the ``name -> [calls, total_ns]`` storage lives
-in the obs metrics registry (its ``timers`` section, excluded from the
-deterministic cross-process export), and ``stage()``/``timed()`` are
-**dual-sink** -- when the obs switch is on they additionally emit B/E
-trace spans, so every ``@timed`` hot path (DVPE batches, format
-encodes, engine stages) shows up in the Chrome trace without a second
-set of instrumentation sites.  The public API and its semantics are
-unchanged; ``tests/perf/test_timers.py`` pins them.
+There is one instrumentation switch, :func:`repro.obs.enabled`.  With it
+on, every ``stage(name)`` region and every ``@timed(name)`` call emits a
+B/E trace span and adds a ``[calls, total_ns]`` record under ``name`` to
+the installed metrics registry's ``timers`` section (wall time, excluded
+from the deterministic export).  With it off, ``stage()`` returns the
+tracer's shared null span and a ``timed`` wrapper is a straight call
+after one boolean test, so the sites stay wired into hot paths
+permanently.
 
-Design constraints:
-
-* **Zero overhead when disabled.**  With both the timing flag and the
-  obs switch off, ``stage(name)`` returns a shared no-op context
-  manager and ``timed(name)`` wrappers reduce to two boolean checks, so
-  instrumentation can stay wired into hot paths permanently.
-* **Nesting-safe.**  Stages aggregate by name; a stage timed inside
-  another contributes to both (the parent's total includes the child's),
-  which is the natural reading of a per-stage wall-time split.
-* **Diff-able.**  :class:`capture` snapshots the registry on entry and
-  yields only the *delta* recorded inside its block, which is how
-  ``simulate()`` attaches a per-call ``SimResult.perf_breakdown``.
-
-The registry is process-global and not thread-safe; the simulator and
-benchmark suite are single-threaded by construction.
+Stages aggregate by name; a stage timed inside another contributes to
+both (the parent's total includes the child's), which is the natural
+reading of a per-stage wall-time split.  A per-region split is the
+timer section of an :class:`repro.obs.metrics.capture` block -- how
+``simulate()`` fills ``SimResult.perf_breakdown``.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from typing import Callable, Dict
+from typing import Callable
 
 from ..obs import metrics as _metrics
-from ..obs import state as _obs_state
 from ..obs import tracer as _tracer
+from ..obs.state import enabled
 
-__all__ = [
-    "capture",
-    "disable",
-    "enable",
-    "enabled",
-    "enabled_scope",
-    "reset",
-    "snapshot",
-    "stage",
-    "timed",
-]
-
-_enabled = False
-
-
-def enabled() -> bool:
-    """Whether stage timing is currently collecting."""
-    return _enabled
-
-
-def enable() -> None:
-    """Turn stage timing on (records accumulate until :func:`reset`)."""
-    global _enabled
-    _enabled = True
-
-
-def disable() -> None:
-    """Turn stage timing off; existing records are kept."""
-    global _enabled
-    _enabled = False
-
-
-def reset() -> None:
-    """Drop every accumulated stage record."""
-    _metrics.current_timers().clear()
+__all__ = ["stage", "timed"]
 
 
 class _StageTimer:
-    """Times one region into the registry and/or traces it as a span."""
+    """Traces one region as a span and times it into the registry."""
 
-    __slots__ = ("name", "start", "_timing", "_span")
+    __slots__ = ("name", "start", "_span")
 
-    def __init__(self, name: str, timing: bool, tracing: bool):
+    def __init__(self, name: str):
         self.name = name
-        self._timing = timing
-        self._span = _tracer.span(name) if tracing else None
+        self._span = _tracer.span(name)
 
     def __enter__(self) -> "_StageTimer":
-        if self._span is not None:
-            self._span.__enter__()
-        if self._timing:
-            self.start = time.perf_counter_ns()
+        self._span.__enter__()
+        self.start = time.perf_counter_ns()
         return self
 
     def __exit__(self, *exc) -> bool:
-        if self._timing:
-            _metrics.timer_add(self.name, time.perf_counter_ns() - self.start)
-        if self._span is not None:
-            self._span.__exit__(*exc)
+        _metrics.timer_add(self.name, time.perf_counter_ns() - self.start)
+        self._span.__exit__(*exc)
         return False
-
-
-class _NullTimer:
-    """Shared do-nothing context manager for the disabled fast path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL = _NullTimer()
 
 
 def stage(name: str):
-    """Context manager timing one region under ``name`` (no-op when off).
-
-    Dual-sink: wall time goes to the registry when timing is enabled,
-    and a B/E trace span is emitted when observability is enabled.
-    """
-    tracing = _obs_state.enabled()
-    if not (_enabled or tracing):
-        return _NULL
-    return _StageTimer(name, _enabled, tracing)
+    """Context manager timing and tracing one region under ``name``."""
+    if not enabled():
+        return _tracer.NULL_SPAN
+    return _StageTimer(name)
 
 
 def timed(name: str) -> Callable:
-    """Decorator timing every call of the wrapped function under ``name``."""
+    """Decorator timing and tracing every call of the wrapped function."""
 
     def deco(fn: Callable) -> Callable:
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            tracing = _obs_state.enabled()
-            if not (_enabled or tracing):
+            if not enabled():
                 return fn(*args, **kwargs)
-            with _StageTimer(name, _enabled, tracing):
+            with _StageTimer(name):
                 return fn(*args, **kwargs)
 
         return wrapper
 
     return deco
-
-
-def snapshot() -> Dict[str, Dict[str, float]]:
-    """Current totals: ``{stage: {"calls": n, "seconds": s}}``."""
-    return {
-        name: {"calls": rec[0], "seconds": rec[1] / 1e9}
-        for name, rec in _metrics.current_timers().items()
-    }
-
-
-class capture:
-    """Context manager yielding the stage records made inside its block.
-
-    The yielded dict is empty during the block and is filled at exit with
-    the per-stage deltas (same shape as :func:`snapshot`), so callers can
-    attribute timings to one region without resetting global state.
-
-    Reads the *currently installed* registry at both ends, so it nests
-    correctly inside an ``obs.metrics.capture`` registry swap.
-    """
-
-    def __enter__(self) -> Dict[str, Dict[str, float]]:
-        self._before = {
-            name: (rec[0], rec[1]) for name, rec in _metrics.current_timers().items()
-        }
-        self.stages: Dict[str, Dict[str, float]] = {}
-        return self.stages
-
-    def __exit__(self, *exc) -> bool:
-        for name, rec in _metrics.current_timers().items():
-            calls0, ns0 = self._before.get(name, (0, 0))
-            dcalls = rec[0] - calls0
-            dns = rec[1] - ns0
-            if dcalls or dns:
-                self.stages[name] = {"calls": dcalls, "seconds": dns / 1e9}
-        return False
-
-
-class enabled_scope:
-    """Context manager enabling timing inside its block, restoring after."""
-
-    def __enter__(self):
-        global _enabled
-        self._prev = _enabled
-        _enabled = True
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        global _enabled
-        _enabled = self._prev
-        return False

@@ -44,8 +44,6 @@ from ..obs import metrics as obs_metrics
 from ..obs.state import enabled as _obs_enabled
 from ..perf import stage
 from ..perf.memo import ArrayMemo, clear_memos
-from ..perf.timers import capture
-from ..perf.timers import enabled as _perf_enabled
 from ..runtime.checks import check_format_roundtrip, check_workload, get_check_level
 from ..workloads.generator import GEMMWorkload
 from .metrics import SimResult
@@ -323,47 +321,28 @@ def simulate(
     under ``strict`` the architecture's storage format is additionally
     round-tripped (encode -> decode must be exact) before simulation.
 
-    When stage timing is enabled (:func:`repro.perf.timers.enable`), the
-    per-stage wall-time split of this call lands in
-    ``SimResult.perf_breakdown``; with timing off the instrumentation
-    reduces to one boolean check.
-
-    When observability is enabled (:func:`repro.obs.enable`), the
-    deterministic metrics recorded inside this call (memo hit rates,
-    wave-cycle histograms, stall causes, ...) land in
-    ``SimResult.metrics`` as a versioned dict, and every pipeline stage
-    is traced as a span; with it off (the default) ``metrics`` stays
-    ``None`` and outputs are byte-identical to an uninstrumented build.
+    When instrumentation is on (:func:`repro.obs.enable`, the one
+    switch), the deterministic metrics recorded inside this call (memo
+    hit rates, wave-cycle histograms, stall causes, ...) land in
+    ``SimResult.metrics`` as a versioned dict, the per-stage wall-time
+    split of the call lands in ``SimResult.perf_breakdown``, and every
+    pipeline stage is traced as a span.  With it off (the default) both
+    fields stay ``None``, the instrumentation reduces to one boolean
+    check, and outputs are byte-identical to an uninstrumented build.
     """
     opts = options if options is not None else SimOptions()
-    if not _perf_enabled() and not _obs_enabled():
-        return _simulate(config, workload, opts)
     if not _obs_enabled():
-        result = _timed_simulate(config, workload, opts)
-        return result
-    # Metrics capture swaps in a fresh registry, so the obs payload is the
-    # exact per-call delta; timer records made inside are merged back to
-    # the ambient registry at exit (obs.metrics.capture docs).
+        return _simulate(config, workload, opts)
+    # Metrics capture swaps in a fresh registry, so the payload and the
+    # stage split are exactly this call's; both merge back into the
+    # ambient registry at exit (obs.metrics.capture docs).
     mcap = obs_metrics.capture()
     with mcap as metrics:
         obs_metrics.counter_add("sim.simulate_calls")
-        result = _timed_simulate(config, workload, opts)
-    result.metrics = metrics
-    return result
-
-
-def _timed_simulate(
-    config: ArchConfig, workload: GEMMWorkload, opts: SimOptions
-) -> SimResult:
-    """Run :func:`_simulate` under the stage-timer/tracer envelope."""
-    if not _perf_enabled():
-        with stage("sim.engine.simulate"):
-            return _simulate(config, workload, opts)
-    cap = capture()
-    with cap as stages:
-        with stage("sim.engine.simulate"):
+        with stage("sim.simulate"):
             result = _simulate(config, workload, opts)
-    result.perf_breakdown = stages
+    result.metrics = metrics
+    result.perf_breakdown = mcap.timers
     return result
 
 

@@ -40,9 +40,10 @@ class SimResult:
     #: ``repro.faults.CLASSES``, or None when no fault was injected.
     fault_classification: Optional[str] = None
     #: Per-stage wall-time split of this ``simulate()`` call, present only
-    #: when stage timing was enabled (``repro.perf.timers.enable()``):
-    #: ``{stage: {"calls": n, "seconds": s}}``.  Not scaled or aggregated
-    #: -- it describes the simulator, not the modeled hardware.
+    #: when instrumentation was on (``repro.obs.enable()``, the same
+    #: switch as ``metrics``): ``{stage: {"calls": n, "seconds": s}}``,
+    #: the timer records of the call's metrics capture.  Not scaled or
+    #: aggregated -- it describes the simulator, not the modeled hardware.
     perf_breakdown: Optional[Dict[str, Dict[str, float]]] = None
     #: Deterministic observability payload of this ``simulate()`` call
     #: (``repro.obs.metrics`` ``to_dict(deterministic_only=True)``

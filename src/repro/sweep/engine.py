@@ -15,10 +15,11 @@ Execution model (see :mod:`repro.sweep.executors` for the machinery):
 * the ``supervised`` executor runs one child process per in-flight cell
   and *watches* it: a worker that dies (OOM, SIGKILL, ``os._exit``)
   settles its cell as ``crashed``, a worker past the per-cell
-  ``timeout`` is killed and settles as ``timeout`` -- neither hangs or
-  unwinds the sweep;
+  ``SweepOptions.timeout`` is killed and settles as ``timeout`` --
+  neither hangs or unwinds the sweep;
 * transient outcomes (``crashed``/``timeout``) are retried up to
-  ``retries`` extra attempts with deterministic exponential backoff;
+  ``SweepOptions.retries`` extra attempts with deterministic
+  exponential backoff;
   deterministic failures (a cell that *raises*) become a structured
   ``failed`` :class:`SweepCellResult` carrying ``error`` and
   ``traceback`` strings and are never retried;
@@ -46,7 +47,7 @@ import tempfile
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..obs import metrics as obs_metrics
 from ..obs import state as obs_state
@@ -351,59 +352,33 @@ def run_sweep(
     workers: int = 1,
     cache_dir: Optional[Union[str, os.PathLike]] = None,
     resume: bool = False,
-    progress: Optional[Callable[[SweepCellResult, int, int], None]] = None,
     strict: bool = False,
-    executor: Optional[str] = None,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
     options: Optional[SweepOptions] = None,
-    cancel: Optional[Any] = None,
 ) -> SweepResult:
     """Execute every cell of ``spec`` and return results in spec order.
 
-    ``progress`` (if given) is called as each cell settles, with the
-    cell result plus ``(done, total)`` counts -- note this happens in
-    *completion* order, which under parallelism is nondeterministic;
-    only the returned :class:`SweepResult` ordering is stable.
     ``strict=True`` raises :class:`SweepCellsFailed` after the sweep
     completes if any cell failed (the sweep itself still runs to the
     end).
 
-    ``cancel`` is an event-like object (``is_set()``): once set, no
-    further cells are submitted, in-flight cells drain into the cache,
-    and the call raises :class:`SweepCancelled`.  A later run with the
-    same cache and ``resume=True`` continues from the settled cells.
-
-    ``options`` (a :class:`~repro.sweep.options.SweepOptions`) supplies
-    defaults for the executor, timeout, retry, progress and cancel
-    knobs; explicitly-passed keyword arguments win over it.
-    ``executor`` is ``"auto"`` (default), ``"serial"``, or
-    ``"supervised"``; ``timeout`` is a per-cell deadline in seconds
-    (supervised only); ``retries`` is the number of extra attempts after
-    a transient ``crashed``/``timeout`` outcome.
+    ``options`` (a :class:`~repro.sweep.options.SweepOptions`, validated
+    on construction) is the one source of the supervision settings:
+    executor, per-cell timeout, retries, backoff, circuit breaker,
+    chaos, and the ``progress``/``cancel`` hooks.  ``progress`` is called
+    as each cell settles, with the cell result plus ``(done, total)``
+    counts -- in *completion* order, which under parallelism is
+    nondeterministic; only the returned :class:`SweepResult` ordering is
+    stable.  Once ``cancel.is_set()``, no further cells are submitted,
+    in-flight cells drain into the cache, and the call raises
+    :class:`SweepCancelled`; a later run with the same cache and
+    ``resume=True`` continues from the settled cells.
     """
     opts = options if options is not None else SweepOptions()
-    if executor is None:
-        executor = opts.executor
-    if timeout is None:
-        timeout = opts.timeout
-    if retries is None:
-        retries = opts.retries
-    if progress is None:
-        progress = opts.progress
-    if cancel is None:
-        cancel = opts.cancel
+    progress = opts.progress
+    cancel = opts.cancel
 
     if workers < 1:
         raise SweepError(f"workers must be >= 1, got {workers}")
-    if retries < 0:
-        raise SweepError(f"retries must be >= 0, got {retries}")
-    if timeout is not None and timeout <= 0:
-        raise SweepError(f"timeout must be > 0, got {timeout}")
-    try:
-        resolve_executor_name(executor, workers)
-    except ValueError as exc:
-        raise SweepError(str(exc)) from exc
 
     chaos = opts.chaos
     if chaos is None:
@@ -485,7 +460,7 @@ def run_sweep(
     if pending:
         n_workers = min(max(1, workers), len(pending))
         exec_name = resolve_executor_name(
-            executor, workers, force_supervised=chaos is not None
+            opts.executor, workers, force_supervised=chaos is not None
         )
         if chaos is not None:
             from ..faults import chaos as chaos_mod
@@ -497,11 +472,11 @@ def run_sweep(
             )
             pending = [chaos_mod.wrap_payload(p, chaos, ledger_dir) for p in pending]
         policy = RetryPolicy(
-            max_attempts=retries + 1,
+            max_attempts=opts.retries + 1,
             backoff_s=opts.backoff_s,
             seed=derive_seed(0, "sweep-backoff", spec.name),
         )
-        exec_obj = make_executor(exec_name, n_workers, timeout_s=timeout)
+        exec_obj = make_executor(exec_name, n_workers, timeout_s=opts.timeout)
         # Chaos drills disable the circuit breaker: induced crashes are
         # expected there, and degrading to inline execution would run a
         # crash cell inside the supervisor process itself.

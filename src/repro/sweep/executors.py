@@ -81,7 +81,7 @@ RawResult = Tuple[str, str, Any, float, int, Optional[Dict[str, Any]]]
 #: the cell -- the only statuses a :class:`RetryPolicy` ever retries.
 TRANSIENT_STATUSES = ("crashed", "timeout")
 
-#: Names accepted by :func:`make_executor` / ``run_sweep(executor=...)``.
+#: Names accepted by :func:`make_executor` / ``SweepOptions(executor=...)``.
 EXECUTOR_NAMES = ("auto", "serial", "supervised")
 
 

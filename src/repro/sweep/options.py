@@ -5,7 +5,8 @@
 timeout, retry budget, chaos injection, progress and cancellation --
 into one frozen, hashable value that drivers can thread through
 unchanged (``run_experiment`` -> table/figure driver -> ``run_sweep``)
-instead of growing a kwarg tail at every layer.  Worker count, cache
+instead of growing a kwarg tail at every layer; ``run_sweep`` has no
+keyword of its own for any of them.  Worker count, cache
 directory and resume are not among them: every driver takes those as
 its own ``workers``/``cache_dir``/``resume`` parameters and passes
 them to ``run_sweep`` explicitly.
@@ -47,8 +48,8 @@ class SweepOptions:
     :func:`~repro.sweep.engine.run_sweep` (the simulation service, which
     only sees ``run_experiment``) observe and interrupt a sweep without
     threading new parameters through every driver: ``progress`` is
-    called like ``run_sweep``'s own progress callback as each cell
-    settles, and ``cancel`` is an event-like object (anything with an
+    called as each cell settles, with the cell result plus ``(done,
+    total)`` counts, and ``cancel`` is an event-like object (anything with an
     ``is_set()`` method) -- once set, no further cells are submitted,
     in-flight cells drain into the cache, and ``run_sweep`` raises
     :class:`~repro.sweep.engine.SweepCancelled`.

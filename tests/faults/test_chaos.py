@@ -162,8 +162,7 @@ class TestChaosSweeps:
         clean = run_sweep(_square_spec(), workers=1)
         chaos = ChaosConfig(modes=("crash",), ledger_dir=str(tmp_path / "ledger"))
         chaotic_run = run_sweep(
-            _square_spec(), workers=2, retries=2,
-            options=SweepOptions(chaos=chaos),
+            _square_spec(), workers=2, options=SweepOptions(retries=2, chaos=chaos),
         )
         assert chaotic_run.ok
         assert _canon(chaotic_run) == _canon(clean)
@@ -181,8 +180,8 @@ class TestChaosSweeps:
                 ledger_dir=str(tmp_path / f"ledger-{workers}"),
             )
             runs[workers] = run_sweep(
-                _square_spec(6), workers=workers, retries=2,
-                options=SweepOptions(chaos=chaos),
+                _square_spec(6), workers=workers,
+                options=SweepOptions(retries=2, chaos=chaos),
             )
         # "raise" victims fail deterministically in both runs; crash
         # victims recover -- and the *outcomes* are worker-count-invariant.
@@ -199,8 +198,7 @@ class TestChaosSweeps:
     def test_raise_mode_is_deterministic_failure(self, tmp_path):
         chaos = ChaosConfig(modes=("raise",), ledger_dir=str(tmp_path))
         result = run_sweep(
-            _square_spec(2), workers=1, retries=3,
-            options=SweepOptions(chaos=chaos),
+            _square_spec(2), workers=1, options=SweepOptions(retries=3, chaos=chaos),
         )
         assert [c.status for c in result.cells] == ["failed", "failed"]
         assert all(c.attempts == 1 for c in result.cells)
@@ -211,8 +209,8 @@ class TestChaosSweeps:
         cache_dir = tmp_path / "cache"
         chaos = ChaosConfig(modes=("crash",), ledger_dir=str(tmp_path / "ledger"))
         first = run_sweep(
-            _square_spec(), workers=2, retries=1, cache_dir=cache_dir,
-            options=SweepOptions(chaos=chaos),
+            _square_spec(), workers=2, cache_dir=cache_dir,
+            options=SweepOptions(retries=1, chaos=chaos),
         )
         assert first.ok
         # A clean resume serves every cell from the chaos run's cache.
@@ -261,7 +259,7 @@ class TestChaosSweeps:
     def test_env_activation_reaches_run_sweep(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_CHAOS", "raise:1")
         monkeypatch.setenv("REPRO_SWEEP_CHAOS_DIR", str(tmp_path))
-        result = run_sweep(_square_spec(2), workers=1, retries=0)
+        result = run_sweep(_square_spec(2), workers=1, options=SweepOptions(retries=0))
         assert [c.status for c in result.cells] == ["failed", "failed"]
         assert all("ChaosError" in c.error for c in result.cells)
 

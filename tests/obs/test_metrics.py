@@ -175,6 +175,19 @@ class TestModuleRegistry:
         assert metrics.registry().counters == {"n": 13}
         assert metrics.registry().timers["t"] == [1, 500]
 
+    def test_capture_exposes_only_the_block_timers(self):
+        metrics.timer_add("pre.existing", 100)
+        cap = metrics.capture()
+        with cap:
+            metrics.timer_add("inside", 200)
+            metrics.timer_add("pre.existing", 300)
+        # re-entry of a pre-existing timer shows only the block's calls
+        assert cap.timers == {
+            "inside": {"calls": 1, "seconds": 2e-7},
+            "pre.existing": {"calls": 1, "seconds": 3e-7},
+        }
+        assert metrics.registry().timers["pre.existing"] == [2, 400]
+
     def test_capture_merges_back_on_exception(self):
         with pytest.raises(RuntimeError):
             with metrics.capture() as delta:

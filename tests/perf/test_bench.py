@@ -54,8 +54,32 @@ def test_bench_entries_have_required_fields(smoke_run):
 
 def test_macro_benches_capture_stage_splits(smoke_run):
     stages = smoke_run["benches"]["simulate_layer"]["stages"]
-    assert "sim.engine.simulate" in stages
+    assert "sim.simulate" in stages
     assert "sim.schedule" in stages
+
+
+def test_stages_come_from_one_instrumented_call(smoke_run):
+    from repro import obs
+
+    stages = smoke_run["benches"]["encode_ddc"]["stages"]
+    assert stages["formats.ddc.encode"]["calls"] == 1
+    assert smoke_run["benches"]["dvpe_costs"]["stages"]["hw.dvpe"]["calls"] == 1
+    assert not obs.enabled()
+
+
+def test_stage_split_drops_its_trace_events():
+    from repro import obs
+    from repro.perf import stage
+
+    before = list(obs.events())
+
+    def fn():
+        with stage("unit.bench"):
+            pass
+
+    assert bench._stage_split(fn)["unit.bench"]["calls"] == 1
+    assert obs.events() == before
+    assert not obs.enabled()
 
 
 def test_json_roundtrip(tmp_path, smoke_run):
@@ -105,10 +129,16 @@ def test_compare_is_one_sided():
     assert failures == []
 
 
-def test_compare_reports_added_and_removed_benches_without_failing():
-    failures, lines = bench.compare(_mini_report(new=1.0), _mini_report(old=1.0))
+def test_compare_passes_an_added_bench():
+    failures, lines = bench.compare(_mini_report(old=1.0, new=1.0), _mini_report(old=1.0))
     assert failures == []
-    assert any("new" in line for line in lines)
+    assert any("new bench" in line for line in lines)
+
+
+def test_compare_fails_a_removed_bench():
+    failures, lines = bench.compare(_mini_report(new=1.0), _mini_report(old=1.0, new=1.0))
+    assert len(failures) == 1
+    assert failures[0].startswith("old:")
     assert any("only in baseline" in line for line in lines)
 
 
@@ -192,3 +222,25 @@ def test_cli_perf_gate_fails_on_fabricated_regression(tmp_path, capsys):
     ])
     assert rc == 1
     assert "REGRESSION" in capsys.readouterr().out
+
+
+def test_cli_perf_gate_fails_on_missing_bench_without_rerun(tmp_path, capsys):
+    from repro.cli import main
+    from repro.perf.bench import load_bench_json, write_bench_json
+
+    out = str(tmp_path)
+    assert main(["perf", "--profile", "smoke", "--name", "base", "--out-dir", out]) == 0
+    path = str(tmp_path / "BENCH_base.json")
+    doctored = load_bench_json(path)
+    doctored["benches"]["retired_bench"] = dict(doctored["benches"]["encode_ddc"])
+    write_bench_json(path, doctored)
+    capsys.readouterr()
+    rc = main([
+        "perf", "--profile", "smoke", "--name", "cur", "--out-dir", out,
+        "--compare", path, "--tolerance", "50.0",
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "retired_bench" in captured.out and "MISSING" in captured.out
+    # A re-run cannot bring a bench back, so the noise retry is skipped.
+    assert "re-running" not in captured.out

@@ -71,12 +71,17 @@ class TestRunSweepInline:
             run_sweep(_square_spec(), workers=0)
 
     def test_rejects_negative_retries(self):
-        with pytest.raises(SweepError, match="retries"):
-            run_sweep(_square_spec(), retries=-1)
+        with pytest.raises(ValueError, match="retries"):
+            SweepOptions(retries=-1)
 
     def test_progress_called_per_cell(self):
         seen = []
-        run_sweep(_square_spec(), progress=lambda cell, done, total: seen.append((cell.key, done, total)))
+        run_sweep(
+            _square_spec(),
+            options=SweepOptions(
+                progress=lambda cell, done, total: seen.append((cell.key, done, total))
+            ),
+        )
         assert len(seen) == 4
         assert seen[-1][1:] == (4, 4)
 
@@ -267,8 +272,8 @@ class TestCancellation:
 
         with pytest.raises(SweepCancelled) as excinfo:
             run_sweep(
-                _square_spec(6), cache_dir=tmp_path, progress=stop_after_two,
-                cancel=token,
+                _square_spec(6), cache_dir=tmp_path,
+                options=SweepOptions(progress=stop_after_two, cancel=token),
             )
         exc = excinfo.value
         assert exc.done < exc.total == 6
@@ -282,8 +287,8 @@ class TestCancellation:
 
         with pytest.raises(SweepCancelled):
             run_sweep(
-                _square_spec(6), cache_dir=tmp_path, progress=stop_immediately,
-                cancel=token,
+                _square_spec(6), cache_dir=tmp_path,
+                options=SweepOptions(progress=stop_immediately, cancel=token),
             )
         # second run, no cancel: settled cells replay from cache
         result = run_sweep(_square_spec(6), cache_dir=tmp_path, resume=True)
@@ -300,7 +305,7 @@ class TestCancellation:
         assert excinfo.value.done == 0
 
     def test_unset_token_changes_nothing(self):
-        result = run_sweep(_square_spec(3), cancel=_Flag())
+        result = run_sweep(_square_spec(3), options=SweepOptions(cancel=_Flag()))
         assert result.ok and len(result.cells) == 3
 
     def test_unsettled_cells_without_cancel_are_an_error(self, monkeypatch):
@@ -315,7 +320,7 @@ class TestCancellation:
 
         monkeypatch.setattr(engine, "Supervisor", _DroppingSupervisor)
         with pytest.raises(SweepError) as excinfo:
-            run_sweep(_square_spec(3), cancel=_Flag())
+            run_sweep(_square_spec(3), options=SweepOptions(cancel=_Flag()))
         assert not isinstance(excinfo.value, SweepCancelled)
         assert "never settled" in str(excinfo.value)
 

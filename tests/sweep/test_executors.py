@@ -18,6 +18,7 @@ from repro.sweep import (
     SupervisedProcessExecutor,
     Supervisor,
     SweepCell,
+    SweepOptions,
     SweepSpec,
     fn_ref,
     run_sweep,
@@ -136,7 +137,7 @@ class TestSupervisedExecutor:
             SweepCell(key="victim", fn=_cells.sigkill_self),
             SweepCell(key="x=3", fn=_cells.square, kwargs={"x": 3}),
         ))
-        result = run_sweep(spec, workers=2, executor="supervised")
+        result = run_sweep(spec, workers=2, options=SweepOptions(executor="supervised"))
         assert result.value("x=3") == 9  # sibling unaffected
         victim = result.cells[0]
         assert victim.status == "crashed" and "died without a result" in victim.error
@@ -149,7 +150,9 @@ class TestSupervisedExecutor:
             SweepCell(key="x=4", fn=_cells.square, kwargs={"x": 4}),
         ))
         start = time.monotonic()
-        result = run_sweep(spec, workers=2, executor="supervised", timeout=2.0)
+        result = run_sweep(
+            spec, workers=2, options=SweepOptions(executor="supervised", timeout=2.0)
+        )
         elapsed = time.monotonic() - start
         assert elapsed < 60  # nowhere near the 600 s sleep
         hung = result.cells[0]
@@ -161,7 +164,9 @@ class TestSupervisedExecutor:
         spec = SweepSpec("boom", (
             SweepCell(key="bad", fn=_cells.boom, kwargs={"x": 1}),
         ))
-        result = run_sweep(spec, workers=1, executor="supervised", retries=3)
+        result = run_sweep(
+            spec, workers=1, options=SweepOptions(executor="supervised", retries=3)
+        )
         cell = result.cells[0]
         assert cell.status == "failed"
         assert cell.attempts == 1  # retry budget untouched
@@ -177,7 +182,9 @@ class TestRetries:
             )
             for i in range(3)
         ))
-        result = run_sweep(spec, workers=2, executor="supervised", retries=1)
+        result = run_sweep(
+            spec, workers=2, options=SweepOptions(executor="supervised", retries=1)
+        )
         assert result.ok
         assert [c.value for c in result.cells] == [0, 7, 14]
         assert all(c.attempts == 2 for c in result.cells)
@@ -192,7 +199,8 @@ class TestRetries:
             ),
         ))
         result = run_sweep(
-            spec, workers=1, executor="supervised", timeout=2.0, retries=1
+            spec, workers=1,
+            options=SweepOptions(executor="supervised", timeout=2.0, retries=1),
         )
         assert result.ok
         assert result.value("x=5") == 105
@@ -205,7 +213,9 @@ class TestRetries:
             SweepCell(key="doomed", fn=_cells.crash_self),
             SweepCell(key="x=6", fn=_cells.square, kwargs={"x": 6}),
         ))
-        result = run_sweep(spec, workers=2, executor="supervised", retries=1)
+        result = run_sweep(
+            spec, workers=2, options=SweepOptions(executor="supervised", retries=1)
+        )
         doomed = result.cells[0]
         assert doomed.status == "crashed"
         assert doomed.attempts == 2  # initial + one retry, both crashed
@@ -223,7 +233,9 @@ class TestRetries:
         ))
         obs.reset()
         with obs.enabled_scope():
-            result = run_sweep(spec, workers=1, executor="supervised", retries=1)
+            result = run_sweep(
+                spec, workers=1, options=SweepOptions(executor="supervised", retries=1)
+            )
             counters = obs.metrics_dict(deterministic_only=True)["counters"]
         assert "1 retries" in result.summary()
         assert result.supervision == {"retries": 1, "crashes": 1}
