@@ -711,11 +711,10 @@ def _fig7both_cell(sparsity: float, seed: int, size: int) -> Dict[str, Dict[str,
 
     weights = synthetic_weights(size, size, seed=seed)
     res = tbs_sparsify(weights, m=8, sparsity=sparsity)
-    sparse = weights * res.mask
-    spec = EncodeSpec(tbs=res, block_size=8)
+    spec = EncodeSpec(mask=res.mask, tbs=res, block_size=8)
     out: Dict[str, Dict[str, float]] = {}
     for name in available_formats():
-        encoded = get_format(name).encode(sparse, spec)
+        encoded = get_format(name).encode(weights, spec)
         row: Dict[str, float] = {}
         for orient in ORIENTATIONS:
             key = "forward" if orient == "forward" else "backward"
@@ -1179,7 +1178,7 @@ def _scenario_cell(family: str, pattern: str, scale: int, seed: int) -> Dict[str
     spec = EncodeSpec(mask=fmt_wl.mask, tbs=fmt_wl.tbs, block_size=fmt_wl.m)
     formats: Dict[str, Dict[str, Dict[str, float]]] = {}
     for name in available_formats():
-        encoded = get_format(name).encode(fmt_wl.sparse_values, spec)
+        encoded = get_format(name).encode(fmt_wl.values, spec)
         per_orient: Dict[str, Dict[str, float]] = {}
         for orient in ORIENTATIONS:
             rep = traffic_report(encoded, m=fmt_wl.m, orientation=orient)

@@ -41,7 +41,6 @@ from .memory_model import (
     DEFAULT_BURST_BYTES,
     TrafficReport,
     compare_formats,
-    compare_formats_both,
     traffic_report,
     useful_bytes_floor,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "available_formats",
     "block_storage_stream",
     "compare_formats",
-    "compare_formats_both",
     "convert_block",
     "format_class",
     "format_index",

@@ -11,11 +11,14 @@ utilization (Fig. 7):
 * **contiguity** -- how many separate burst transactions the trace needs
   (CSR's scattered short row segments).
 
-Every encoder returns an :class:`EncodedMatrix` carrying the storage
-footprint breakdown, the consumption-order trace as a :class:`Trace` (one
-int64 address array and one int64 length array), and enough arrays to
-decode the matrix back exactly (used by the round-trip tests and by the
-functional simulator).
+Every encoder returns an :class:`EncodedMatrix` carrying its *layout* --
+the storage footprint breakdown, the consumption-order trace as a
+:class:`Trace` (one int64 address array and one int64 length array) and
+the block tables the trace derives from -- built from the occupancy
+alone, and its *payload*, the arrays that decode the matrix back
+exactly (used by decode, the fault injectors and the round-trip checks),
+gathered the first time they are read.  Traffic and timing numbers read
+only the layout, so they never pay for the payload.
 
 Consumption **orientation** is a first-class axis: the forward pass
 drains the matrix block-major, the backward pass drains the *transpose*
@@ -29,10 +32,13 @@ pays whatever fragmentation or re-fetch cost that layout implies.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
+import functools
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
+
+from ..perf import stage
 
 #: FP16 storage, as in the paper's DVPE datapath.
 VALUE_BYTES = 2
@@ -181,9 +187,21 @@ class EncodeSpec:
         return int(m) if m else self.block_size
 
 
-@dataclass
 class EncodedMatrix:
-    """A sparse matrix in one storage format.
+    """A sparse matrix in one storage format: its layout, and its payload on demand.
+
+    The **layout** is everything a traffic or timing number reads, and no
+    stored value enters it: ``nnz``, the three byte counts, the forward
+    ``segments`` and the format's block ``tables`` (the index and
+    metadata arrays its :meth:`SparseFormat.transposed_trace` walks).
+    The **payload** is :attr:`arrays`, every array an exact decode needs:
+    the same tables plus the stored values and per-element indices.
+
+    :meth:`SparseFormat.encode` builds the layout at once and gathers the
+    payload the first time :attr:`arrays` is read, never again.  A matrix
+    built directly with ``arrays=`` (hand-built traces, the test
+    oracles) is complete from the start, and its ``tables`` are those
+    arrays.
 
     Attributes
     ----------
@@ -200,28 +218,70 @@ class EncodedMatrix:
         Forward (block-major) consumption-order access :class:`Trace`,
         matching how the PE array drains the matrix.  Use :meth:`trace`
         to obtain the trace for either orientation.
-    arrays:
-        Format-specific payload arrays, sufficient for exact decode.
+    tables:
+        The layout's block tables, keyed as in :attr:`arrays` and shared
+        with it (the same array objects once the payload is gathered).
     orientation:
         The primary orientation this matrix was encoded for (from the
         :class:`EncodeSpec`); :meth:`trace` defaults to it.
     block_size:
         Trace block granularity the encoder used.
+    transposed_segments:
+        The transposed-orientation trace once :meth:`trace` has derived
+        it (cached; derived from the layout by the owning format, never
+        by re-encoding).
     """
 
-    format_name: str
-    shape: Tuple[int, int]
-    nnz: int
-    value_bytes: int
-    index_bytes: int
-    meta_bytes: int
-    segments: Trace = field(default_factory=Trace)
-    arrays: Dict[str, np.ndarray] = field(default_factory=dict)
-    orientation: str = DEFAULT_ORIENTATION
-    block_size: int = 8
-    #: Lazily-built transposed-orientation trace (cached; derived from the
-    #: stored layout by the owning format -- never by re-encoding).
-    transposed_segments: Optional[Trace] = None
+    def __init__(
+        self,
+        format_name: str,
+        shape: Tuple[int, int],
+        nnz: int,
+        value_bytes: int,
+        index_bytes: int,
+        meta_bytes: int,
+        segments: Union[Trace, Iterable[Segment], None] = None,
+        arrays: Optional[Dict[str, np.ndarray]] = None,
+        orientation: str = DEFAULT_ORIENTATION,
+        block_size: int = 8,
+        transposed_segments: Optional[Trace] = None,
+        tables: Optional[Dict[str, np.ndarray]] = None,
+    ) -> None:
+        self.format_name = format_name
+        self.shape = shape
+        self.nnz = nnz
+        self.value_bytes = value_bytes
+        self.index_bytes = index_bytes
+        self.meta_bytes = meta_bytes
+        self.segments = Trace() if segments is None else segments
+        self._arrays = {} if arrays is None else arrays
+        self.tables = self._arrays if tables is None else tables
+        #: The payload gather :meth:`SparseFormat.encode` deferred, until
+        #: the first read of :attr:`arrays` runs it.
+        self._pending: Optional[Callable[[Dict[str, np.ndarray]], Dict[str, np.ndarray]]] = None
+        self.orientation = orientation
+        self.block_size = block_size
+        self.transposed_segments = transposed_segments
+
+    @property
+    def arrays(self) -> Dict[str, np.ndarray]:
+        """Format-specific payload arrays, sufficient for exact decode.
+
+        Gathered on the first read from the input :meth:`SparseFormat
+        .encode` was given, as it was then; later reads return the same
+        dict, so in-place edits (fault injection) persist.
+        """
+        if self._pending is not None:
+            self._arrays = self._pending(self.tables)
+            self._pending = None
+        return self._arrays
+
+    def __repr__(self) -> str:
+        payload = "payload pending" if self._pending is not None else "payload gathered"
+        return (
+            f"EncodedMatrix({self.format_name!r}, shape={self.shape}, nnz={self.nnz}, "
+            f"{self.total_bytes} bytes, {payload})"
+        )
 
     @property
     def total_bytes(self) -> int:
@@ -240,11 +300,12 @@ class EncodedMatrix:
     def trace(self, orientation: Optional[str] = None) -> Trace:
         """Access trace for ``orientation`` (default: the encoded one).
 
-        The transposed trace is derived once from the stored layout via
-        the registered format's :meth:`SparseFormat.transposed_trace` and
-        cached -- requesting it never re-encodes the matrix.  A forward
-        trace assigned as a list of :class:`Segment` is converted (and
-        stored back) on first use.
+        The transposed trace is derived once from the layout via the
+        registered format's :meth:`SparseFormat.transposed_trace` (timed
+        as stage ``formats.trace_t``) and cached -- requesting it never
+        re-encodes the matrix or gathers its payload.  A forward trace
+        assigned as a list of :class:`Segment` is converted (and stored
+        back) on first use.
         """
         if orientation is None:
             orientation = self.orientation
@@ -258,7 +319,8 @@ class EncodedMatrix:
         if self.transposed_segments is None:
             from .registry import get_format
 
-            self.transposed_segments = get_format(self.format_name).transposed_trace(self)
+            with stage("formats.trace_t"):
+                self.transposed_segments = get_format(self.format_name).transposed_trace(self)
         return self.transposed_segments
 
     def traced_bytes_for(self, orientation: Optional[str] = None) -> int:
@@ -269,29 +331,68 @@ class EncodedMatrix:
 class SparseFormat(abc.ABC):
     """Interface implemented by every storage format.
 
-    Subclasses implement :meth:`_encode` (and may override
-    :meth:`transposed_trace` / :meth:`decode_transposed`); callers use
-    the public :meth:`encode`, which accepts an :class:`EncodeSpec`.
+    Subclasses implement :meth:`_layout` (the value-free layout, from the
+    occupancy), :meth:`_gather` (the payload, from the masked values)
+    and :meth:`decode`, and may override :meth:`transposed_trace` /
+    :meth:`decode_transposed`; callers use the public :meth:`encode`,
+    which accepts an :class:`EncodeSpec`.
     """
 
     name: str = "abstract"
 
     def encode(self, values: np.ndarray, spec: Optional[EncodeSpec] = None) -> EncodedMatrix:
-        """Encode ``values`` per ``spec`` (an :class:`EncodeSpec`).
+        """Encode ``values`` per ``spec``: the layout now, the payload on first read.
 
         Zeros are either already applied to ``values`` or given via
-        ``spec.mask``.
+        ``spec.mask``.  An element is stored when its masked value is
+        non-zero (``-0.0`` is a zero), and the layout is built from that
+        occupancy and ``spec.tbs`` alone (stage
+        ``formats.<name>.encode``).  The payload is gathered (stage
+        ``formats.<name>.payload``) the first time the result's
+        :attr:`~EncodedMatrix.arrays` is read, from ``values`` and
+        ``spec.mask`` as they were at this call: an input no caller can
+        write (a read-only array that owns its data, as the weights memo
+        hands out) is kept by reference and any other is copied, so a
+        later write by the caller changes neither the payload nor the
+        decode.
         """
         if spec is None:
             spec = EncodeSpec()
-        encoded = self._encode(values, spec)
+        with stage(f"formats.{self.name}.encode"):
+            values, mask = _checked(values, spec.mask)
+            values = _held(values)
+            occupancy = values != 0.0
+            if mask is not None:
+                mask = _held(mask)
+                occupancy &= mask
+            encoded = self._layout(occupancy, spec)
         encoded.orientation = spec.orientation
         encoded.block_size = spec.effective_block_size
+        encoded._pending = functools.partial(self._payload, values, mask)
         return encoded
 
+    def _payload(
+        self, values: np.ndarray, mask: Optional[np.ndarray], tables: Dict[str, np.ndarray]
+    ) -> Dict[str, np.ndarray]:
+        with stage(f"formats.{self.name}.payload"):
+            return self._gather(apply_mask(values, mask), tables)
+
     @abc.abstractmethod
-    def _encode(self, values: np.ndarray, spec: EncodeSpec) -> EncodedMatrix:
-        """Format-specific encode; ``spec`` is always a full EncodeSpec."""
+    def _layout(self, occupancy: np.ndarray, spec: EncodeSpec) -> EncodedMatrix:
+        """The layout of a matrix whose stored elements are ``occupancy``.
+
+        ``occupancy`` is a fresh boolean matrix the format may keep;
+        ``spec`` is always a full EncodeSpec.  Returns an
+        :class:`EncodedMatrix` with ``tables`` and no payload.
+        """
+
+    @abc.abstractmethod
+    def _gather(self, dense: np.ndarray, tables: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        """The payload arrays of ``dense`` (the masked float64 matrix).
+
+        ``tables`` are the ones :meth:`_layout` built for the same
+        matrix; the result holds them under the same keys.
+        """
 
     @abc.abstractmethod
     def decode(self, encoded: EncodedMatrix) -> np.ndarray:
@@ -308,26 +409,48 @@ class SparseFormat(abc.ABC):
     def transposed_trace(self, encoded: EncodedMatrix) -> Trace:
         """Transposed-orientation access trace, derived from ``encoded``.
 
-        Implementations must read only ``encoded`` (its arrays, footprint
-        and forward trace) -- never re-encode -- so any
-        :class:`EncodedMatrix` of this format, however obtained, can be
-        traced in either orientation.
+        Implementations must read only the layout of ``encoded`` (its
+        ``tables``, footprint and forward trace) -- never re-encode, never
+        read ``arrays`` -- so any :class:`EncodedMatrix` of this format,
+        however obtained, can be traced in either orientation without
+        gathering its payload.
         """
         raise NotImplementedError(
             f"format {self.name!r} does not implement a transposed trace"
         )
 
 
-def apply_mask(values: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
-    """Materialise the sparse matrix ``values * mask`` as float64."""
+def _checked(values, mask) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``values`` as a float64 matrix and ``mask`` as a boolean one of its shape."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {values.shape}")
     if mask is None:
-        return values
+        return values, None
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != values.shape:
         raise ValueError(f"mask shape {mask.shape} != values shape {values.shape}")
+    return values, mask
+
+
+def _held(array: np.ndarray) -> np.ndarray:
+    """``array`` itself if no caller can write its data, else a copy.
+
+    Nobody can write an array that is read-only all the way down to the
+    array owning its data, as the weights memo's arrays are; any other
+    array is copied.
+    """
+    base = array
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    return array if base is None else array.copy()
+
+
+def apply_mask(values: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
+    """Materialise the sparse matrix ``values * mask`` as float64."""
+    values, mask = _checked(values, mask)
+    if mask is None:
+        return values
     return np.where(mask, values, 0.0)
 
 

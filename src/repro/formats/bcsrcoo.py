@@ -21,6 +21,7 @@ instead of one stream.
 from __future__ import annotations
 
 import math
+from typing import Dict
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .base import (
     EncodeSpec,
     SparseFormat,
     Trace,
-    apply_mask,
 )
 
 __all__ = ["BCSRCOOFormat"]
@@ -52,19 +52,22 @@ def _payload_offsets(meta_bytes: int, block_ptr: np.ndarray, m: int) -> np.ndarr
 
 
 class BCSRCOOFormat(SparseFormat):
-    """Blocked CSR with a COO transpose index built once at encode time."""
+    """Blocked CSR with a COO transpose index built once at encode time.
+
+    Layout tables: ``row_ptr``, ``row_idx``, ``col_idx``, ``block_ptr``,
+    ``t_order``, the per-block occupancy ``bitmaps`` and ``m`` -- all of
+    the block structure, so both traces need no value.  Payload:
+    ``values``, each stored block's non-zeros row-major.
+    """
 
     name = "bcsrcoo"
 
-    @timed("formats.bcsrcoo.encode")
-    def _encode(self, values: np.ndarray, spec: EncodeSpec) -> EncodedMatrix:
-        dense = apply_mask(values, spec.mask)
-        rows, cols = dense.shape
+    def _layout(self, occupancy: np.ndarray, spec: EncodeSpec) -> EncodedMatrix:
+        rows, cols = occupancy.shape
         m = spec.effective_block_size
         n_block_rows, _ = block_grid_shape(rows, cols, m)
 
-        blocks = split_into_blocks(dense, m)
-        occ = blocks != 0.0
+        occ = split_into_blocks(occupancy, m)
         block_nnz = np.count_nonzero(occ, axis=(2, 3))
         stored = block_nnz > 0
         # Stored blocks in block-row-major order, each payload row-major
@@ -76,7 +79,6 @@ class BCSRCOOFormat(SparseFormat):
         nblk = nnz_arr.size
         block_ptr = np.zeros(nblk + 1, dtype=np.int64)
         np.cumsum(nnz_arr, out=block_ptr[1:])
-        vals = blocks[occ]
         bitmaps = occ[stored]
         # The COO transpose permutation: stored blocks reordered by
         # (block column, block row).  Built once, here; the transposed
@@ -102,17 +104,29 @@ class BCSRCOOFormat(SparseFormat):
             index_bytes=index_bytes,
             meta_bytes=meta_bytes,
             segments=segments,
-            arrays={
+            tables={
                 "row_ptr": row_ptr,
                 "row_idx": row_idx,
                 "col_idx": col_idx,
                 "block_ptr": block_ptr,
                 "t_order": t_order,
                 "bitmaps": bitmaps,
-                "values": vals,
                 "m": np.array(m),
             },
         )
+
+    def _gather(self, dense: np.ndarray, tables: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        blocks = split_into_blocks(dense, int(tables["m"]))
+        return {
+            "row_ptr": tables["row_ptr"],
+            "row_idx": tables["row_idx"],
+            "col_idx": tables["col_idx"],
+            "block_ptr": tables["block_ptr"],
+            "t_order": tables["t_order"],
+            "bitmaps": tables["bitmaps"],
+            "values": blocks[blocks != 0.0],
+            "m": tables["m"],
+        }
 
     def transposed_trace(self, encoded: EncodedMatrix) -> Trace:
         """Side tables, then the stored payload runs walked in ``t_order``.
@@ -123,9 +137,9 @@ class BCSRCOOFormat(SparseFormat):
         the transposed pass costs one burst run per block rather than
         CSR's one fragment per element.
         """
-        t_order = encoded.arrays["t_order"]
+        t_order = encoded.tables["t_order"]
         offsets = _payload_offsets(
-            encoded.meta_bytes, encoded.arrays["block_ptr"], int(encoded.arrays["m"])
+            encoded.meta_bytes, encoded.tables["block_ptr"], int(encoded.tables["m"])
         )
         return Trace.after_header(
             encoded.meta_bytes, offsets[t_order], offsets[t_order + 1] - offsets[t_order]

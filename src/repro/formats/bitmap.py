@@ -11,25 +11,26 @@ model via ``datapath_energy_scale``).
 from __future__ import annotations
 
 import math
+from typing import Dict
 
 import numpy as np
 
 from ..perf import timed
-from .base import VALUE_BYTES, EncodedMatrix, EncodeSpec, SparseFormat, Trace, apply_mask
+from .base import VALUE_BYTES, EncodedMatrix, EncodeSpec, SparseFormat, Trace
 
 
 class BitmapFormat(SparseFormat):
-    """Packed non-zero stream + occupancy bitmap."""
+    """Packed non-zero stream + occupancy bitmap.
+
+    Layout table: ``bitmap``, the occupancy itself.  Payload: ``values``,
+    the non-zeros in row-major order.
+    """
 
     name = "bitmap"
 
-    @timed("formats.bitmap.encode")
-    def _encode(self, values: np.ndarray, spec: EncodeSpec) -> EncodedMatrix:
-        dense = apply_mask(values, spec.mask)
-        rows, cols = dense.shape
-        occupancy = dense != 0.0
-        nz_values = dense[occupancy]
-        nnz = int(nz_values.size)
+    def _layout(self, occupancy: np.ndarray, spec: EncodeSpec) -> EncodedMatrix:
+        rows, cols = occupancy.shape
+        nnz = int(np.count_nonzero(occupancy))
         bitmap_bytes = int(math.ceil(rows * cols / 8.0)) if rows * cols else 0
         value_bytes = nnz * VALUE_BYTES
         # Two streams back to back: the bitmap, then the packed values.
@@ -44,8 +45,11 @@ class BitmapFormat(SparseFormat):
             index_bytes=0,
             meta_bytes=bitmap_bytes,
             segments=segments,
-            arrays={"bitmap": occupancy, "values": nz_values},
+            tables={"bitmap": occupancy},
         )
+
+    def _gather(self, dense: np.ndarray, tables: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        return {"bitmap": tables["bitmap"], "values": dense[tables["bitmap"]]}
 
     def transposed_trace(self, encoded: EncodedMatrix) -> Trace:
         """Transposed reads: bitmap stream, then per-element value picks.
@@ -56,7 +60,7 @@ class BitmapFormat(SparseFormat):
         one 2-byte gather per non-zero, ordered by the transposed
         block-major walk.
         """
-        occupancy = encoded.arrays["bitmap"]
+        occupancy = encoded.tables["bitmap"]
         bitmap_bytes = encoded.meta_bytes
         r, c = np.nonzero(occupancy)
         bs = encoded.block_size

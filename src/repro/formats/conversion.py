@@ -29,6 +29,7 @@ from typing import Deque, List, Sequence
 import numpy as np
 
 from ..core.patterns import Direction
+from ..perf import timed
 
 __all__ = [
     "StorageElement",
@@ -137,6 +138,7 @@ def convert_block(
     return schedule
 
 
+@timed("hw.codec")
 def batch_conversion_cycles(
     blocks: np.ndarray,
     n_queues: int,

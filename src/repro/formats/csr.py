@@ -10,6 +10,8 @@ effective bandwidth drops below 38.2%.
 
 from __future__ import annotations
 
+from typing import Dict
+
 import numpy as np
 
 from ..perf import timed
@@ -21,29 +23,29 @@ from .base import (
     EncodeSpec,
     SparseFormat,
     Trace,
-    apply_mask,
 )
 
 
 class CSRFormat(SparseFormat):
-    """Textbook CSR with a block-major consumption trace."""
+    """Textbook CSR with a block-major consumption trace.
+
+    Layout tables: ``row_ptr`` and ``col_idx``, which place every stored
+    element and so fix both traces.  Payload: ``values`` in CSR order.
+    """
 
     name = "csr"
 
-    @timed("formats.csr.encode")
-    def _encode(self, values: np.ndarray, spec: EncodeSpec) -> EncodedMatrix:
-        mask, block_size = spec.mask, spec.effective_block_size
-        dense = apply_mask(values, mask)
-        rows, cols = dense.shape
+    def _layout(self, occupancy: np.ndarray, spec: EncodeSpec) -> EncodedMatrix:
+        block_size = spec.effective_block_size
+        rows, cols = occupancy.shape
 
         # np.nonzero walks the matrix row-major, which *is* CSR element
         # order; bincount of the row ids gives the pointers.
-        r_idx, col_idx = np.nonzero(dense)
+        r_idx, col_idx = np.nonzero(occupancy)
         row_ptr = np.zeros(rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(r_idx, minlength=rows), out=row_ptr[1:])
         col_idx = col_idx.astype(np.int64, copy=False)
-        vals = dense[r_idx, col_idx]
-        nnz = int(vals.size)
+        nnz = int(col_idx.size)
 
         segments = self._block_major_trace(row_ptr, col_idx, rows, block_size)
         return EncodedMatrix(
@@ -54,8 +56,13 @@ class CSRFormat(SparseFormat):
             index_bytes=nnz * CSR_INDEX_BYTES,
             meta_bytes=(rows + 1) * CSR_PTR_BYTES,
             segments=segments,
-            arrays={"row_ptr": row_ptr, "col_idx": col_idx, "values": vals},
+            tables={"row_ptr": row_ptr, "col_idx": col_idx},
         )
+
+    def _gather(self, dense: np.ndarray, tables: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        row_ptr, col_idx = tables["row_ptr"], tables["col_idx"]
+        r_idx = np.repeat(np.arange(dense.shape[0], dtype=np.int64), np.diff(row_ptr))
+        return {"row_ptr": row_ptr, "col_idx": col_idx, "values": dense[r_idx, col_idx]}
 
     def _block_major_trace(
         self,
@@ -103,8 +110,8 @@ class CSRFormat(SparseFormat):
         element therefore becomes its own 4-byte segment -- the scattered
         -column penalty that makes CSR the worst backward-pass citizen.
         """
-        row_ptr = encoded.arrays["row_ptr"]
-        col_idx = encoded.arrays["col_idx"]
+        row_ptr = encoded.tables["row_ptr"]
+        col_idx = encoded.tables["col_idx"]
         rows, _ = encoded.shape
         block_size = encoded.block_size
         n = int(col_idx.size)

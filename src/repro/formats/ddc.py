@@ -19,6 +19,7 @@ from.
 from __future__ import annotations
 
 import math
+from typing import Dict
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .base import (
     EncodeSpec,
     SparseFormat,
     Trace,
-    apply_mask,
 )
 
 __all__ = ["DDC_INFO_DTYPE", "DDCFormat", "infer_block_pattern"]
@@ -120,32 +120,31 @@ def _index_bytes(count, m: int):
 class DDCFormat(SparseFormat):
     """The paper's dual-dimensional compression format.
 
-    Encoded arrays: ``info``, the Info table as one :data:`DDC_INFO_DTYPE`
-    entry per block in row-major block order; ``values`` and
-    ``indices``, every block's ``(m, n)`` lane-major payload flattened
-    back to back; and ``block_ptr``, where block ``b``'s payload is
-    ``values[block_ptr[b]:block_ptr[b + 1]]``.
+    Layout tables: ``info``, the Info table as one :data:`DDC_INFO_DTYPE`
+    entry per block in row-major block order; ``block_ptr``, where block
+    ``b``'s payload is ``values[block_ptr[b]:block_ptr[b + 1]]``; and
+    ``m``.  Each block's N and direction come from the TBS metadata, or
+    from the block's occupancy when there is none, so the byte counts and
+    both traces need no value.  Payload: ``values`` and ``indices``, every
+    block's ``(m, n)`` lane-major run flattened back to back.
     """
 
     name = "ddc"
 
-    @timed("formats.ddc.encode")
-    def _encode(self, values: np.ndarray, spec: EncodeSpec) -> EncodedMatrix:
-        mask, tbs = spec.mask, spec.tbs
-        dense = apply_mask(values, mask)
-        rows, cols = dense.shape
+    def _layout(self, occupancy: np.ndarray, spec: EncodeSpec) -> EncodedMatrix:
+        tbs = spec.tbs
+        rows, cols = occupancy.shape
         m = spec.effective_block_size
         n_br, n_bc = block_grid_shape(rows, cols, m)
         info = np.zeros(n_br * n_bc, dtype=DDC_INFO_DTYPE)
 
-        # Pick every block's (n, direction), then pack each lane's
-        # non-zeros to the front in one batch.
-        flat = split_into_blocks(dense, m).reshape(-1, m, m)
+        # Every block's (n, direction): from the TBS metadata when given,
+        # else inferred from its occupancy.
         if tbs is not None:
             info["n"] = tbs.block_n.reshape(-1)
             info["direction"] = tbs.block_direction.reshape(-1)
-            dir_row = info["direction"] == Direction.ROW.value
         else:
+            flat = split_into_blocks(occupancy, m).reshape(-1, m, m)
             row_counts = np.count_nonzero(flat, axis=2)
             col_counts = np.count_nonzero(flat, axis=1)
             row_max = row_counts.max(axis=1)
@@ -155,8 +154,6 @@ class DDCFormat(SparseFormat):
             dir_row = row_uniform | (~col_uniform & (row_max <= col_max))
             info["n"] = np.where(dir_row, row_max, col_max)
             info["direction"] = np.where(dir_row, Direction.ROW.value, Direction.COL.value)
-        work = np.where(dir_row[:, None, None], flat, flat.transpose(0, 2, 1))
-        flat_vals, flat_idx = _pack_lanes(work, info["n"])
 
         count = m * info["n"]
         block_ptr = np.zeros(info.size + 1, dtype=np.int64)
@@ -175,19 +172,29 @@ class DDCFormat(SparseFormat):
         return EncodedMatrix(
             format_name=self.name,
             shape=(rows, cols),
-            nnz=int(np.count_nonzero(dense)),
+            nnz=int(np.count_nonzero(occupancy)),
             value_bytes=int(v_bytes.sum()),
             index_bytes=int(i_bytes.sum()),
             meta_bytes=info_bytes,
             segments=segments,
-            arrays={
-                "info": info,
-                "values": flat_vals,
-                "indices": flat_idx,
-                "block_ptr": block_ptr,
-                "m": np.array(m),
-            },
+            tables={"info": info, "block_ptr": block_ptr, "m": np.array(m)},
         )
+
+    def _gather(self, dense: np.ndarray, tables: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        """Pack each lane's non-zeros to the front, every block in one batch."""
+        info = tables["info"]
+        m = int(tables["m"])
+        flat = split_into_blocks(dense, m).reshape(-1, m, m)
+        dir_row = info["direction"] == Direction.ROW.value
+        work = np.where(dir_row[:, None, None], flat, flat.transpose(0, 2, 1))
+        flat_vals, flat_idx = _pack_lanes(work, info["n"])
+        return {
+            "info": info,
+            "values": flat_vals,
+            "indices": flat_idx,
+            "block_ptr": tables["block_ptr"],
+            "m": tables["m"],
+        }
 
     def transposed_trace(self, encoded: EncodedMatrix) -> Trace:
         """Transposed reads: Info table, then payloads in block-column order.
@@ -200,8 +207,8 @@ class DDCFormat(SparseFormat):
         expands the run, not how many bytes travel.
         """
         rows, cols = encoded.shape
-        m = int(encoded.arrays["m"])
-        info = encoded.arrays["info"]
+        m = int(encoded.tables["m"])
+        info = encoded.tables["info"]
         info_bytes = encoded.meta_bytes
         # The Info table is row-major over the block grid; walk it
         # column-major.

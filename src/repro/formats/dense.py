@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from typing import Dict
+
 import numpy as np
 
-from .base import VALUE_BYTES, EncodedMatrix, EncodeSpec, SparseFormat, Trace, apply_mask
+from .base import VALUE_BYTES, EncodedMatrix, EncodeSpec, SparseFormat, Trace
 
 
 class DenseFormat(SparseFormat):
@@ -13,26 +15,31 @@ class DenseFormat(SparseFormat):
     Perfectly contiguous and redundancy-free *as a byte stream*, but the
     stream carries every zero, so the sparse-compute "useful fraction" of
     its traffic equals the matrix density.
+
+    No layout table: the shape fixes both traces.  Payload: ``dense``,
+    the whole masked matrix.
     """
 
     name = "dense"
 
-    def _encode(self, values: np.ndarray, spec: EncodeSpec) -> EncodedMatrix:
-        dense = apply_mask(values, spec.mask)
-        rows, cols = dense.shape
+    def _layout(self, occupancy: np.ndarray, spec: EncodeSpec) -> EncodedMatrix:
+        rows, cols = occupancy.shape
         nbytes = rows * cols * VALUE_BYTES
         # One streaming segment: the whole matrix, row-major.
         segments = Trace([0], [nbytes]) if nbytes else Trace()
         return EncodedMatrix(
             format_name=self.name,
             shape=(rows, cols),
-            nnz=int(np.count_nonzero(dense)),
+            nnz=int(np.count_nonzero(occupancy)),
             value_bytes=nbytes,
             index_bytes=0,
             meta_bytes=0,
             segments=segments,
-            arrays={"dense": dense.copy()},
+            tables={},
         )
+
+    def _gather(self, dense: np.ndarray, tables: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        return {"dense": dense.copy()}
 
     def transposed_trace(self, encoded: EncodedMatrix) -> Trace:
         """Column-block-major reads of the row-major layout.

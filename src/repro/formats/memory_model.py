@@ -26,13 +26,13 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
+from ..perf import timed
 from .base import DDC_INFO_BYTES, VALUE_BYTES, EncodedMatrix, EncodeSpec, merge_contiguous
 
 __all__ = [
     "TrafficReport",
     "traffic_report",
     "compare_formats",
-    "compare_formats_both",
     "useful_bytes_floor",
 ]
 
@@ -99,6 +99,7 @@ _MERGE_WINDOW = {
 }
 
 
+@timed("formats.traffic")
 def traffic_report(
     encoded: EncodedMatrix,
     burst_bytes: int = DEFAULT_BURST_BYTES,
@@ -181,36 +182,4 @@ def compare_formats(
         reports[fmt.name] = traffic_report(
             encoded, burst_bytes=burst_bytes, m=block_size, orientation=orientation
         )
-    return reports
-
-
-def compare_formats_both(
-    values: np.ndarray,
-    mask: Optional[np.ndarray] = None,
-    tbs=None,
-    block_size: int = 8,
-    burst_bytes: int = DEFAULT_BURST_BYTES,
-    formats: Optional[Iterable] = None,
-) -> Dict[str, Dict[str, TrafficReport]]:
-    """Per-format traffic for *both* orientations from a single encode.
-
-    Every format is encoded exactly once; the forward and transposed
-    reports both analyse that one encoding (the transposed trace is
-    derived, never re-encoded).  Returns
-    ``{format: {orientation: TrafficReport}}``.
-    """
-    from .base import ORIENTATIONS
-
-    if formats is None:
-        formats = _default_formats()
-    spec = EncodeSpec(mask=mask, tbs=tbs, block_size=block_size)
-    reports: Dict[str, Dict[str, TrafficReport]] = {}
-    for fmt in formats:
-        encoded = fmt.encode(values, spec)
-        reports[fmt.name] = {
-            orient: traffic_report(
-                encoded, burst_bytes=burst_bytes, m=block_size, orientation=orient
-            )
-            for orient in ORIENTATIONS
-        }
     return reports

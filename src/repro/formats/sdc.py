@@ -9,7 +9,7 @@ padding (invalid elements) averages >61.54% of the fetched bytes.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .base import (
     EncodeSpec,
     SparseFormat,
     Trace,
-    apply_mask,
 )
 
 #: Per-element position index: log2(M)=3 bits for M=8, stored packed
@@ -37,6 +36,10 @@ class SDCFormat(SparseFormat):
     align within groups of ``group_rows`` rows instead, trading direct
     addressability granularity for less padding; the simulator uses
     ``group_rows=M``.
+
+    Layout table: ``widths``, every row's padded width.  Payload:
+    ``values`` and ``indices``, each row's non-zeros packed to the front
+    of its padded width, and ``valid``, which of those slots hold one.
     """
 
     name = "sdc"
@@ -46,24 +49,14 @@ class SDCFormat(SparseFormat):
             raise ValueError("group_rows must be positive")
         self.group_rows = group_rows
 
-    @timed("formats.sdc.encode")
-    def _encode(self, values: np.ndarray, spec: EncodeSpec) -> EncodedMatrix:
-        mask, block_size = spec.mask, spec.effective_block_size
-        dense = apply_mask(values, mask)
-        rows, cols = dense.shape
-        row_nnz = np.count_nonzero(dense, axis=1) if rows else np.zeros(0, dtype=int)
+    def _layout(self, occupancy: np.ndarray, spec: EncodeSpec) -> EncodedMatrix:
+        block_size = spec.effective_block_size
+        rows, cols = occupancy.shape
+        row_nnz = np.count_nonzero(occupancy, axis=1) if rows else np.zeros(0, dtype=int)
         group = self.group_rows or max(1, rows)
         # Per-row padded width: the max occupancy within the row's group.
         starts = np.arange(0, rows, group)
         widths = np.repeat(np.maximum.reduceat(row_nnz, starts), np.diff(starts, append=rows))
-        width = int(widths.max()) if rows and cols else 0
-
-        # Stable sort on the zero predicate packs each row's non-zeros to
-        # the front in ascending column order.
-        order = np.argsort(dense == 0.0, axis=1, kind="stable")[:, :width]
-        valid = np.arange(width)[None, :] < row_nnz[:, None]
-        vals = np.where(valid, np.take_along_axis(dense, order, axis=1), 0.0)
-        idxs = np.where(valid, order, 0)
 
         nnz = int(row_nnz.sum())
         stored_slots = int(widths.sum())
@@ -84,8 +77,21 @@ class SDCFormat(SparseFormat):
             index_bytes=int(stored_slots * SDC_INDEX_BYTES),
             meta_bytes=0,
             segments=segments,
-            arrays={"values": vals, "indices": idxs, "valid": valid, "widths": widths},
+            tables={"widths": widths},
         )
+
+    def _gather(self, dense: np.ndarray, tables: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        rows, cols = dense.shape
+        widths = tables["widths"]
+        row_nnz = np.count_nonzero(dense, axis=1) if rows else np.zeros(0, dtype=int)
+        width = int(widths.max()) if rows and cols else 0
+        # Stable sort on the zero predicate packs each row's non-zeros to
+        # the front in ascending column order.
+        order = np.argsort(dense == 0.0, axis=1, kind="stable")[:, :width]
+        valid = np.arange(width)[None, :] < row_nnz[:, None]
+        vals = np.where(valid, np.take_along_axis(dense, order, axis=1), 0.0)
+        idxs = np.where(valid, order, 0)
+        return {"values": vals, "indices": idxs, "valid": valid, "widths": widths}
 
     def transposed_trace(self, encoded: EncodedMatrix) -> Trace:
         """Transposed reads: every row-group re-fetched per block column.
@@ -117,7 +123,7 @@ class SDCFormat(SparseFormat):
     @staticmethod
     def padding_ratio(encoded: EncodedMatrix) -> float:
         """Fraction of stored value slots that are padding (redundant)."""
-        stored = int(encoded.arrays["widths"].sum())
+        stored = int(encoded.tables["widths"].sum())
         if stored == 0:
             return 0.0
         return 1.0 - encoded.nnz / stored

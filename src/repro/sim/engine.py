@@ -42,7 +42,7 @@ from ..hw.energy import EnergyModel, EnergyParams
 from ..hw.scheduler import SimStallError, schedule_direct, schedule_sparsity_aware
 from ..obs import metrics as obs_metrics
 from ..obs.state import enabled as _obs_enabled
-from ..perf import stage
+from ..perf import stage, timed
 from ..perf.memo import ArrayMemo, clear_memos
 from ..runtime.checks import check_format_roundtrip, check_workload, get_check_level
 from ..workloads.generator import GEMMWorkload
@@ -66,6 +66,7 @@ def _storage_format(name: str, m: int):
     return get_format(name)
 
 
+@timed("sim.block_segments")
 def block_segments(
     workload: GEMMWorkload, config: ArchConfig
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -199,9 +200,10 @@ def _codec_visible_and_elements(
     if not config.has_codec or workload.tbs is None:
         return 0, 0
     m = workload.m
-    sparse = workload.sparse_values
-    blocks = split_into_blocks(sparse, m)
-    flat_blocks = blocks.reshape(-1, m, m)
+    # The conversion schedule depends only on where the non-zeros sit,
+    # so the queue-group emulation runs on the boolean occupancy.
+    occupancy = workload.mask & (workload.values != 0.0)
+    flat_blocks = split_into_blocks(occupancy, m).reshape(-1, m, m)
     # Batched queue-group emulation: only COL-direction blocks with
     # payload convert; empty ones pass through contributing nothing.
     col_sel = dirs == Direction.COL.value
@@ -240,9 +242,11 @@ def _memory_cycles_and_bytes(
     encoding is traced (forward or transposed -- the backward pass).
     """
     fmt = _storage_format(config.storage_format, workload.m)
+    # Only the layout is read here; the payload is never gathered.
     encoded = fmt.encode(
-        workload.sparse_values,
+        workload.values,
         EncodeSpec(
+            mask=workload.mask,
             tbs=workload.tbs if config.storage_format in ("ddc", "bcsrcoo") else None,
             block_size=workload.m,
             orientation=orientation,
@@ -377,8 +381,7 @@ def _simulate(
         ecc = ECCConfig(mode=config.metadata_ecc)
     fault_classification = _classify_fault(config, workload, fault, fault_seed, ecc)
     params = energy_params or EnergyParams()
-    with stage("sim.block_segments"):
-        row_counts, dirs = block_segments(workload, config)
+    row_counts, dirs = block_segments(workload, config)
     with stage("sim.block_costs"):
         costs = _block_costs(row_counts, config, row_overhead=row_overhead_cycles)
 
@@ -515,8 +518,9 @@ def _classify_fault(
         return None
     fmt = _storage_format(fmt_name, workload.m)
     encoded = fmt.encode(
-        workload.sparse_values,
+        workload.values,
         EncodeSpec(
+            mask=workload.mask,
             tbs=workload.tbs if fmt_name in ("ddc", "bcsrcoo") else None,
             block_size=workload.m,
         ),

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..core.patterns import DEFAULT_M, PatternFamily
+from ..perf import timed
 from .generator import GEMMWorkload
 from .inference24 import INFERENCE24_SPARSITY, build_inference24_workloads
 from .moe import MoESpec, build_moe_workloads
@@ -77,6 +78,7 @@ class ScenarioBundle:
     format_workload: GEMMWorkload
 
 
+@timed("workloads.build")
 def build_scenario(
     family: str,
     pattern: str,

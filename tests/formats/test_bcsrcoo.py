@@ -1,7 +1,6 @@
 """Tests for the BCSR-COO hybrid format and its single-encode contract."""
 
 import numpy as np
-import pytest
 
 from repro.core import tbs_sparsify
 from repro.formats import BCSRCOOFormat, CSRFormat, EncodeSpec
@@ -59,10 +58,11 @@ class TestSingleEncodeBothOrientations:
         enc = fmt.encode(sparse, EncodeSpec(tbs=res))
         expected_t = fmt.decode(enc).T
 
-        def boom(self, values, spec):
+        def boom(self, *args):
             raise AssertionError("transposed path re-encoded the matrix")
 
-        monkeypatch.setattr(BCSRCOOFormat, "_encode", boom)
+        monkeypatch.setattr(BCSRCOOFormat, "_layout", boom)
+        monkeypatch.setattr(BCSRCOOFormat, "_gather", boom)
         assert enc.trace("transposed")  # derived, not re-encoded
         assert enc.traced_bytes_for("transposed") > 0
         assert np.array_equal(fmt.decode_transposed(enc), expected_t)

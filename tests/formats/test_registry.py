@@ -43,7 +43,10 @@ class TestRegistry:
         class ImpostorCSR(SparseFormat):
             name = "csr"
 
-            def _encode(self, values, spec):  # pragma: no cover
+            def _layout(self, occupancy, spec):  # pragma: no cover
+                raise NotImplementedError
+
+            def _gather(self, dense, tables):  # pragma: no cover
                 raise NotImplementedError
 
             def decode(self, encoded):  # pragma: no cover
@@ -54,7 +57,10 @@ class TestRegistry:
 
     def test_unnamed_class_rejected(self):
         class Nameless(SparseFormat):
-            def _encode(self, values, spec):  # pragma: no cover
+            def _layout(self, occupancy, spec):  # pragma: no cover
+                raise NotImplementedError
+
+            def _gather(self, dense, tables):  # pragma: no cover
                 raise NotImplementedError
 
             def decode(self, encoded):  # pragma: no cover
@@ -70,7 +76,10 @@ class TestRegistry:
             class TestOnlyFormat(SparseFormat):
                 name = "test-only"
 
-                def _encode(self, values, spec):  # pragma: no cover
+                def _layout(self, occupancy, spec):  # pragma: no cover
+                    raise NotImplementedError
+
+                def _gather(self, dense, tables):  # pragma: no cover
                     raise NotImplementedError
 
                 def decode(self, encoded):  # pragma: no cover

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.formats.base import EncodeSpec
 
+from ..formats.eager_encode_oracle import as_encode
 from ..formats.encode_oracle import ENCODE_ORACLES, ddc_encode_loop
 from ..hw.scheduler_oracle import schedule_sparsity_aware_sort
 from .engine_oracle import block_costs_loop, codec_visible_and_elements_loop
@@ -31,8 +32,9 @@ def loop_oracles():
 
     ``_simulate`` calls the cost models and the schedulers through the
     names ``repro.sim.engine`` binds, and every format's ``encode``
-    through the class's ``_encode``.  Direct schedules get the direct
-    event loop, which stays in ``src/`` for ``record=True``.
+    through the class, so each loop encode is installed as its class's
+    ``encode``.  Direct schedules get the direct event loop, which stays
+    in ``src/`` for ``record=True``.
     """
     from repro.formats.csr import CSRFormat
     from repro.formats.ddc import DDCFormat
@@ -46,7 +48,7 @@ def loop_oracles():
         mp.setattr(engine, "schedule_direct", _schedule_direct_reference)
         mp.setattr(engine, "schedule_sparsity_aware", schedule_sparsity_aware_sort)
         for cls in (CSRFormat, SDCFormat, DDCFormat):
-            mp.setattr(cls, "_encode", ENCODE_ORACLES[cls.name])
+            mp.setattr(cls, "encode", as_encode(ENCODE_ORACLES[cls.name]))
         yield
 
 
