@@ -41,42 +41,14 @@ def pytest_configure(config):
         os.environ["REPRO_SWEEP_WORKERS"] = str(workers)
 
 
-def run_once(benchmark, fn, *args, **kwargs):
-    """Time one full harness execution (no warmup repetition).
-
-    Set ``REPRO_BENCH_CACHE=<dir>`` to keep each benchmark's result in a
-    :class:`repro.runtime.cellcache.CellCache` there: a finished
-    benchmark is read back instead of recomputed, so an interrupted
-    ``pytest benchmarks/`` run resumes from where it died.  Cached
-    results report the (fast) cache-read time.
-    """
-    cache_dir = os.environ.get("REPRO_BENCH_CACHE")
-    if not cache_dir:
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-    from repro.runtime.cellcache import CellCache
-
-    cache = CellCache(cache_dir)
-    name = getattr(fn, "__name__", "bench")
-    path = cache.path(name, {"key": repr((args, sorted(kwargs.items())))})
-
-    def cached(*a, **kw):
-        hit, value = cache.read_hit(path)
-        if not hit:
-            value = fn(*a, **kw)
-            cache.write(path, value)
-        return value
-
-    return benchmark.pedantic(cached, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
 @pytest.fixture
 def once(benchmark, request):
+    """Time one full run of ``fn(*args, **kwargs)`` (no warm-up repetition)."""
     record_path = request.config.getoption("--perf-record")
 
     def _runner(fn, *args, **kwargs):
         t0 = time.perf_counter()
-        result = run_once(benchmark, fn, *args, **kwargs)
+        result = benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
         if record_path:
             from repro.perf.bench import append_trajectory
             from repro.sweep import configured_workers

@@ -1,125 +1,17 @@
-"""Run the complete paper reproduction and print a condensed report.
+"""Run the complete paper reproduction: every table and figure.
 
-Executes every experiment driver (each paper table and figure) at a
-reduced scale and prints the result tables.  The heavier accuracy
-experiments use fewer seeds/epochs than the benchmarks; pass ``--full``
-for the benchmark-grade configuration (several minutes).
+The same as ``python -m repro report all``, at its default sizes (one
+seed, 8 epochs, scale 4); ``--full`` runs the benchmark-grade
+configuration (three seeds, 12 epochs, scale 2; several minutes).
 
 Run:  python examples/full_reproduction.py [--full]
 """
 
 import sys
-import time
 
-from repro.analysis import (
-    render_dict_table,
-    render_table,
-    run_fig1_pareto,
-    run_fig4_maskspace,
-    run_fig6_datapath_power,
-    run_fig7_bandwidth,
-    run_fig12_layerwise,
-    run_fig13_end2end,
-    run_fig14_breakdown,
-    run_fig15_bandwidth,
-    run_fig15_block_size,
-    run_fig15_quantization,
-    run_fig15_sparsity_sweep,
-    run_fig16_codec_ablation,
-    run_fig16_scheduling_ablation,
-    run_fig17_distribution,
-    run_fig18_convergence,
-    run_table1,
-    run_table2,
-    run_table3,
-)
+from repro.cli import main
 
-
-def section(title: str) -> None:
-    print(f"\n{'=' * 72}\n{title}\n{'=' * 72}")
-
-
-def main(full: bool = False) -> None:
-    t0 = time.time()
-    seeds = (0, 1, 2) if full else (0,)
-    epochs = 12 if full else 8
-    scale = 2 if full else 4
-
-    section("Table I -- accuracy with retraining")
-    print(render_dict_table(run_table1(seeds=seeds, epochs=epochs), key_header="proxy"))
-
-    section("Table II -- one-shot pruning (Wanda / SparseGPT)")
-    print(render_dict_table(
-        run_table2(tasks=(("mlp", 0.625), ("encoder", 0.5)), seeds=seeds, epochs=epochs),
-        key_header="proxy/criterion",
-    ))
-
-    section("Table III -- area / power breakdown")
-    t3 = run_table3()
-    print(render_dict_table({"area_mm2": t3["area_mm2"], "power_mw": t3["power_mw"]}, key_header="metric"))
-    print(f"A100 integration overhead: {t3['a100_overhead_percent']['value']:.2f}%")
-
-    section("Fig. 1 -- accuracy-EDP Pareto frontier")
-    pareto = run_fig1_pareto(seeds=seeds[:2] or (0,), epochs=epochs, scale=scale)
-    print(render_table(
-        ["design", "EDP (J*s)", "accuracy"],
-        [[p.label, f"{p.cost:.3e}", f"{p.quality:.3f}"]
-         for p in sorted(pareto["points"], key=lambda p: p.cost)],
-    ))
-    print("frontier:", [p.label for p in pareto["frontier"]])
-
-    section("Fig. 4 -- mask similarity and mask-space")
-    fig4 = run_fig4_maskspace()
-    print(render_dict_table(
-        {"similarity_vs_US": fig4["similarity"], "log2_maskspace": fig4["log2_maskspace"]},
-        key_header="metric",
-    ))
-
-    section("Fig. 6(d) -- datapath power")
-    print({k: round(v, 2) for k, v in run_fig6_datapath_power().items()})
-
-    section("Fig. 7 -- format bandwidth utilization")
-    print(render_dict_table(run_fig7_bandwidth(), key_header="workload"))
-
-    section("Fig. 12 -- layer-wise speedup / EDP")
-    for layer, table in run_fig12_layerwise(scale=scale).items():
-        print(render_dict_table(table, key_header=layer))
-        print()
-
-    section("Fig. 13 -- end-to-end iso-accuracy")
-    for model, table in run_fig13_end2end(scale=max(4, scale * 2)).items():
-        print(render_dict_table(table, key_header=model))
-        print()
-
-    section("Fig. 14 -- cycle breakdown (BERT GEMMs)")
-    print(render_dict_table(run_fig14_breakdown(scale=scale), key_header="layer"))
-
-    section("Fig. 15 -- sensitivity studies")
-    print(render_dict_table(
-        {f"M={m}": row for m, row in run_fig15_block_size(scale=scale, epochs=epochs).items()},
-        key_header="block size",
-    ))
-    print("\nquantization:", {k: round(v, 4) for k, v in run_fig15_quantization(epochs=epochs, scale=scale).items()})
-    print("bandwidth speedup:", {bw: round(v, 2) for bw, v in run_fig15_bandwidth(scale=scale).items()})
-    print(render_dict_table(
-        {f"{s:.0%}": row for s, row in run_fig15_sparsity_sweep(scale=scale).items()},
-        key_header="sparsity (vs SGCN)",
-    ))
-
-    section("Fig. 16 -- ablations")
-    print("codec:", {k: round(v, 2) for k, v in run_fig16_codec_ablation(scale=scale).items()})
-    print(render_dict_table(run_fig16_scheduling_ablation(scale=scale), key_header="metric"))
-
-    section("Fig. 17 -- block direction distribution")
-    print(render_dict_table(run_fig17_distribution(), key_header="layers"))
-
-    section("Fig. 18 -- training convergence")
-    curves = run_fig18_convergence(epochs=epochs)
-    for name in ("dense", "US", "TBS"):
-        print(f"{name:6s} loss: {' '.join(f'{v:.2f}' for v in curves[name])}")
-
-    print(f"\ncompleted in {time.time() - t0:.0f} s")
-
+FULL = ["--seeds", "3", "--epochs", "12", "--scale", "2"]
 
 if __name__ == "__main__":
-    main(full="--full" in sys.argv[1:])
+    sys.exit(main(["report", "all", *(FULL if "--full" in sys.argv[1:] else [])]))

@@ -4,20 +4,30 @@ Every driver is deterministic given its seed(s), returns plain dicts the
 benchmarks/examples can assert on and render, and accepts size knobs so
 the benches run in seconds while the examples can run bigger instances.
 
-The grid-shaped drivers (Tables I/II, the fig13/fig15 simulator sweeps,
-the fig17 distribution scan) decompose into independent cells executed
-through the sweep engine (:mod:`repro.sweep`): ``workers=N`` shards the
-grid across a process pool, ``workers=1`` (the default) runs the same
-cell bodies inline and reproduces the historical serial numbers
-bit-exactly, because aggregation always folds cell values in grid order
--- never in completion order.  Cell functions are module-level (and so
+:data:`EXPERIMENTS` is the one ordered table of paper experiments: each
+name maps to how ``repro report``'s seeds/epochs/scale/families knobs
+call its driver, and :func:`run_experiment` looks names up there.
+Every driver runs its cells through :func:`_sweep`, this module's one
+call into the sweep engine (:mod:`repro.sweep`): ``workers=N`` shards
+the grid across processes, ``workers=1`` (the default) runs the same
+cell bodies inline, and aggregation always folds cell values in grid
+order -- never in completion order -- so results are bit-identical at
+any worker count.  The single-shot drivers (Table III, Fig. 4/6/7/12/14,
+Fig. 15(b) and both Fig. 16 ablations) run as one-cell sweeps.
+
+Every model trained with the paper's sparse-training protocol -- Table
+I, Fig. 1's accuracy axis, Fig. 15(a)'s accuracy and Fig. 18's loss
+curves -- is one :func:`_train_cell`, built by :func:`_training` with
+its kwargs normalized to the work ``train()`` does.  The same model is
+therefore the same cell, and one cell cache trains it once whichever
+experiment asks first.  Cell functions are module-level (and so
 picklable); simulator cells ship their results across the process
 boundary as versioned ``SimResult.to_dict()`` payloads.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +51,7 @@ from ..sim.breakdown import codec_overhead_fraction, cycle_breakdown
 from ..sim.engine import simulate
 from ..sim.metrics import SimResult, aggregate, normalized_edp, speedup
 from ..sim.options import SimOptions
-from ..sweep import SweepCell, SweepOptions, SweepSpec, configured_workers, run_sweep
+from ..sweep import SweepCell, SweepOptions, SweepResult, SweepSpec, configured_workers, run_sweep
 from ..workloads.generator import build_workload, synthetic_weights
 from ..workloads.layers import LayerSpec, bert_layers, resnet50_layers
 from ..workloads.models import build_model_workload
@@ -92,27 +102,56 @@ ACCURACY_FAMILIES = [
     PatternFamily.TBS,
 ]
 
-#: Canonical experiment names, one per paper table/figure.  This is the
-#: registry ``run_experiment`` and the CLI dispatch on.
-EXPERIMENTS = (
-    "table1",
-    "table2",
-    "table3",
-    "fig1",
-    "fig4",
-    "fig6",
-    "fig7",
-    "fig7both",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "wide",
-    "scenarios",
-)
+
+class _Knobs(NamedTuple):
+    """``repro report``'s size knobs, as the :data:`EXPERIMENTS` entries read them."""
+
+    seeds: Tuple[int, ...]
+    epochs: int
+    scale: int
+    families: Optional[Sequence[str]]
+
+
+#: Every paper experiment, in report order: the one registry
+#: ``run_experiment`` (and through it the CLI and the service) looks
+#: names up in.  Each entry calls its driver from the report knobs ``k``
+#: and the four sweep arguments ``sweep``.
+EXPERIMENTS: Dict[str, Callable[[_Knobs, Dict[str, Any]], Any]] = {
+    "table1": lambda k, sweep: run_table1(seeds=k.seeds, epochs=k.epochs, **sweep),
+    "table2": lambda k, sweep: run_table2(seeds=k.seeds, epochs=k.epochs, **sweep),
+    "table3": lambda k, sweep: _one_cell("table3", run_table3, {}, sweep),
+    "fig1": lambda k, sweep: run_fig1_pareto(
+        seeds=k.seeds, epochs=k.epochs, scale=k.scale, **sweep
+    ),
+    "fig4": lambda k, sweep: _one_cell("fig4", run_fig4_maskspace, {}, sweep),
+    "fig6": lambda k, sweep: _one_cell("fig6", run_fig6_datapath_power, {}, sweep),
+    "fig7": lambda k, sweep: _one_cell("fig7", run_fig7_bandwidth, {}, sweep),
+    "fig7both": lambda k, sweep: run_fig7_both_passes(**sweep),
+    "fig12": lambda k, sweep: _one_cell("fig12", run_fig12_layerwise, {"scale": k.scale}, sweep),
+    "fig13": lambda k, sweep: run_fig13_end2end(scale=max(k.scale, 8), **sweep),
+    "fig14": lambda k, sweep: _one_cell("fig14", run_fig14_breakdown, {"scale": k.scale}, sweep),
+    "fig15": lambda k, sweep: {
+        "block_size": run_fig15_block_size(scale=k.scale, epochs=k.epochs, **sweep),
+        "quantization": _one_cell(
+            "fig15-quantization", run_fig15_quantization,
+            {"epochs": k.epochs, "scale": k.scale}, sweep,
+        ),
+        "bandwidth": run_fig15_bandwidth(scale=k.scale, **sweep),
+        "sparsity_sweep": run_fig15_sparsity_sweep(scale=k.scale, **sweep),
+    },
+    "fig16": lambda k, sweep: {
+        "codec": _one_cell("fig16-codec", run_fig16_codec_ablation, {"scale": k.scale}, sweep),
+        "scheduling": _one_cell(
+            "fig16-scheduling", run_fig16_scheduling_ablation, {"scale": k.scale}, sweep
+        ),
+    },
+    "fig17": lambda k, sweep: run_fig17_distribution(**sweep),
+    "fig18": lambda k, sweep: run_fig18_convergence(epochs=k.epochs, **sweep),
+    "wide": lambda k, sweep: run_wide_oneshot(scale=k.scale, **sweep),
+    "scenarios": lambda k, sweep: run_scenarios(
+        scale=max(k.scale, 8), families=k.families, **sweep
+    ),
+}
 
 
 def run_experiment(
@@ -128,94 +167,50 @@ def run_experiment(
 ):
     """Compute the raw data behind one paper table/figure by name.
 
-    One entry point per :data:`EXPERIMENTS` name, with the three size
-    knobs every driver understands.  Returns whatever the underlying
-    driver returns (plain dicts/lists, picklable); rendering stays in
+    Looks ``name`` up in :data:`EXPERIMENTS` and calls its driver with
+    the three size knobs every experiment understands (``families``
+    reaches only the scenario sweep).  Returns whatever the driver
+    returns (plain dicts/lists, picklable); rendering stays in
     :mod:`repro.cli`.
 
-    Everything runs through the sweep engine, so every caller gets the
-    same cell cache, supervision, cancellation and failure rule (a cell
-    that raises is never retried).  The grid-shaped drivers shard their
-    own cells; each single-shot driver (and each single-shot part of
-    fig15/fig16) runs as a one-cell sweep keyed by its experiment or
-    part name.  ``workers``/``cache_dir``/``resume``/``options`` reach
-    every sweep unchanged.
+    ``workers``/``cache_dir``/``resume``/``options`` reach every sweep
+    unchanged, so every caller gets the same cell cache, supervision,
+    cancellation and failure rule (a cell that raises is never retried).
     """
-    seeds = tuple(seeds)
+    if name not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
     sweep = dict(workers=workers, cache_dir=cache_dir, resume=resume, options=options)
-    if name == "table1":
-        return run_table1(seeds=seeds, epochs=epochs, **sweep)
-    if name == "table2":
-        return run_table2(seeds=seeds, epochs=epochs, **sweep)
-    if name == "table3":
-        return _one_cell("table3", run_table3, {}, **sweep)
-    if name == "fig1":
-        return _one_cell(
-            "fig1", run_fig1_pareto, {"seeds": seeds, "epochs": epochs, "scale": scale}, **sweep
-        )
-    if name == "fig4":
-        return _one_cell("fig4", run_fig4_maskspace, {}, **sweep)
-    if name == "fig6":
-        return _one_cell("fig6", run_fig6_datapath_power, {}, **sweep)
-    if name == "fig7":
-        return _one_cell("fig7", run_fig7_bandwidth, {}, **sweep)
-    if name == "fig7both":
-        return run_fig7_both_passes(**sweep)
-    if name == "fig12":
-        return _one_cell("fig12", run_fig12_layerwise, {"scale": scale}, **sweep)
-    if name == "fig13":
-        return run_fig13_end2end(scale=max(scale, 8), **sweep)
-    if name == "fig14":
-        return _one_cell("fig14", run_fig14_breakdown, {"scale": scale}, **sweep)
-    if name == "fig15":
-        return {
-            "block_size": run_fig15_block_size(scale=scale, epochs=epochs, **sweep),
-            "quantization": _one_cell(
-                "fig15-quantization", run_fig15_quantization,
-                {"epochs": epochs, "scale": scale}, **sweep,
-            ),
-            "bandwidth": run_fig15_bandwidth(scale=scale, **sweep),
-            "sparsity_sweep": run_fig15_sparsity_sweep(scale=scale, **sweep),
-        }
-    if name == "fig16":
-        return {
-            "codec": _one_cell(
-                "fig16-codec", run_fig16_codec_ablation, {"scale": scale}, **sweep
-            ),
-            "scheduling": _one_cell(
-                "fig16-scheduling", run_fig16_scheduling_ablation, {"scale": scale}, **sweep
-            ),
-        }
-    if name == "fig17":
-        return run_fig17_distribution(**sweep)
-    if name == "fig18":
-        return _one_cell("fig18", run_fig18_convergence, {"epochs": epochs}, **sweep)
-    if name == "wide":
-        return run_wide_oneshot(scale=scale, **sweep)
-    if name == "scenarios":
-        return run_scenarios(scale=max(scale, 8), families=families, **sweep)
-    raise ValueError(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
+    return EXPERIMENTS[name](_Knobs(tuple(seeds), epochs, scale, families), sweep)
 
 
-def _one_cell(
-    key: str,
-    driver: Callable[..., Any],
-    kwargs: Dict[str, Any],
+def _sweep(
+    name: str,
+    cells: Iterable[SweepCell],
     workers: Optional[int],
     cache_dir: Optional[str],
     resume: bool,
     options: Optional[SweepOptions],
-):
-    """Run the single-shot ``driver(**kwargs)`` as a one-cell sweep ``key``."""
-    cell = SweepCell(key=key, fn=driver, kwargs=kwargs)
+) -> SweepResult:
+    """Run ``cells`` as sweep ``name``: this module's one ``run_sweep`` call.
+
+    ``run_sweep`` is read from the module globals at call time, so
+    rebinding ``experiments.run_sweep`` reaches every experiment.  A
+    failed cell raises :class:`~repro.sweep.SweepCellsFailed` once the
+    sweep has settled.
+    """
     return run_sweep(
-        SweepSpec(key, (cell,)),
+        SweepSpec(name, tuple(cells)),
         workers=configured_workers(workers),
         cache_dir=cache_dir,
         resume=resume,
         options=options,
         strict=True,
-    ).value(key)
+    )
+
+
+def _one_cell(key: str, driver: Callable[..., Any], kwargs: Dict[str, Any], sweep: Dict[str, Any]):
+    """Run the single-shot ``driver(**kwargs)`` as the one-cell sweep ``key``."""
+    return _sweep(key, (SweepCell(key=key, fn=driver, kwargs=kwargs),), **sweep).value(key)
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +281,14 @@ def _family_by_name(name: str) -> Optional[PatternFamily]:
     return None if name == "Dense" else PatternFamily[name]
 
 
-def _table1_cell(
-    task: str,
-    sparsity: float,
-    family: str,
-    seed: int,
-    epochs: int,
-    ts_cap: Optional[float],
-) -> float:
-    """One Table I grid point: train one (task, family, seed) model."""
+def _train_cell(
+    task: str, family: str, sparsity: float, m: int, seed: int, epochs: int
+) -> Dict[str, Any]:
+    """Train one proxy model with the paper's sparse-training protocol.
+
+    The one training cell of Table I, Fig. 1, Fig. 15(a) and Fig. 18;
+    build it with :func:`_training`, which normalizes its kwargs.
+    """
     model, data = _proxy(task, seed)
     res = train(
         model,
@@ -302,10 +296,56 @@ def _table1_cell(
         family=_family_by_name(family),
         sparsity=sparsity,
         epochs=epochs,
+        m=m,
         seed=seed,
-        ts_cap=ts_cap,
+        ts_cap=None,
     )
-    return res.test_accuracy
+    return {
+        "test_accuracy": res.test_accuracy,
+        "loss_history": res.loss_history,
+        "sparsity_history": res.sparsity_history,
+    }
+
+
+def _training(
+    task: str,
+    family: str,
+    sparsity: float,
+    seed: int,
+    epochs: int,
+    m: int = 8,
+    ts_cap: Optional[float] = None,
+) -> SweepCell:
+    """The :func:`_train_cell` for one model, its kwargs and key
+    normalized to the work ``train()`` does, so every experiment builds
+    the same cell (and cache entry) for the same model:
+
+    * Dense trains no mask, so its sparsity is 0.0 and its M is 8;
+    * ``ts_cap`` acts only on TS and is folded in as
+      ``min(sparsity, ts_cap)`` (the cell trains with ``ts_cap=None``).
+    """
+    sparsity = float(sparsity)
+    if family == "Dense":
+        sparsity, m = 0.0, 8
+    elif family == "TS" and ts_cap is not None:
+        sparsity = min(sparsity, ts_cap)
+    return SweepCell(
+        key=f"{task}@{sparsity}/m={m}/seed{seed}/{family}",
+        fn=_train_cell,
+        kwargs={
+            "task": task,
+            "family": family,
+            "sparsity": sparsity,
+            "m": m,
+            "seed": seed,
+            "epochs": epochs,
+        },
+    )
+
+
+def _mean_accuracy(sweep: SweepResult, cells: Iterable[SweepCell]) -> float:
+    """Mean test accuracy of the training ``cells``, folded in their order."""
+    return float(np.mean([sweep.value(cell.key)["test_accuracy"] for cell in cells]))
 
 
 def run_table1(
@@ -326,44 +366,25 @@ def run_table1(
     pass ``0.5`` for the paper's hardware-pinned 4:8 footnote variant.
     Returns ``{task: {family_or_Dense: mean accuracy}}``.
 
-    The (task x seed x family) grid runs through the sweep engine;
-    per-family means always fold accuracies in seed order, so the result
-    is bit-identical at any worker count.
+    One training cell per (task, seed, family); per-family means always
+    fold accuracies in seed order, so the result is bit-identical at any
+    worker count.
     """
     family_names = ["Dense"] + [family.name for family in ACCURACY_FAMILIES]
-    cells = [
-        SweepCell(
-            key=f"{task}@{sparsity}/seed{seed}/{family}",
-            fn=_table1_cell,
-            kwargs={
-                "task": task,
-                "sparsity": sparsity,
-                "family": family,
-                "seed": seed,
-                "epochs": epochs,
-                "ts_cap": ts_cap,
-            },
-        )
+    cells = {
+        (task, seed, family): _training(task, family, sparsity, seed, epochs, ts_cap=ts_cap)
         for task, sparsity in tasks
         for seed in seeds
         for family in family_names
-    ]
-    sweep = run_sweep(
-        SweepSpec("table1", tuple(cells)),
-        workers=configured_workers(workers),
-        cache_dir=cache_dir,
-        resume=resume,
-        options=options,
-        strict=True,
-    )
-    results: Dict[str, Dict[str, float]] = {}
-    for task, sparsity in tasks:
-        per_family: Dict[str, List[float]] = {name: [] for name in family_names}
-        for seed in seeds:
-            for family in family_names:
-                per_family[family].append(sweep.value(f"{task}@{sparsity}/seed{seed}/{family}"))
-        results[task] = {name: float(np.mean(vals)) for name, vals in per_family.items()}
-    return results
+    }
+    sweep = _sweep("table1", cells.values(), workers, cache_dir, resume, options)
+    return {
+        task: {
+            family: _mean_accuracy(sweep, [cells[task, seed, family] for seed in seeds])
+            for family in family_names
+        }
+        for task, _ in tasks
+    }
 
 
 def _table2_cell(
@@ -444,14 +465,7 @@ def run_table2(
         for task, sparsity in tasks
         for seed in seeds
     ]
-    sweep = run_sweep(
-        SweepSpec("table2", tuple(cells)),
-        workers=configured_workers(workers),
-        cache_dir=cache_dir,
-        resume=resume,
-        options=options,
-        strict=True,
-    )
+    sweep = _sweep("table2", cells, workers, cache_dir, resume, options)
     results: Dict[str, Dict[str, List[float]]] = {}
     for task, sparsity in tasks:
         for seed in seeds:
@@ -466,16 +480,27 @@ def run_table2(
 
 
 def run_fig18_convergence(
-    task: str = "mlp", sparsity: float = 0.75, epochs: int = 12, seed: int = 0
+    task: str = "mlp",
+    sparsity: float = 0.75,
+    epochs: int = 12,
+    seed: int = 0,
+    workers: Optional[int] = None,
+    cache_dir: Optional[str] = None,
+    resume: bool = False,
+    options: Optional[SweepOptions] = None,
 ) -> Dict[str, List[float]]:
-    """Fig. 18 -- loss curves for dense / US / TBS training."""
-    curves: Dict[str, List[float]] = {}
-    for name, family in (("dense", None), ("US", PatternFamily.US), ("TBS", PatternFamily.TBS)):
-        model, data = _proxy(task, seed)
-        res = train(model, data, family=family, sparsity=sparsity, epochs=epochs, seed=seed)
-        curves[name] = res.loss_history
-        if name == "TBS":
-            curves["TBS_sparsity"] = res.sparsity_history
+    """Fig. 18 -- loss curves for dense / US / TBS training.
+
+    Three training cells, the same models as Table I's cells for that
+    task, sparsity and seed.
+    """
+    cells = {
+        name: _training(task, family, sparsity, seed, epochs)
+        for name, family in (("dense", "Dense"), ("US", "US"), ("TBS", "TBS"))
+    }
+    sweep = _sweep("fig18", cells.values(), workers, cache_dir, resume, options)
+    curves = {name: sweep.value(cell.key)["loss_history"] for name, cell in cells.items()}
+    curves["TBS_sparsity"] = sweep.value(cells["TBS"].key)["sparsity_history"]
     return curves
 
 
@@ -555,14 +580,7 @@ def run_wide_oneshot(
         )
         for scenario, backend in grid
     ]
-    sweep = run_sweep(
-        SweepSpec("wide-oneshot", tuple(cells)),
-        workers=configured_workers(workers),
-        cache_dir=cache_dir,
-        resume=resume,
-        options=options,
-        strict=True,
-    )
+    sweep = _sweep("wide-oneshot", cells, workers, cache_dir, resume, options)
     out: Dict[str, Dict[str, float]] = {}
     for scenario, backend in grid:
         cell = sweep.value(f"{scenario}/{backend}")
@@ -640,14 +658,7 @@ def run_fig17_distribution(
         )
         for sparsity in sparsities
     ]
-    sweep = run_sweep(
-        SweepSpec("fig17", tuple(cells)),
-        workers=configured_workers(workers),
-        cache_dir=cache_dir,
-        resume=resume,
-        options=options,
-        strict=True,
-    )
+    sweep = _sweep("fig17", cells, workers, cache_dir, resume, options)
     out: Dict[str, Dict[str, float]] = {}
     all_histograms: List[Dict[str, int]] = []
     for sparsity in sparsities:
@@ -750,14 +761,7 @@ def run_fig7_both_passes(
         )
         for sparsity in sparsities
     ]
-    sweep = run_sweep(
-        SweepSpec("fig7both", tuple(cells)),
-        workers=configured_workers(workers),
-        cache_dir=cache_dir,
-        resume=resume,
-        options=options,
-        strict=True,
-    )
+    sweep = _sweep("fig7both", cells, workers, cache_dir, resume, options)
     out: Dict[str, Dict[str, float]] = {}
     for sparsity in sparsities:
         cell = sweep.value(f"sparsity={sparsity}")
@@ -837,14 +841,7 @@ def run_fig13_end2end(
         for model in models
         for name in arch_names
     ]
-    sweep = run_sweep(
-        SweepSpec("fig13", tuple(cells)),
-        workers=configured_workers(workers),
-        cache_dir=cache_dir,
-        resume=resume,
-        options=options,
-        strict=True,
-    )
+    sweep = _sweep("fig13", cells, workers, cache_dir, resume, options)
     out: Dict[str, Dict[str, Dict[str, float]]] = {}
     for model in models:
         per_arch: Dict[str, SimResult] = {
@@ -876,23 +873,15 @@ def run_fig14_breakdown(scale: int = 4, seed: int = 0) -> Dict[str, Dict[str, fl
 # ---------------------------------------------------------------------------
 
 
-def _fig15_block_cell(
-    m: int, sparsity: float, seed: int, epochs: int, scale: int, with_accuracy: bool
-) -> Dict[str, float]:
-    """One Fig. 15(a) grid point: speedup (and optionally accuracy) at
-    one block size.  Each cell recomputes the cheap dense baseline so it
-    stays a pure function of its kwargs."""
+def _fig15_block_cell(m: int, sparsity: float, seed: int, scale: int) -> float:
+    """One Fig. 15(a) speedup point at one block size.  Each cell
+    recomputes the cheap dense baseline so it stays a pure function of
+    its kwargs."""
     layer = resnet50_layers()[8]
     base_workload = build_workload(layer, PatternFamily.US, 0.0, seed=seed, scale=scale)
     dense = simulate_arch(arch_by_name("TC"), base_workload)
     workload = build_workload(layer, PatternFamily.TBS, sparsity, m=m, seed=seed, scale=scale)
-    result = simulate_arch(tb_stc(), workload)
-    entry = {"speedup": speedup(result, dense)}
-    if with_accuracy:
-        model, data = _proxy("mlp", seed)
-        res = train(model, data, family=PatternFamily.TBS, sparsity=sparsity, epochs=epochs, m=m, seed=seed)
-        entry["accuracy"] = res.test_accuracy
-    return entry
+    return speedup(simulate_arch(tb_stc(), workload), dense)
 
 
 def run_fig15_block_size(
@@ -907,31 +896,32 @@ def run_fig15_block_size(
     resume: bool = False,
     options: Optional[SweepOptions] = None,
 ) -> Dict[int, Dict[str, float]]:
-    """Fig. 15(a) -- block size vs speedup and accuracy."""
+    """Fig. 15(a) -- block size vs speedup and accuracy.
+
+    One speedup cell per block size plus, ``with_accuracy``, one TBS
+    training cell of the MLP proxy per block size (at M=8 that is Table
+    I's MLP TBS model).
+    """
     cells = [
         SweepCell(
             key=f"m={m}",
             fn=_fig15_block_cell,
-            kwargs={
-                "m": m,
-                "sparsity": sparsity,
-                "seed": seed,
-                "epochs": epochs,
-                "scale": scale,
-                "with_accuracy": with_accuracy,
-            },
+            kwargs={"m": m, "sparsity": sparsity, "seed": seed, "scale": scale},
         )
         for m in block_sizes
     ]
-    sweep = run_sweep(
-        SweepSpec("fig15-block-size", tuple(cells)),
-        workers=configured_workers(workers),
-        cache_dir=cache_dir,
-        resume=resume,
-        options=options,
-        strict=True,
+    trained = {
+        m: _training("mlp", "TBS", sparsity, seed, epochs, m=m)
+        for m in block_sizes
+        if with_accuracy
+    }
+    sweep = _sweep(
+        "fig15-block-size", [*cells, *trained.values()], workers, cache_dir, resume, options
     )
-    return {m: sweep.value(f"m={m}") for m in block_sizes}
+    out = {m: {"speedup": sweep.value(f"m={m}")} for m in block_sizes}
+    for m, cell in trained.items():
+        out[m]["accuracy"] = sweep.value(cell.key)["test_accuracy"]
+    return out
 
 
 def run_fig15_quantization(
@@ -991,14 +981,7 @@ def run_fig15_bandwidth(
         )
         for bw in bandwidths
     ]
-    sweep = run_sweep(
-        SweepSpec("fig15-bandwidth", tuple(cells)),
-        workers=configured_workers(workers),
-        cache_dir=cache_dir,
-        resume=resume,
-        options=options,
-        strict=True,
-    )
+    sweep = _sweep("fig15-bandwidth", cells, workers, cache_dir, resume, options)
     cycles = {bw: sweep.value(f"bw={bw}") for bw in bandwidths}
     base_cycles = cycles[bandwidths[0]]
     return {bw: base_cycles / c for bw, c in cycles.items()}
@@ -1036,14 +1019,7 @@ def run_fig15_sparsity_sweep(
         )
         for sparsity in sparsities
     ]
-    sweep = run_sweep(
-        SweepSpec("fig15-sparsity", tuple(cells)),
-        workers=configured_workers(workers),
-        cache_dir=cache_dir,
-        resume=resume,
-        options=options,
-        strict=True,
-    )
+    sweep = _sweep("fig15-sparsity", cells, workers, cache_dir, resume, options)
     return {sparsity: sweep.value(f"sparsity={sparsity}") for sparsity in sparsities}
 
 
@@ -1106,48 +1082,57 @@ def run_fig16_scheduling_ablation(
 # ---------------------------------------------------------------------------
 
 
+def _fig1_edp_cell(arch: str, sparsity: float, seed: int, scale: int) -> float:
+    """One Fig. 1 design point's EDP: the BERT layer pruned with the
+    architecture's own pattern family, simulated on it."""
+    workload = build_workload(bert_layers()[2], ARCH_FAMILY[arch], sparsity, seed=seed, scale=scale)
+    return simulate_arch(arch_by_name(arch), workload).edp
+
+
 def run_fig1_pareto(
     seeds: Sequence[int] = (0, 1),
     sparsities: Sequence[float] = (0.5, 0.75),
     epochs: int = 8,
     scale: int = 4,
+    workers: Optional[int] = None,
+    cache_dir: Optional[str] = None,
+    resume: bool = False,
+    options: Optional[SweepOptions] = None,
 ) -> Dict[str, List[ParetoPoint]]:
     """Fig. 1 -- accuracy (proxy encoder) vs EDP (simulator) per design.
 
     Each architecture is evaluated at each sparsity with its own pattern
-    family; the dense TC anchors the right edge of the plot.
+    family; the dense TC anchors the right edge of the plot.  One EDP
+    cell per design (simulated at the first seed) plus the training
+    cells its accuracy averages over seeds.  Training keeps TS at the
+    4:8 hardware ratio (``ts_cap=0.5``), so STC's 75% point reuses the
+    TS model at 50%: the spec holds each shared model once.
     """
-    layer = bert_layers()[2]
-    arch_names = ["TC", "STC", "VEGETA", "HighLight", "RM-STC", "TB-STC"]
-    points: List[ParetoPoint] = []
-    acc_cache: Dict[Tuple[str, float], float] = {}
-
-    def proxy_accuracy(family: Optional[PatternFamily], sparsity: float) -> float:
-        key = (family.name if family else "Dense", sparsity)
-        if key not in acc_cache:
-            accs = []
-            for seed in seeds:
-                model, data = _proxy("encoder", seed)
-                res = train(model, data, family=family, sparsity=sparsity, epochs=epochs, seed=seed)
-                accs.append(res.test_accuracy)
-            acc_cache[key] = float(np.mean(accs))
-        return acc_cache[key]
-
-    for name in arch_names:
-        family = ARCH_FAMILY[name]
-        config = arch_by_name(name)
-        if name == "TC":
-            workload = build_workload(layer, PatternFamily.US, 0.0, seed=seeds[0], scale=scale)
-            result = simulate_arch(config, workload)
-            points.append(ParetoPoint(result.edp, proxy_accuracy(None, 0.0), label="TC"))
-            continue
-        for sparsity in sparsities:
-            workload = build_workload(layer, family, sparsity, seed=seeds[0], scale=scale)
-            result = simulate_arch(config, workload)
-            acc_family = family if name != "RM-STC" else PatternFamily.US
-            points.append(
-                ParetoPoint(result.edp, proxy_accuracy(acc_family, sparsity), label=f"{name}@{sparsity:.0%}")
-            )
+    designs = [("TC", "TC", 0.0)] + [
+        (f"{arch}@{sparsity:.0%}", arch, sparsity)
+        for arch in ("STC", "VEGETA", "HighLight", "RM-STC", "TB-STC")
+        for sparsity in sparsities
+    ]
+    edp_cells: Dict[str, SweepCell] = {}
+    trained: Dict[str, List[SweepCell]] = {}
+    for label, arch, sparsity in designs:
+        edp_cells[label] = SweepCell(
+            key=f"edp/{label}",
+            fn=_fig1_edp_cell,
+            kwargs={"arch": arch, "sparsity": sparsity, "seed": seeds[0], "scale": scale},
+        )
+        family = "Dense" if arch == "TC" else ARCH_FAMILY[arch].name
+        trained[label] = [
+            _training("encoder", family, sparsity, seed, epochs, ts_cap=0.5) for seed in seeds
+        ]
+    unique = {cell.key: cell for cells in trained.values() for cell in cells}
+    sweep = _sweep(
+        "fig1", [*edp_cells.values(), *unique.values()], workers, cache_dir, resume, options
+    )
+    points = [
+        ParetoPoint(sweep.value(edp_cells[label].key), _mean_accuracy(sweep, trained[label]), label)
+        for label, _, _ in designs
+    ]
     return {"points": points, "frontier": pareto_frontier(points)}
 
 
@@ -1255,14 +1240,7 @@ def run_scenarios(
         for family in families
         for pattern in patterns
     ]
-    sweep = run_sweep(
-        SweepSpec("scenarios", tuple(cells)),
-        workers=configured_workers(workers),
-        cache_dir=cache_dir,
-        resume=resume,
-        options=options,
-        strict=True,
-    )
+    sweep = _sweep("scenarios", cells, workers, cache_dir, resume, options)
     out: Dict[str, Dict[str, Any]] = {}
     for family in families:
         cells_by_pattern = {p: sweep.value(f"{family}/{p}") for p in patterns}

@@ -6,11 +6,13 @@ Six commands:
   its table(s); experiment names follow the paper (``table1`` ...
   ``fig18``).  It is the one command that runs a paper experiment:
   every experiment goes through the sweep engine (:mod:`repro.sweep`),
-  grid-shaped ones one cell per grid point and single-shot ones as a
-  one-cell sweep.  A failed experiment does not stop the ones after it;
-  ``--checkpoint-dir``/``--resume`` cache finished cells on disk and
-  recompute only the missing ones; ``--workers N`` shards the cells
-  across processes without changing the numbers; ``--json`` prints the
+  grid-shaped ones (fig1 and fig18 included) one cell per grid point
+  and single-shot ones as a one-cell sweep.  A failed experiment does
+  not stop the ones after it; ``--checkpoint-dir``/``--resume`` cache
+  finished cells on disk and recompute only the missing ones -- a
+  trained model is one cell shared by Table I, Fig. 1, Fig. 15(a) and
+  Fig. 18, so ``report all`` trains it once; ``--workers N`` shards the
+  cells across processes without changing the numbers; ``--json`` prints the
   raw data instead of the rendered tables; ``--trace PATH`` writes a
   Chrome ``trace_event`` JSON viewable in Perfetto.
 * ``prune`` -- prune a ``.npy`` weight matrix with any pattern family
@@ -70,8 +72,8 @@ import numpy as np
 
 __all__ = ["main", "build_parser"]
 
-#: Experiment names, duplicated from ``repro.analysis.experiments
-#: .EXPERIMENTS`` so building the parser never imports the (heavy)
+#: Experiment names, duplicated from the keys of ``repro.analysis
+#: .experiments.EXPERIMENTS`` so building the parser never imports the (heavy)
 #: analysis stack; ``tests/test_cli.py`` asserts the two stay in sync.
 _EXPERIMENTS = (
     "table1",

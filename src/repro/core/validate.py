@@ -23,7 +23,6 @@ __all__ = [
     "ValidationReport",
     "validate_mask",
     "validate_tbs_result",
-    "assert_valid",
 ]
 
 
@@ -179,17 +178,3 @@ def validate_tbs_result(result: TBSResult) -> ValidationReport:
     spec = PatternSpec(PatternFamily.TBS, m=result.m)
     return validate_mask(result.mask, spec, tbs=result)
 
-
-def assert_valid(
-    mask: np.ndarray, spec: PatternSpec, tbs: Optional[TBSResult] = None
-) -> ValidationReport:
-    """Validate and raise ``ValueError`` with the summary on violation.
-
-    The one-call form used by the runtime invariant layer
-    (:mod:`repro.runtime.checks`) and scripts that want hard failures
-    instead of reports.
-    """
-    report = validate_mask(mask, spec, tbs=tbs)
-    if not report.ok:
-        raise ValueError(report.summary())
-    return report

@@ -3,7 +3,9 @@
 This is the persistence layer under the sweep engine
 (:mod:`repro.sweep.engine`), and so under every paper experiment: one
 cell per grid point of a grid-shaped driver, one cell per single-shot
-driver (see :func:`repro.analysis.experiments.run_experiment`).  One
+driver (see :func:`repro.analysis.experiments.run_experiment`).  A
+trained model is one shared training cell, so one cache directory
+trains it once for Table I, Fig. 1, Fig. 15(a) and Fig. 18.  One
 cell -> one pickle file, published with the same atomic write-rename
 discipline as the training :class:`~repro.runtime.checkpoint
 .CheckpointStore`: a crash mid-write never corrupts an existing entry,
@@ -154,7 +156,7 @@ class CellCache:
         """
         if path is None:
             return
-        # Cell keys may contain "/" (e.g. "cnn@0.75/seed0/Dense"), which
+        # Cell keys may contain "/" (e.g. "cnn@0.0/m=8/seed0/Dense"), which
         # nests entries in subdirectories; publish must create them.
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         with self.write_lock(path):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -153,7 +153,3 @@ def build_stencil_workload(
         tbs=tbs,
     )
 
-
-def stencil_structure_stats(spec: StencilSpec) -> Tuple[int, int, float]:
-    """(live taps, footprint, structural sparsity) -- for tables/docs."""
-    return spec.taps, spec.footprint, spec.structural_sparsity

@@ -2,8 +2,9 @@
 
 Pins the exact JSON a consumer sees: the versioned ``SimResult
 .to_dict`` payload for one reference workload, the aggregated
-sweep JSON for a small Table 1 grid (mlp task, seed 0, one epoch), and
-the per-cell outcome counts of a seeded fault campaign.
+sweep JSON for a small Table 1 grid (mlp task, seed 0, one epoch), the
+per-cell outcome counts of a seeded fault campaign, and every other
+paper experiment through ``run_experiment`` at a smoke size.
 Values are rounded to :data:`_PLACES` decimals before comparison, so
 the files survive last-bit float drift while still catching any real
 change to the numbers, the key set, or the schema version.
@@ -19,9 +20,13 @@ A mismatch here means one of two things:
   and review the diff like any other contract change.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
+import pytest
+
+from repro.analysis.experiments import EXPERIMENTS, run_experiment
 from repro.core.patterns import PatternFamily
 from repro.hw.config import tb_stc
 from repro.sim.engine import simulate
@@ -35,11 +40,17 @@ _TABLE1_GOLDEN = _GOLDEN_DIR / "table1_mlp_seed0.json"
 _FIG7BOTH_GOLDEN = _GOLDEN_DIR / "fig7both_64.json"
 _SCENARIOS_GOLDEN = _GOLDEN_DIR / "scenarios_64.json"
 _FAULTS_GOLDEN = _GOLDEN_DIR / "faults_seed0.json"
+_REPORT_SMOKE_GOLDEN = _GOLDEN_DIR / "report_smoke.json"
+#: table1 is pinned by its own golden above and by the benchmark digests.
+_SMOKE_EXPERIMENTS = tuple(name for name in EXPERIMENTS if name != "table1")
 _PLACES = 6
 
 
 def _rounded(obj):
-    """Round every float in a JSON-shaped object to ``_PLACES`` decimals."""
+    """Round every float in a JSON-shaped object to ``_PLACES`` decimals
+    (dataclass values such as ``ParetoPoint`` are written as their fields)."""
+    if dataclasses.is_dataclass(obj):
+        return _rounded(dataclasses.asdict(obj))
     if isinstance(obj, float):
         return round(obj, _PLACES)
     if isinstance(obj, dict):
@@ -94,6 +105,10 @@ def _faults_payload():
         }
         for size, spec in parts.items()
     }
+
+
+def _report_smoke_payload(name: str):
+    return run_experiment(name, seeds=(0,), epochs=1, scale=16, workers=1)
 
 
 class TestSimResultGolden:
@@ -220,6 +235,20 @@ class TestFaultsGolden:
         assert actual == expected
 
 
+class TestReportSmokeGolden:
+    """Pins every paper experiment at a smoke size (one seed, one epoch,
+    scale 16), so a refactor of any driver cannot move a figure unseen."""
+
+    def test_covers_every_experiment_but_table1(self):
+        expected = json.loads(_REPORT_SMOKE_GOLDEN.read_text())
+        assert sorted(expected) == sorted(_SMOKE_EXPERIMENTS)
+
+    @pytest.mark.parametrize("name", _SMOKE_EXPERIMENTS)
+    def test_matches_golden_file(self, name):
+        expected = json.loads(_REPORT_SMOKE_GOLDEN.read_text())[name]
+        assert json.loads(_canon(_report_smoke_payload(name))) == expected
+
+
 def _regenerate() -> None:  # pragma: no cover - maintenance entry point
     _SIMRESULT_GOLDEN.write_text(_canon(_simresult_payload()))
     print(f"wrote {_SIMRESULT_GOLDEN}")
@@ -231,6 +260,10 @@ def _regenerate() -> None:  # pragma: no cover - maintenance entry point
     print(f"wrote {_SCENARIOS_GOLDEN}")
     _FAULTS_GOLDEN.write_text(_canon(_faults_payload()))
     print(f"wrote {_FAULTS_GOLDEN}")
+    _REPORT_SMOKE_GOLDEN.write_text(
+        _canon({name: _report_smoke_payload(name) for name in _SMOKE_EXPERIMENTS})
+    )
+    print(f"wrote {_REPORT_SMOKE_GOLDEN}")
 
 
 if __name__ == "__main__":  # pragma: no cover

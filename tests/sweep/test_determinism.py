@@ -9,8 +9,6 @@ fault-injection campaign, comparing serialized JSON for byte equality.
 
 import json
 
-import pytest
-
 from repro.analysis.experiments import run_table1
 from repro.faults.campaign import CampaignSpec, render_campaign, run_campaign
 from repro.sweep import SweepCell, SweepSpec, run_sweep

@@ -31,7 +31,7 @@ class TestParser:
         """The parser's local copy must track the analysis registry."""
         from repro.analysis import EXPERIMENTS
 
-        assert _EXPERIMENTS == EXPERIMENTS
+        assert _EXPERIMENTS == tuple(EXPERIMENTS)
 
     def test_format_names_match_registry(self):
         """The parser's local copy must track the format registry."""
