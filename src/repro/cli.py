@@ -26,7 +26,9 @@ Six commands:
   protection's storage and energy overhead on a reference layer;
   ``--workers N`` shards the campaign cells.
 * ``perf`` -- run the deterministic benchmark suite
-  (:mod:`repro.perf.bench`) and write ``BENCH_<name>.json``;
+  (:mod:`repro.perf.bench`) and write ``BENCH_<name>.json``; writing
+  ``BENCH_baseline.json`` also appends its row to
+  ``BENCH_trajectory.jsonl`` beside it;
   ``--compare BENCH_baseline.json`` turns it into a regression gate
   (exit 1 when any bench exceeds the baseline by ``--tolerance``, or
   when a baseline bench is missing from the run).
@@ -329,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf.add_argument(
         "--trajectory", default=None, metavar="JSONL",
-        help="append a summary line to this bench-trajectory file",
+        help="append a summary line to this bench-trajectory file (a "
+        "--name baseline run always appends one to BENCH_trajectory.jsonl "
+        "in --out-dir)",
     )
     perf.add_argument(
         "--best-of", type=int, default=1, metavar="N",
@@ -852,21 +856,24 @@ def _run_perf(args) -> int:
           f"{len(data['benches'])} benches, {data['total_wall_s']:.2f} s total, "
           f"peak RSS {data['peak_rss_kb'] / 1024:.0f} MB -> {out_path}")
 
-    if args.trajectory:
-        entry = {
-            "name": args.name,
-            "profile": profile,
-            "total_wall_s": data["total_wall_s"],
-            "calibration_s": data["calibration_s"],
-            "normalized": {
-                k: v["normalized"] for k, v in data["benches"].items()
-            },
-        }
+    trajectories = [args.trajectory] if args.trajectory else []
+    if args.name == "baseline":
+        # Every baseline write leaves its row in the trajectory beside it.
+        trajectories.append(os.path.join(args.out_dir, "BENCH_trajectory.jsonl"))
+    entry = {
+        "name": args.name,
+        "profile": profile,
+        "total_wall_s": data["total_wall_s"],
+        "calibration_s": data["calibration_s"],
+        "normalized": {k: v["normalized"] for k, v in data["benches"].items()},
+    }
+    # One row per file, however it was named.
+    for path in {os.path.realpath(p): p for p in trajectories}.values():
         try:
-            bench.append_trajectory(args.trajectory, entry)
+            bench.append_trajectory(path, entry)
         except OSError as exc:
-            return _fail(f"cannot append to {args.trajectory!r}: {exc}")
-        print(f"appended trajectory entry to {args.trajectory}")
+            return _fail(f"cannot append to {path!r}: {exc}")
+        print(f"appended trajectory entry to {path}")
 
     if args.compare:
         try:

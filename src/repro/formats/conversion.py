@@ -15,9 +15,11 @@ that reordering on the fly (Fig. 9(c)):
 * at the final timestep the merger flushes whatever remains, combining
   partial queues into full output beats.
 
-This module is the *functional* model -- it produces the exact output
-schedule and cycle count; :mod:`repro.hw.codec` layers the hardware
-accounting (queue occupancy, conflicts, energy) on top of it.
+:func:`convert_block` is the *functional* model -- it produces the exact
+output schedule and cycle count; :mod:`repro.hw.codec` layers the
+hardware accounting (queue occupancy, conflicts, energy) on top of it.
+:func:`batch_conversion_cycles` is the cycle count alone, in closed
+form, for the simulator.
 """
 
 from __future__ import annotations
@@ -141,76 +143,32 @@ def convert_block(
 @timed("hw.codec")
 def batch_conversion_cycles(
     blocks: np.ndarray,
-    n_queues: int,
     in_width: int = 2,
     out_width: int = 2,
     threshold: int = 2,
 ) -> np.ndarray:
     """Conversion cycle counts of many COL-direction blocks at once.
 
-    Emulates :func:`convert_block` on the column-major storage stream of
-    every ``(m, m)`` block in ``blocks`` (shape ``(n_blocks, m, m)``)
-    simultaneously: per timestep, each block accepts ``in_width``
-    elements into its queues (selected by ``Iid % n_queues``), and the
-    first ready queue (lowest index with >= ``threshold`` elements, the
-    merger's arbitration order) emits one beat of <= ``out_width``.
-    Leftovers flush in ``ceil(remaining / out_width)`` combined beats.
-
-    Only the cycle count (``max(input_cycles, output_beats)``) is
-    produced -- the element schedule itself is not materialised, which
-    is what makes the batching worthwhile.  Bit-exact with the scalar
-    path: the per-block :class:`repro.hw.codec.CodecUnit` loop in
-    ``tests/sim/engine_oracle.py`` is its oracle.
+    ``blocks`` has shape ``(n_blocks, m, m)``; each block's count is
+    :func:`convert_block`'s ``cycles`` on its column-major storage
+    stream, which is ``max(ceil(nnz / in_width), ceil(nnz / out_width))``
+    in closed form.  It needs ``threshold >= out_width``: a ready queue
+    then holds at least ``out_width`` elements, so every beat emitted
+    while the stream feeds in is full, and the flush adds the remaining
+    ``ceil(nnz / out_width) - beats`` beats whatever the arbitration
+    order or the number of queues.  Only the non-zero count of each
+    block matters.  ``convert_block`` is the oracle
+    (``tests/formats/test_conversion.py``).
     """
     if in_width < 1 or out_width < 1 or threshold < 1:
         raise ValueError("widths and threshold must be positive")
+    if threshold < out_width:
+        raise ValueError(
+            f"threshold ({threshold}) below out_width ({out_width}) emits partial "
+            "beats, which the closed-form cycle count does not model"
+        )
     blocks = np.asarray(blocks)
     if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
         raise ValueError(f"expected (n_blocks, m, m) blocks, got {blocks.shape}")
-    n_blocks = blocks.shape[0]
-    if n_blocks == 0:
-        return np.zeros(0, dtype=np.int64)
-
-    # Column-major storage stream: nonzero coordinates of block.T in
-    # (rid, iid) lexicographic order; the queue key is the row index iid.
-    transposed_nz = blocks.transpose(0, 2, 1) != 0
-    b_idx, _, i_idx = np.nonzero(transposed_nz)
-    nnz = transposed_nz.sum(axis=(1, 2)).astype(np.int64)
-    stream_len = int(nnz.max()) if nnz.size else 0
-    offsets = np.concatenate([[0], np.cumsum(nnz)[:-1]])
-    position = np.arange(b_idx.size) - offsets[b_idx]
-    iids = np.zeros((n_blocks, max(stream_len, 1)), dtype=np.int64)
-    iids[b_idx, position] = i_idx
-
-    input_cycles = -(-nnz // in_width)
-    horizon = int(input_cycles.max()) if nnz.size else 0
-    queue_len = np.zeros((n_blocks, n_queues), dtype=np.int64)
-    consumed = np.zeros(n_blocks, dtype=np.int64)
-    beats = np.zeros(n_blocks, dtype=np.int64)
-    emitted = np.zeros(n_blocks, dtype=np.int64)
-    rows = np.arange(n_blocks)
-    for t in range(horizon):
-        # A block participates in a timestep only while its stream is
-        # still feeding in (convert_block loops exactly input_cycles
-        # times; flush happens afterwards).
-        active = t < input_cycles
-        # Input stage: accept up to in_width elements per block.
-        for w in range(in_width):
-            src = consumed + w
-            ok = active & (src < nnz)
-            queues = iids[rows, np.minimum(src, stream_len - 1)] % n_queues
-            np.add.at(queue_len, (rows[ok], queues[ok]), 1)
-        consumed = np.where(active, np.minimum(consumed + in_width, nnz), consumed)
-        # Output stage: one beat from the first ready queue per block
-        # (the merger arbitrates lowest queue index first).
-        ready = queue_len >= threshold
-        any_ready = ready.any(axis=1) & active
-        first = np.argmax(ready, axis=1)
-        beat = np.minimum(out_width, queue_len[rows, first])
-        take = np.where(any_ready, beat, 0)
-        queue_len[rows, first] -= take
-        beats += any_ready
-        emitted += take
-
-    flush_beats = -(-(nnz - emitted) // out_width)
-    return np.maximum(input_cycles, beats + flush_beats)
+    nnz = np.count_nonzero(blocks, axis=(1, 2)).astype(np.int64)
+    return np.maximum(-(-nnz // in_width), -(-nnz // out_width))

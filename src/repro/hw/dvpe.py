@@ -145,15 +145,15 @@ class DVPE:
             return np.zeros(n_blocks, dtype=np.int64)
 
         # Segment completions per cycle: segment s of block b completes in
-        # the cycle holding its last packed element.
+        # the cycle holding its last packed element.  One bincount over
+        # flat (cycle, block) slots builds the whole histogram, cycle-major
+        # so each timestep below reads one contiguous row.
         ends = np.cumsum(counts, axis=1)
         has_work = counts > 0
-        produced = np.zeros((n_blocks, horizon), dtype=np.int64)
         block_ids = np.broadcast_to(np.arange(n_blocks)[:, None], counts.shape)
-        np.add.at(
-            produced,
-            (block_ids[has_work], (ends[has_work] - 1) // lanes),
-            1,
+        slots = (ends[has_work] - 1) // lanes * n_blocks + block_ids[has_work]
+        produced = np.bincount(slots, minlength=horizon * n_blocks).reshape(
+            horizon, n_blocks
         )
 
         port = self.output_port_width
@@ -163,7 +163,7 @@ class DVPE:
         max_occ = np.zeros(n_blocks, dtype=np.int64)
         for t in range(horizon):
             active = t < num_cycles
-            level = occ + produced[:, t]
+            level = occ + produced[t]
             level -= np.minimum(port, level)
             excess = np.maximum(level - capacity, 0)
             extra_drains = -(-excess // port)

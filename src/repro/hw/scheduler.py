@@ -14,13 +14,15 @@ slots.  We model both policies event-driven:
 * :func:`schedule_sparsity_aware` -- windowed earliest-free-PE dispatch.
 
 Cost arrays, lists and tuples take the array paths: wave packing for
-direct, a one-sift max-heap window for sparsity-aware.  Duck-typed
-sequences (e.g. the corrupted descriptor streams the stall guards
-exist for) take guarded event loops instead, whose length-snapshot
-guards they exercise; ``record=True`` direct schedules take the direct
-loop too.  The sort-based loop the sparsity-aware heap replaced lives
-on as a test oracle (``tests/hw/scheduler_oracle.py``), and the
-equivalence suites prove every path agrees with it bit-exactly.
+direct, and for sparsity-aware two heaps of plain numbers that track
+only the costs and the PE free times the makespan depends on.
+Duck-typed sequences (e.g. the corrupted descriptor streams the stall
+guards exist for) take guarded event loops instead, whose
+length-snapshot guards they exercise; ``record=True`` schedules take
+the same loops, which are the ones that track block and PE identities.
+The sort-based loop the sparsity-aware heap replaced lives on as a
+test oracle (``tests/hw/scheduler_oracle.py``), and the equivalence
+suites prove every path agrees with it bit-exactly.
 """
 
 from __future__ import annotations
@@ -100,7 +102,6 @@ class ScheduleResult:
     makespan: int
     total_work: int
     num_pes: int
-    per_pe_busy: tuple
     assignments: Tuple[Assignment, ...] = field(default=())
 
     @property
@@ -186,7 +187,7 @@ def schedule_direct(
     _validate_array(arr, num_pes)
     n = int(arr.size)
     if n == 0:
-        return ScheduleResult(0, 0, num_pes, tuple([0] * num_pes))
+        return ScheduleResult(0, 0, num_pes)
     pad = (-n) % num_pes
     waves = (np.pad(arr, (0, pad)) if pad else arr).reshape(-1, num_pes)
     wave_max = waves.max(axis=1)
@@ -200,12 +201,10 @@ def schedule_direct(
         # the last ulps).
         makespan = float(sum(wave_max.tolist()))
         total = float(sum(arr.tolist()))
-        busy = tuple(float(sum(col)) for col in waves.T.tolist())
     else:
         makespan = int(wave_max.sum())
         total = int(arr.sum())
-        busy = tuple(int(b) for b in waves.sum(axis=0))
-    return ScheduleResult(makespan, total, num_pes, busy)
+    return ScheduleResult(makespan, total, num_pes)
 
 
 def _schedule_direct_reference(
@@ -218,7 +217,6 @@ def _schedule_direct_reference(
     does not accept.
     """
     _validate(costs, num_pes)
-    busy = [0] * num_pes
     makespan = 0
     assignments: List[Assignment] = []
     for w0 in range(0, len(costs), num_pes):
@@ -229,10 +227,8 @@ def _schedule_direct_reference(
         if _obs_enabled():
             obs_metrics.observe("hw.scheduler.wave_cycles", max(wave))
         makespan += max(wave)
-        for pe, cost in enumerate(wave):
-            busy[pe] += cost
     total = sum(costs)
-    return ScheduleResult(makespan, total, num_pes, tuple(busy), tuple(assignments))
+    return ScheduleResult(makespan, total, num_pes, tuple(assignments))
 
 
 @timed("hw.scheduler.sparsity_aware")
@@ -253,29 +249,41 @@ def schedule_sparsity_aware(
     Dispatch rule: hand the *largest* block in the window to the PE that
     frees first (longest-processing-time within the lookahead).
 
-    The optimized path keeps the window in a max-heap keyed
+    The event loop below keeps the window in a max-heap keyed
     ``(-cost, -block_id)`` -- the exact tie-break of the sort-based
-    oracle's ``sort(reverse=True); pop(0)`` -- and dispatches each block
-    with one sift of each heap.
+    oracle's ``sort(reverse=True); pop(0)`` -- and the PEs in a heap of
+    ``(free_time, pe)``, so ``record=True`` names every placement.
+    Without ``record``, cost arrays take :func:`_makespan`, which drops
+    both identities because the makespan does not depend on them.
     """
     arr = _as_cost_array(costs)
     if arr is not None:
         _validate_array(arr, num_pes)
-        return _dispatch_array(arr, num_pes, window, fetch_per_cycle, record)
-    _validate(costs, num_pes)
+    else:
+        _validate(costs, num_pes)
     if window < 1 or fetch_per_cycle < 1:
         raise ValueError("window and fetch rate must be positive")
+    if arr is not None:
+        costs = arr.tolist()
+        if _obs_enabled():
+            obs_metrics.counter_add("hw.scheduler.blocks_dispatched", len(costs))
+            for c in costs:
+                obs_metrics.observe("hw.scheduler.block_cycles", c)
+        if not record:
+            # Same total as re-reading the stream (float arrays sum
+            # left-to-right to match the event loop's accumulation order).
+            total = int(arr.sum()) if arr.dtype.kind != "f" else float(sum(costs))
+            return ScheduleResult(_makespan(costs, num_pes, window), total, num_pes)
     pending = costs
     # Snapshot the block count once: every bound below uses it, so even
     # a sequence whose __len__ drifts (corrupted block list) terminates.
     n_blocks = len(pending)
-    busy = np.zeros(num_pes, dtype=np.float64)
     buffer: List[Tuple] = []  # max-heap of (-cost, -block_id)
     heap = [(0, pe) for pe in range(num_pes)]  # (free_time, pe)
     heapq.heapify(heap)
     fetch_cursor = 0
     dispatched = 0
-    fetched_total = 0  # duck-typed path: left-to-right sum at fetch time
+    fetched_total = 0  # left-to-right sum at fetch time
     assignments: List[Assignment] = []
 
     def _stall_state() -> dict:
@@ -318,67 +326,40 @@ def schedule_sparsity_aware(
         dispatched += 1
         free_time, pe = heapq.heappop(heap)
         heapq.heappush(heap, (free_time + cost, pe))
-        busy[pe] += cost
         if record:
             assignments.append(Assignment(block_id, pe, free_time, free_time + cost))
 
-    makespan = max(t for t, _ in heap) if heap else 0
-    return ScheduleResult(
-        makespan, fetched_total, num_pes, tuple(busy.tolist()), tuple(assignments)
-    )
+    makespan = max(t for t, _ in heap)
+    return ScheduleResult(makespan, fetched_total, num_pes, tuple(assignments))
 
 
-def _dispatch_array(
-    arr: np.ndarray, num_pes: int, window: int, fetch_per_cycle: int, record: bool
-) -> ScheduleResult:
-    """Array fast path of :func:`schedule_sparsity_aware`.
+def _makespan(costs: List, num_pes: int, window: int):
+    """Makespan of :func:`schedule_sparsity_aware` on a validated cost list.
 
-    A validated fixed-length cost array cannot stall (the fetch stage
-    always progresses and the stream length is constant), so the guarded
-    generic loop reduces to a tight heap loop over native Python numbers
-    -- identical arithmetic (IEEE-754 double either way) and identical
-    ``(-cost, -block_id)`` tie-breaks, without per-element numpy scalar
-    overhead.
+    A fixed-length list cannot stall, so the guarded loop reduces to two
+    heaps of native Python numbers, and neither holds an identity:
 
-    The window holds ``window - 1`` blocks between steps, so each step
-    is one ``heappushpop`` (fetch the next block, take the heaviest
-    visible one) and one ``heapreplace`` on the PE heap (the earliest-free
-    PE takes the block).  Both heaps hold distinct keys, so every pop
-    returns what the guarded loop's pop-then-push returns, and
-    ``free_time - neg_cost`` is exactly ``free_time + cost``.
+    * the window is a max-heap of negated costs.  Whichever of several
+      equal-cost blocks leaves first, the costs left in the window are
+      the same multiset, so the cost sequence dispatched is the guarded
+      loop's ``(-cost, -block_id)`` order's, cost for cost;
+    * the PEs are a min-heap of free times.  Whichever of several tied
+      PEs takes a block, the multiset of free times evolves by the same
+      ``free - neg_cost`` addition as the guarded loop's
+      ``free_time + cost``, so ``max`` of it is the same makespan bit
+      for bit, float costs included.
+
+    The window holds ``window - 1`` costs between steps, so each step is
+    one ``heappushpop`` (fetch the next block, take the heaviest visible
+    one) and one ``heapreplace`` (the earliest-free PE takes it).
     """
-    if window < 1 or fetch_per_cycle < 1:
-        raise ValueError("window and fetch rate must be positive")
-    n_blocks = int(arr.shape[0])
-    int_costs = arr.dtype.kind != "f"
-    costs_list = arr.tolist()
-    if _obs_enabled():
-        obs_metrics.counter_add("hw.scheduler.blocks_dispatched", n_blocks)
-        for c in costs_list:
-            obs_metrics.observe("hw.scheduler.block_cycles", c)
-    busy = [0] * num_pes if int_costs else [0.0] * num_pes
-    heap = [(0, pe) for pe in range(num_pes)]  # (free_time, pe); sorted, so a heap
-    assignments: List[Assignment] = []
     pushpop, replace, pop = heapq.heappushpop, heapq.heapreplace, heapq.heappop
-    ahead = min(window - 1, n_blocks)
-    buffer = [(-costs_list[b], -b) for b in range(ahead)]  # max-heap of (-cost, -block_id)
+    ahead = min(window - 1, len(costs))
+    buffer = [-c for c in costs[:ahead]]  # max-heap of negated costs
     heapq.heapify(buffer)
-    for b in range(ahead, n_blocks + ahead):
-        # Fetch block b while any is left, dispatch the heaviest visible
-        # block to the earliest-free PE.
-        if b < n_blocks:
-            neg_cost, neg_id = pushpop(buffer, (-costs_list[b], -b))
-        else:
-            neg_cost, neg_id = pop(buffer)
-        free_time, pe = heap[0]
-        replace(heap, (free_time - neg_cost, pe))
-        busy[pe] -= neg_cost
-        if record:
-            assignments.append(Assignment(-neg_id, pe, free_time, free_time - neg_cost))
-
-    makespan = max(t for t, _ in heap) if heap else 0
-    # Same total as re-reading the stream (float arrays sum left-to-right
-    # to match the event loop's accumulation order).
-    total = int(arr.sum()) if int_costs else float(sum(costs_list))
-    return ScheduleResult(makespan, total, num_pes, tuple(busy), tuple(assignments))
-
+    free = [0] * num_pes  # PE free times; all equal, so already a heap
+    for b in range(ahead, len(costs)):
+        replace(free, free[0] - pushpop(buffer, -costs[b]))
+    while buffer:
+        replace(free, free[0] - pop(buffer))
+    return max(free)

@@ -195,28 +195,26 @@ def _codec_visible_and_elements(
     memory load rate, so conversion hides behind the longer of the
     A-tensor load and the compute window, and only a throughput
     shortfall (rare) plus the last block's merge beat is exposed
-    (Fig. 14: ~3.57% average visible overhead).
+    (Fig. 14: ~3.57% average visible overhead).  Each block's cycles
+    are :func:`~repro.formats.conversion.batch_conversion_cycles`'s
+    closed form, which reads only its non-zero count.
     """
     if not config.has_codec or workload.tbs is None:
         return 0, 0
     m = workload.m
-    # The conversion schedule depends only on where the non-zeros sit,
-    # so the queue-group emulation runs on the boolean occupancy.
+    # A block's conversion cycles depend only on how many non-zeros it
+    # holds, so the codec reads the boolean occupancy, never the values.
     occupancy = workload.mask & (workload.values != 0.0)
     flat_blocks = split_into_blocks(occupancy, m).reshape(-1, m, m)
-    # Batched queue-group emulation: only COL-direction blocks with
-    # payload convert; empty ones pass through contributing nothing.
+    # Only COL-direction blocks with payload convert (closed-form cycle
+    # count per block); empty ones pass through contributing nothing.
     col_sel = dirs == Direction.COL.value
     col_blocks = flat_blocks[col_sel]
     block_nnz = np.count_nonzero(col_blocks, axis=(1, 2))
     elements = int(block_nnz.sum())
     conv_blocks = col_blocks[block_nnz > 0]
     converted = int(conv_blocks.shape[0])
-    conversion_cycles = (
-        int(batch_conversion_cycles(conv_blocks, n_queues=m).sum())
-        if converted
-        else 0
-    )
+    conversion_cycles = int(batch_conversion_cycles(conv_blocks).sum()) if converted else 0
     parallel_conversion = conversion_cycles / CODEC_LANES
     visible = int(math.ceil(max(0.0, parallel_conversion - overlap_cycles)))
     if converted:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.patterns import Direction
 from repro.formats.conversion import (
     StorageElement,
+    batch_conversion_cycles,
     block_storage_stream,
     convert_block,
 )
@@ -111,3 +112,121 @@ class TestConvertBlock:
         out_vals = sorted(e.value for beat in schedule.outputs for e in beat)
         assert out_vals == sorted(e.value for e in stream)
         assert schedule.elements_out == m * n
+
+
+# Every (in_width, out_width, threshold) in 1..4 the closed form covers.
+_WIDTHS = [
+    (i, o, t)
+    for i in range(1, 5)
+    for o in range(1, 5)
+    for t in range(1, 5)
+    if t >= o
+]
+
+
+def _random_blocks(rng, m, fills):
+    """One (m, m) block per fill fraction, that share of cells non-zero."""
+    blocks = np.zeros((len(fills), m, m))
+    for b, fill in enumerate(fills):
+        k = int(round(fill * m * m))
+        cells = rng.permutation(m * m)[:k]
+        blocks[b].flat[cells] = rng.normal(size=k) + 10.0
+    return blocks
+
+
+def _oracle_cycles(streams, n_queues, in_width, out_width, threshold):
+    return [
+        convert_block(
+            stream,
+            n_queues=n_queues,
+            in_width=in_width,
+            out_width=out_width,
+            threshold=threshold,
+        ).cycles
+        for stream in streams
+    ]
+
+
+def _streams(blocks):
+    return [block_storage_stream(block, Direction.COL) for block in blocks]
+
+
+class TestBatchConversionCycles:
+    """The closed-form batch count against the queue-group emulation."""
+
+    @given(
+        m=st.sampled_from([2, 4, 8, 16, 32]),
+        queues_per_m=st.sampled_from([0.25, 0.5, 1.0]),
+        fills=st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=3,
+        ),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_convert_block(self, m, queues_per_m, fills, seed):
+        """Block by block, at every width and threshold, whatever the
+        number of queues convert_block emulates (the closed form never
+        reads it)."""
+        blocks = _random_blocks(np.random.default_rng(seed), m, fills)
+        streams = _streams(blocks)
+        n_queues = max(1, int(m * queues_per_m))
+        for in_width, out_width, threshold in _WIDTHS:
+            batch = batch_conversion_cycles(
+                blocks, in_width=in_width, out_width=out_width, threshold=threshold
+            )
+            ref = _oracle_cycles(streams, n_queues, in_width, out_width, threshold)
+            assert batch.tolist() == ref, (in_width, out_width, threshold)
+
+    def test_empty_and_full_blocks(self):
+        for m in (2, 4, 8, 16, 32):
+            blocks = np.stack([np.zeros((m, m)), np.ones((m, m))])
+            streams = _streams(blocks)
+            for in_width, out_width, threshold in _WIDTHS:
+                batch = batch_conversion_cycles(
+                    blocks, in_width=in_width, out_width=out_width, threshold=threshold
+                )
+                ref = _oracle_cycles(streams, m, in_width, out_width, threshold)
+                assert batch.tolist() == ref, (m, in_width, out_width, threshold)
+                assert batch[0] == 0
+
+    def test_boolean_occupancy_counts_like_values(self):
+        """The engine passes the boolean occupancy, not the values."""
+        blocks = _random_blocks(np.random.default_rng(0), 8, [0.3, 0.7, 1.0])
+        assert (
+            batch_conversion_cycles(blocks != 0).tolist()
+            == batch_conversion_cycles(blocks).tolist()
+        )
+
+    def test_no_blocks(self):
+        out = batch_conversion_cycles(np.zeros((0, 8, 8)))
+        assert out.shape == (0,) and out.dtype == np.int64
+
+    def test_threshold_below_out_width_rejected(self):
+        for in_width in range(1, 5):
+            for out_width in range(2, 5):
+                for threshold in range(1, out_width):
+                    with pytest.raises(ValueError, match="threshold"):
+                        batch_conversion_cycles(
+                            np.ones((1, 4, 4)),
+                            in_width=in_width,
+                            out_width=out_width,
+                            threshold=threshold,
+                        )
+
+    def test_partial_beats_break_the_closed_form(self):
+        """Why the guard exists: at threshold 1 a queue is ready with one
+        element, so beats leave half-full and the emulation needs more
+        cycles than max(ceil(nnz / in), ceil(nnz / out))."""
+        stream = [StorageElement(1.0, rid=0, iid=0), StorageElement(2.0, rid=0, iid=1)]
+        schedule = convert_block(stream, n_queues=2, in_width=2, out_width=2, threshold=1)
+        assert schedule.cycles == 2  # closed form: max(1, 1) = 1
+
+    def test_rejects_bad_shapes_and_widths(self):
+        with pytest.raises(ValueError):
+            batch_conversion_cycles(np.ones((4, 4)))
+        with pytest.raises(ValueError):
+            batch_conversion_cycles(np.ones((1, 4, 2)))
+        with pytest.raises(ValueError):
+            batch_conversion_cycles(np.ones((1, 4, 4)), in_width=0)

@@ -9,6 +9,10 @@ to the higher block id first).  It lives here only as a test oracle;
 nothing in ``src/`` calls it.  It takes trusted lists and arrays only:
 the stall guards for malformed streams belong to the scheduler's own
 guarded loop.
+
+:func:`per_pe_busy` derives each PE's busy time from a ``record=True``
+schedule's placements; :class:`~repro.hw.scheduler.ScheduleResult`
+does not carry it.
 """
 
 import heapq
@@ -27,7 +31,6 @@ def schedule_sparsity_aware_sort(
     buffer = []  # (cost, block_id)
     heap = [(0, pe) for pe in range(num_pes)]  # (free_time, pe)
     heapq.heapify(heap)
-    busy = [0] * num_pes
     fetch_cursor = 0
     assignments = []
     while fetch_cursor < n_blocks or buffer:
@@ -38,10 +41,20 @@ def schedule_sparsity_aware_sort(
         cost, block_id = buffer.pop(0)
         free_time, pe = heapq.heappop(heap)
         heapq.heappush(heap, (free_time + cost, pe))
-        busy[pe] += cost
         if record:
             assignments.append(Assignment(block_id, pe, free_time, free_time + cost))
 
     makespan = max(t for t, _ in heap) if heap else 0
     total = sum(costs[i] for i in range(n_blocks))
-    return ScheduleResult(makespan, total, num_pes, tuple(busy), tuple(assignments))
+    return ScheduleResult(makespan, total, num_pes, tuple(assignments))
+
+
+def per_pe_busy(result: ScheduleResult) -> tuple:
+    """Busy time of every PE: ``end - start`` summed over its placements.
+
+    Needs a ``record=True`` result; without placements every PE reads 0.
+    """
+    busy = [0] * result.num_pes
+    for a in result.assignments:
+        busy[a.pe] += a.end - a.start
+    return tuple(busy)

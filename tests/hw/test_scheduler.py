@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from repro.hw.scheduler import SimStallError, schedule_direct, schedule_sparsity_aware
 
+from .scheduler_oracle import per_pe_busy
+
 
 class TestDirect:
     def test_round_robin(self):
         res = schedule_direct([4, 1, 4, 1], num_pes=2)
-        assert res.per_pe_busy == (8, 2)
+        assert per_pe_busy(schedule_direct([4, 1, 4, 1], num_pes=2, record=True)) == (8, 2)
         assert res.makespan == 8
         assert res.utilization == pytest.approx(10 / 16)
 
@@ -67,7 +69,8 @@ class TestSparsityAware:
         costs = [3, 5, 2, 8, 1]
         res = schedule_sparsity_aware(costs, 3)
         assert res.total_work == sum(costs)
-        assert sum(res.per_pe_busy) == sum(costs)
+        recorded = schedule_sparsity_aware(costs, 3, record=True)
+        assert sum(per_pe_busy(recorded)) == sum(costs)
 
     def test_utilization_improvement_on_tbs_distribution(self):
         """Paper claim (Sec. VI / Fig. 16(b)): 1.57x computation-utilization

@@ -17,7 +17,7 @@ from repro.sim.baselines import ARCH_FAMILY, arch_by_name
 from repro.sim.engine import _block_costs, block_segments
 from repro.workloads.models import build_model_workload
 
-from .scheduler_oracle import schedule_sparsity_aware_sort
+from .scheduler_oracle import per_pe_busy, schedule_sparsity_aware_sort
 
 _CONFIG = arch_by_name("TB-STC")
 
@@ -33,7 +33,7 @@ def _fields(res):
         float(res.makespan).hex(),
         float(res.total_work).hex(),
         res.num_pes,
-        [float(b).hex() for b in res.per_pe_busy],
+        [float(b).hex() for b in per_pe_busy(res)],
         [(a.block, a.pe, float(a.start).hex(), float(a.end).hex()) for a in res.assignments],
     )
 

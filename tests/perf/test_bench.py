@@ -67,6 +67,14 @@ def test_stages_come_from_one_instrumented_call(smoke_run):
     assert not obs.enabled()
 
 
+def test_codec_batch_times_the_simulator_codec_stage(smoke_run):
+    """``codec_batch`` runs simulate()'s whole codec stage, which calls
+    the closed-form count once, on the bench workload's matrix."""
+    rec = smoke_run["benches"]["codec_batch"]
+    assert rec["stages"]["hw.codec"]["calls"] == 1
+    assert rec["cells"] == bench.PROFILES["smoke"]["rows"] * bench.PROFILES["smoke"]["cols"]
+
+
 def test_stage_split_drops_its_trace_events():
     from repro import obs
     from repro.perf import stage
@@ -244,3 +252,35 @@ def test_cli_perf_gate_fails_on_missing_bench_without_rerun(tmp_path, capsys):
     assert "retired_bench" in captured.out and "MISSING" in captured.out
     # A re-run cannot bring a bench back, so the noise retry is skipped.
     assert "re-running" not in captured.out
+
+
+def test_cli_baseline_write_appends_its_trajectory_row(tmp_path, monkeypatch, capsys):
+    """Writing BENCH_baseline.json appends one row to BENCH_trajectory.jsonl
+    in the same directory, with or without --trajectory naming that file;
+    any other --name appends nowhere unless asked."""
+    from repro.cli import main
+
+    def fake_suite(profile, seed, name, rounds, workers, options):
+        report = _mini_report(a=1.0, b=2.0)
+        report.update(name=name, profile=profile, calibration_s=0.1, total_wall_s=1.0)
+        report["peak_rss_kb"] = 1
+        return report
+
+    monkeypatch.setattr(bench, "run_suite_best", fake_suite)
+    out = str(tmp_path)
+    traj = tmp_path / "BENCH_trajectory.jsonl"
+    assert main(["perf", "--profile", "smoke", "--out-dir", out]) == 0
+    assert (tmp_path / "BENCH_baseline.json").exists()
+    assert main([
+        "perf", "--profile", "smoke", "--out-dir", out, "--trajectory", str(traj),
+    ]) == 0
+    assert main(["perf", "--profile", "smoke", "--name", "other", "--out-dir", out]) == 0
+    with open(traj, encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh]
+    assert [row["name"] for row in rows] == ["baseline", "baseline"]
+    assert rows[0]["normalized"] == {"a": 1.0, "b": 2.0}
+    assert rows[0]["profile"] == "smoke" and rows[0]["calibration_s"] == 0.1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "BENCH_baseline.json", "BENCH_other.json", "BENCH_trajectory.jsonl",
+    ]
+    assert capsys.readouterr().out.count("appended trajectory entry") == 2

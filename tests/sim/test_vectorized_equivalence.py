@@ -22,7 +22,7 @@ from repro.formats.base import EncodeSpec
 
 from ..formats.eager_encode_oracle import as_encode
 from ..formats.encode_oracle import ENCODE_ORACLES, ddc_encode_loop
-from ..hw.scheduler_oracle import schedule_sparsity_aware_sort
+from ..hw.scheduler_oracle import per_pe_busy, schedule_sparsity_aware_sort
 from .engine_oracle import block_costs_loop, codec_visible_and_elements_loop
 
 
@@ -128,15 +128,16 @@ _COST_LISTS = st.one_of(
 
 
 def _schedule_fields(res):
-    # Scalar *types* may legitimately differ (the reference initialises
-    # per-PE busy time with int 0; float costs promote only touched
-    # slots), so compare through float, which is exact for every cost
-    # magnitude generated here, and hexify so equality means bit-equal.
+    # Scalar *types* may legitimately differ (an untouched PE's free
+    # time stays int 0; float costs promote only touched slots), so
+    # compare through float, which is exact for every cost magnitude
+    # generated here, and hexify so equality means bit-equal.  Per-PE
+    # busy time comes from the record=True placements.
     return (
         float(res.makespan).hex(),
         float(res.total_work).hex(),
         res.num_pes,
-        [float(b).hex() for b in res.per_pe_busy],
+        [float(b).hex() for b in per_pe_busy(res)],
         [
             (int(a.block), int(a.pe), float(a.start).hex(), float(a.end).hex())
             for a in res.assignments
@@ -263,7 +264,7 @@ def test_ddc_encode_with_tbs_matches_reference(seed, rows, cols, sparsity):
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=10, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
     sparsity=st.sampled_from([0.5, 0.75, 0.875]),
@@ -271,20 +272,34 @@ def test_ddc_encode_with_tbs_matches_reference(seed, rows, cols, sparsity):
 def test_codec_counts_match_loop_oracle(seed, sparsity):
     """With nothing to hide behind (no overlap window) every conversion
     cycle shows, so the visible count exposes the codec's cycle total,
-    which the whole-simulator fingerprint below mostly cannot see."""
+    which the whole-simulator fingerprint mostly cannot see.  The whole
+    ``simulate()`` must also equal a run with only the codec loop
+    installed.  Both machines with a codec, each at M = 4, 8 and 16."""
     from repro.core.patterns import PatternFamily
-    from repro.sim.baselines import arch_by_name
+    from repro.sim import engine
+    from repro.sim.baselines import arch_by_name, simulate_arch
     from repro.sim.engine import _codec_visible_and_elements, block_segments
     from repro.workloads.generator import build_workload
     from repro.workloads.layers import LayerSpec
 
-    config = arch_by_name("TB-STC")
     layer = LayerSpec("equiv", 64, 64, 16)
-    workload = build_workload(layer, PatternFamily.TBS, sparsity, m=8, seed=seed)
-    _, dirs = block_segments(workload, config)
-    fast = _codec_visible_and_elements(workload, config, dirs, overlap_cycles=0.0)
-    ref = codec_visible_and_elements_loop(workload, config, dirs, overlap_cycles=0.0)
-    assert fast == ref
+    for arch in ("TB-STC", "DVPE+FAN"):
+        config = arch_by_name(arch)
+        assert config.has_codec
+        for m in (4, 8, 16):
+            workload = build_workload(layer, PatternFamily.TBS, sparsity, m=m, seed=seed)
+            _, dirs = block_segments(workload, config)
+            fast = _codec_visible_and_elements(workload, config, dirs, overlap_cycles=0.0)
+            ref = codec_visible_and_elements_loop(workload, config, dirs, overlap_cycles=0.0)
+            assert fast == ref, (arch, m)
+
+            whole = simulate_arch(config, workload)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(
+                    engine, "_codec_visible_and_elements", codec_visible_and_elements_loop
+                )
+                whole_ref = simulate_arch(config, workload)
+            assert _result_fingerprint(whole) == _result_fingerprint(whole_ref), (arch, m)
 
 
 # ---------------------------------------------------------------------------
