@@ -19,8 +19,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..perf import timed
 from .blocks import merge_from_blocks, split_into_blocks
-from .masks import _keep_top_k, topn_along_last
+from .masks import _col_ranks, _row_ranks, _top_k, _top_n
 from .patterns import (
     DEFAULT_M,
     BlockPattern,
@@ -110,20 +111,30 @@ class TBSResult:
 
 
 def _directional_masks(
-    score_blocks: np.ndarray, block_n: np.ndarray
+    scores: np.ndarray, magnitudes: np.ndarray, block_n: np.ndarray, m: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Row-wise and column-wise top-N masks for every block at once.
 
-    ``score_blocks`` has shape ``(n_br, n_bc, m, m)``; ``block_n`` has shape
-    ``(n_br, n_bc)`` and broadcasts over the per-row / per-column top-N.
+    Both passes read the M-group ranks of ``magnitudes`` (``|scores|``),
+    which every family pruning the same read-only ``scores`` shares
+    (:mod:`repro.core.masks`).  ``block_n`` has shape ``(n_br, n_bc)``
+    and broadcasts over the per-row / per-column top-N.  The row masks
+    are C-ordered ``(n_br, n_bc, m, m)`` and the column masks the
+    swapaxes view of a C-ordered array: the direction tie-break's float
+    sums follow that memory order.
     """
+    n_br, n_bc = block_n.shape
     n_rows = block_n[:, :, None]  # same N for each of the m rows
-    row_masks = topn_along_last(score_blocks, n_rows)
-    col_masks = topn_along_last(np.swapaxes(score_blocks, 2, 3), n_rows)
-    col_masks = np.swapaxes(col_masks, 2, 3)
+    # Row ranks [k, br*m + i, bc] -> [br, bc, i, k].
+    rows = _row_ranks(scores, magnitudes, m, 0.0).reshape(m, n_br, m, n_bc)
+    row_masks = _top_n(rows.transpose(1, 3, 2, 0), n_rows)
+    # Column ranks [i, br, bc*m + j] -> [br, bc, j, i], top-N along i.
+    cols = _col_ranks(scores, magnitudes, m).reshape(m, n_br, n_bc, m)
+    col_masks = np.swapaxes(_top_n(cols.transpose(1, 2, 3, 0), n_rows), 2, 3)
     return row_masks, col_masks
 
 
+@timed("core.mask.tbs_sparsify")
 def tbs_sparsify(
     scores: np.ndarray,
     m: int = DEFAULT_M,
@@ -145,26 +156,29 @@ def tbs_sparsify(
         Allowed per-block N values; defaults to the paper's
         ``{0, 1, 2, 4, 8}`` scaled to ``m``.
     us_mask:
-        Precomputed unstructured mask (step 1).  Supplying it lets callers
-        reuse one unstructured solution across pattern comparisons.
+        Precomputed unstructured mask (step 1).  Without it, step 1 reads
+        the top-k mask of ``|scores|`` at ``sparsity``, which every family
+        pruning the same read-only ``scores`` shares
+        (:mod:`repro.core.masks`); a caller that already holds that mask
+        (or compares patterns against another one) passes it here.
     """
     # C order whatever the caller's layout: the direction tie-break below
     # sums score mass in memory order, so the layout must not vary.
-    scores = np.abs(np.asarray(scores, dtype=np.float64), order="C")
-    if scores.ndim != 2:
-        raise ValueError(f"expected 2-D scores, got shape {scores.shape}")
+    magnitudes = np.abs(np.asarray(scores, dtype=np.float64), order="C")
+    if magnitudes.ndim != 2:
+        raise ValueError(f"expected 2-D scores, got shape {magnitudes.shape}")
     spec = PatternSpec(
         PatternFamily.TBS, m=m, sparsity=sparsity, candidates=tuple(candidates) if candidates else None
     )
 
     # Step 1: unstructured pruning at the target sparsity.
     if us_mask is None:
-        us_mask = _keep_top_k(scores, sparsity)
-    elif us_mask.shape != scores.shape:
+        us_mask = _top_k(scores, sparsity, magnitudes)
+    elif us_mask.shape != magnitudes.shape:
         raise ValueError("us_mask shape must match scores")
 
-    rows, cols = scores.shape
-    score_blocks = split_into_blocks(scores, m)
+    rows, cols = magnitudes.shape
+    score_blocks = split_into_blocks(magnitudes, m)
     us_blocks = split_into_blocks(np.asarray(us_mask, dtype=bool), m)
 
     # Step 2: per-block N from the unstructured density.  Padding at the
@@ -173,7 +187,7 @@ def tbs_sparsify(
     block_n = nearest_candidates_grid(block_density, m, spec.candidates)
 
     # Step 3: per-block direction by L1 distance to the unstructured pattern.
-    row_masks, col_masks = _directional_masks(score_blocks, block_n)
+    row_masks, col_masks = _directional_masks(scores, magnitudes, block_n, m)
     dist_row = np.count_nonzero(row_masks ^ us_blocks, axis=(2, 3))
     dist_col = np.count_nonzero(col_masks ^ us_blocks, axis=(2, 3))
     # Tie-break toward the direction keeping more total score mass, then ROW.

@@ -31,8 +31,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..perf import timed
 from .blocks import merge_from_blocks, split_into_blocks
-from .masks import unstructured_mask
+from .masks import _as_scores, _top_k
 from .patterns import (
     DEFAULT_M,
     PatternSpec,
@@ -99,6 +100,7 @@ def transposable_mask(
     return merge_from_blocks(out, rows, cols)
 
 
+@timed("core.mask.transposable_sparsify")
 def transposable_sparsify(
     scores: np.ndarray,
     m: int = DEFAULT_M,
@@ -115,11 +117,11 @@ def transposable_sparsify(
     spec = PatternSpec(
         PatternFamily.TBS, m=m, sparsity=sparsity, candidates=tuple(candidates) if candidates else None
     )
-    scores = np.abs(np.asarray(scores, dtype=np.float64))
-    us = unstructured_mask(scores, sparsity)
-    score_blocks = split_into_blocks(scores, m)
+    magnitudes = _as_scores(scores)
+    us = _top_k(scores, sparsity, magnitudes)
+    score_blocks = split_into_blocks(magnitudes, m)
     density = split_into_blocks(us.astype(np.float64), m).mean(axis=(2, 3))
     block_n = nearest_candidates_grid(density, m, spec.candidates)
     out = _solve_block_grid(score_blocks, block_n, backend)
-    rows, cols = scores.shape
+    rows, cols = magnitudes.shape
     return merge_from_blocks(out, rows, cols), block_n

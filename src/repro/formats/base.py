@@ -39,6 +39,7 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 import numpy as np
 
 from ..perf import stage
+from ..perf.memo import read_only
 
 #: FP16 storage, as in the paper's DVPE datapath.
 VALUE_BYTES = 2
@@ -351,8 +352,8 @@ class SparseFormat(abc.ABC):
         ``formats.<name>.payload``) the first time the result's
         :attr:`~EncodedMatrix.arrays` is read, from ``values`` and
         ``spec.mask`` as they were at this call: an input no caller can
-        write (a read-only array that owns its data, as the weights memo
-        hands out) is kept by reference and any other is copied, so a
+        write (:func:`repro.perf.memo.read_only`, as the weights memo's
+        arrays are) is kept by reference and any other is copied, so a
         later write by the caller changes neither the payload nor the
         decode.
         """
@@ -360,10 +361,10 @@ class SparseFormat(abc.ABC):
             spec = EncodeSpec()
         with stage(f"formats.{self.name}.encode"):
             values, mask = _checked(values, spec.mask)
-            values = _held(values)
+            values = values if read_only(values) else values.copy()
             occupancy = values != 0.0
             if mask is not None:
-                mask = _held(mask)
+                mask = mask if read_only(mask) else mask.copy()
                 occupancy &= mask
             encoded = self._layout(occupancy, spec)
         encoded.orientation = spec.orientation
@@ -431,19 +432,6 @@ def _checked(values, mask) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     if mask.shape != values.shape:
         raise ValueError(f"mask shape {mask.shape} != values shape {values.shape}")
     return values, mask
-
-
-def _held(array: np.ndarray) -> np.ndarray:
-    """``array`` itself if no caller can write its data, else a copy.
-
-    Nobody can write an array that is read-only all the way down to the
-    array owning its data, as the weights memo's arrays are; any other
-    array is copied.
-    """
-    base = array
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    return array if base is None else array.copy()
 
 
 def apply_mask(values: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:

@@ -236,7 +236,6 @@ def schedule_sparsity_aware(
     costs: Sequence[int],
     num_pes: int,
     window: int = 8,
-    fetch_per_cycle: int = 2,
     record: bool = False,
 ) -> ScheduleResult:
     """Windowed earliest-free-PE dispatch.
@@ -244,7 +243,9 @@ def schedule_sparsity_aware(
     The scheduler can only see ``window`` blocks ahead (it fetches two
     per cycle from the buffer, Fig. 11(b)), so it is not an offline LPT
     solver -- but with TBS block costs bounded by M the greedy policy
-    lands within one block of the optimal makespan.
+    lands within one block of the optimal makespan.  The fetch bandwidth
+    is folded into the window bound: the window refills before every
+    dispatch, so no fetch-rate parameter changes the schedule.
 
     Dispatch rule: hand the *largest* block in the window to the PE that
     frees first (longest-processing-time within the lookahead).
@@ -261,8 +262,8 @@ def schedule_sparsity_aware(
         _validate_array(arr, num_pes)
     else:
         _validate(costs, num_pes)
-    if window < 1 or fetch_per_cycle < 1:
-        raise ValueError("window and fetch rate must be positive")
+    if window < 1:
+        raise ValueError("window must be positive")
     if arr is not None:
         costs = arr.tolist()
         if _obs_enabled():

@@ -11,14 +11,19 @@ permanently.
 
 Stages aggregate by name; a stage timed inside another contributes to
 both (the parent's total includes the child's), which is the natural
-reading of a per-stage wall-time split.  A per-region split is the
-timer section of an :class:`repro.obs.metrics.capture` block -- how
-``simulate()`` fills ``SimResult.perf_breakdown``.
+reading of a per-stage wall-time split.  A stage entered while one of
+the same name is open on the same thread (``build_model_workload``
+calling ``build_workload``, both ``workloads.build``) is part of the
+open one and records nothing of its own, so no name counts the same
+time twice.  A per-region split is the timer section of an
+:class:`repro.obs.metrics.capture` block -- how ``simulate()`` fills
+``SimResult.perf_breakdown``.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 import time
 from typing import Callable
 
@@ -29,23 +34,38 @@ from ..obs.state import enabled
 __all__ = ["stage", "timed"]
 
 
-class _StageTimer:
-    """Traces one region as a span and times it into the registry."""
+#: ``names``: the stages open on each thread.
+_open = threading.local()
 
-    __slots__ = ("name", "start", "_span")
+
+class _StageTimer:
+    """Traces one region as a span and times it into the registry.
+
+    Inside an open stage of the same name it does neither.
+    """
+
+    __slots__ = ("name", "start", "_span", "_outermost")
 
     def __init__(self, name: str):
         self.name = name
         self._span = _tracer.span(name)
 
     def __enter__(self) -> "_StageTimer":
-        self._span.__enter__()
-        self.start = time.perf_counter_ns()
+        names = getattr(_open, "names", None)
+        if names is None:
+            names = _open.names = set()
+        self._outermost = self.name not in names
+        if self._outermost:
+            names.add(self.name)
+            self._span.__enter__()
+            self.start = time.perf_counter_ns()
         return self
 
     def __exit__(self, *exc) -> bool:
-        _metrics.timer_add(self.name, time.perf_counter_ns() - self.start)
-        self._span.__exit__(*exc)
+        if self._outermost:
+            _metrics.timer_add(self.name, time.perf_counter_ns() - self.start)
+            self._span.__exit__(*exc)
+            _open.names.discard(self.name)
         return False
 
 

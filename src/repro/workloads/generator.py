@@ -35,6 +35,7 @@ from ..core.masks import make_mask
 from ..core.patterns import DEFAULT_M, PatternFamily, PatternSpec
 from ..core.sparsify import TBSResult, tbs_sparsify
 from ..core.transposable import transposable_sparsify
+from ..perf import timed
 from ..perf.memo import ArrayMemo
 from .layers import LayerSpec
 
@@ -213,6 +214,7 @@ def pattern_mask(
     return make_mask(weights, PatternSpec(family, m=m, sparsity=sparsity)), None
 
 
+@timed("workloads.build")
 def build_workload(
     layer: LayerSpec,
     family: PatternFamily,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..core.patterns import PatternFamily
+from ..perf import timed
 from .generator import GEMMWorkload, build_workload
 from .layers import MODEL_LAYERS
 
@@ -65,6 +66,7 @@ class ModelWorkload:
         return sum(r * layer.macs for r, layer in zip(self.repeats, self.layers))
 
 
+@timed("workloads.build")
 def build_model_workload(
     model: str,
     family: PatternFamily,

@@ -6,8 +6,10 @@ uses and a few it does not, scalar and per-group N in the shapes the
 TBS, VEGETA and HighLight generators pass, tie-heavy integer grids,
 signed zeros, infinities, NaN and non-contiguous views, the mask must
 equal :func:`tests.core.topn_oracle.topn_argsort` in value, dtype, shape
-and C-contiguity.  Every generator built on the primitive must also give
-the same masks with the oracle swapped in.
+and C-contiguity.  Every generator reads its ranks from the one rank
+count, ``repro.core.masks._count_ranks``, and must give the same masks
+with the sort's ranks (:func:`tests.core.topn_oracle.ranks_argsort`)
+swapped in there.
 """
 
 import numpy as np
@@ -16,12 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.masks as masks_mod
-import repro.core.sparsify as sparsify_mod
 from repro.core.masks import highlight_mask, tile_mask, topn_along_last, vegeta_mask
 from repro.core.patterns import NMConfig, nearest_candidate, nearest_candidates_grid
 from repro.core.sparsify import tbs_sparsify
 
-from .topn_oracle import topn_argsort
+from .topn_oracle import ranks_argsort, topn_argsort
 
 _SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
 
@@ -122,7 +123,7 @@ def test_out_of_range_n_rejected(n):
     ties=st.booleans(),
 )
 def test_generators_unchanged_with_the_oracle(seed, rows, cols, m, sparsity, ties):
-    """TS, RS-V, RS-H and TBS give the same masks on the argsort primitive.
+    """TS, RS-V, RS-H and TBS give the same masks on the argsort ranks.
 
     Ragged column counts pad groups with -inf, which ranks first once
     ``|.|`` makes it +inf; the counted ranks must reproduce that too.
@@ -142,8 +143,7 @@ def test_generators_unchanged_with_the_oracle(seed, rows, cols, m, sparsity, tie
 
     got = masks()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(masks_mod, "topn_along_last", topn_argsort)
-        patch.setattr(sparsify_mod, "topn_along_last", topn_argsort)
+        patch.setattr(masks_mod, "_count_ranks", ranks_argsort)
         want = masks()
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)

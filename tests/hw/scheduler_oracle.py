@@ -21,12 +21,12 @@ from repro.hw.scheduler import Assignment, ScheduleResult, _validate
 
 
 def schedule_sparsity_aware_sort(
-    costs, num_pes, window=8, fetch_per_cycle=2, record=False
+    costs, num_pes, window=8, record=False
 ) -> ScheduleResult:
     """Windowed earliest-free-PE dispatch, sorting the window each step."""
     _validate(costs, num_pes)
-    if window < 1 or fetch_per_cycle < 1:
-        raise ValueError("window and fetch rate must be positive")
+    if window < 1:
+        raise ValueError("window must be positive")
     n_blocks = len(costs)
     buffer = []  # (cost, block_id)
     heap = [(0, pe) for pe in range(num_pes)]  # (free_time, pe)

@@ -58,6 +58,16 @@ def test_macro_benches_capture_stage_splits(smoke_run):
     assert "sim.schedule" in stages
 
 
+def test_fig13_mini_attributes_workload_and_mask_time(smoke_run):
+    """Every architecture builds its workload (mask included) in-repo stages."""
+    stages = smoke_run["benches"]["sweep_fig13_mini"]["stages"]
+    archs = bench.PROFILES["smoke"]["sweep_archs"]
+    assert stages["workloads.build"]["calls"] == archs
+    assert stages["core.mask.make_mask"]["calls"] == archs
+    assert stages["sim.simulate"]["calls"] == archs
+    assert 0 < stages["core.mask.make_mask"]["seconds"] <= stages["workloads.build"]["seconds"]
+
+
 def test_stages_come_from_one_instrumented_call(smoke_run):
     from repro import obs
 

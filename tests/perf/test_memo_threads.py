@@ -2,12 +2,13 @@
 
 ``repro serve --job-workers N`` runs jobs on N threads of one process,
 and with ``sweep_workers=1`` their cells run inline on those threads, so
-the block-cost memo and the weights memo are shared between threads.  An
-eviction by one thread must never land between another thread's lookup
-and its LRU touch of the same entry: with an unguarded ``OrderedDict``
-the touch raises ``KeyError``.
+the block-cost memo, the weights memo and the projection memo of the
+mask generators are shared between threads.  An eviction by one thread
+must never land between another thread's lookup and its LRU touch of
+the same entry: with an unguarded ``OrderedDict`` the touch raises
+``KeyError``.
 
-The first two tests force that interleaving deterministically.  A key
+The first three tests force that interleaving deterministically.  A key
 part whose hash hands control to a second thread, which empties every
 memo, is hashed once by the lookup and once by the touch; the second
 hash starts the evicting thread and waits briefly for it.
@@ -19,10 +20,13 @@ import threading
 
 import numpy as np
 
+import repro.core.masks as masks
+from repro.core.masks import _top_k
+from repro.core.patterns import PatternFamily
 from repro.hw.config import tb_stc
 from repro.perf.memo import ArrayMemo
 from repro.sim.engine import _block_costs, clear_cost_memo
-from repro.workloads.generator import synthetic_weights
+from repro.workloads.generator import pattern_mask, synthetic_weights
 
 
 class _RacingFloat(float):
@@ -80,6 +84,63 @@ def test_weights_memo_eviction_cannot_split_lookup_and_touch():
     assert _finished(sigma.racer)
     assert hit is first
     assert synthetic_weights(16, 16, seed=0, row_scale_sigma=sigma) is not first
+
+
+def test_projection_memo_eviction_cannot_split_lookup_and_touch():
+    clear_cost_memo()
+    weights = synthetic_weights(16, 16, seed=0)
+    sparsity = _RacingFloat(0.5)
+    first = _top_k(weights, sparsity)
+    sparsity.arm(at=2)
+    hit = _top_k(weights, sparsity)
+    assert _finished(sparsity.racer)
+    assert hit is first
+    assert _top_k(weights, sparsity) is not first
+
+
+def test_job_threads_share_the_projection_memo():
+    """Threads projecting the same weights in different family orders.
+
+    Every thread gets the masks a serial, cold projection gives, and the
+    memo ends with one entry per shared input: the row and column ranks
+    and the top-k at each of the two sparsities.
+    """
+    families = (PatternFamily.US, PatternFamily.TS, PatternFamily.RS_V,
+                PatternFamily.RS_H, PatternFamily.TBS)
+    sparsities = {PatternFamily.RS_V: 0.625, PatternFamily.RS_H: 0.625}
+
+    def project(weights, order):
+        return {f: pattern_mask(weights, f, sparsities.get(f, 0.75))[0] for f in order}
+
+    clear_cost_memo()
+    want = project(synthetic_weights(128, 256, seed=9).copy(), families)
+    weights = synthetic_weights(128, 256, seed=9)
+    results, errors = [], []
+
+    def job(k):
+        try:
+            order = families[k % 5:] + families[: k % 5]
+            results.append(project(weights, order[::-1] if k % 2 else order))
+        except Exception as exc:  # noqa: BLE001 - reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=job, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == 6
+    for got in results:
+        for family, mask in want.items():
+            np.testing.assert_array_equal(got[family], mask)
+    assert len(masks._PROJECTIONS) == 4
 
 
 def test_concurrent_lookups_inserts_and_evictions_keep_the_accounts():

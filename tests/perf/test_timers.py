@@ -103,6 +103,30 @@ def test_nested_stages_both_accumulate():
     assert snap["outer"]["seconds"] >= snap["inner"]["seconds"]
 
 
+def test_a_stage_inside_one_of_the_same_name_is_part_of_it():
+    """``build_model_workload`` times as ``workloads.build`` around each
+    ``build_workload``, which times under the same name: the layer
+    builds are part of the model build, not counted a second time."""
+    from repro.workloads.models import build_model_workload
+
+    with obs.enabled_scope():
+        with timers.stage("outer"):
+            with timers.stage("outer"):
+                time.sleep(0.001)
+            with timers.stage("inner"):
+                pass
+        build_model_workload("bert", PatternFamily.TS, m=8, seed=0, scale=16)
+    snap = _timers()
+    assert snap["outer"]["calls"] == 1
+    assert snap["inner"]["calls"] == 1
+    assert snap["workloads.build"]["calls"] == 1
+    assert snap["core.mask.make_mask"]["calls"] == 4  # one per BERT layer
+    with obs.enabled_scope():
+        with timers.stage("outer"):
+            pass
+    assert _timers()["outer"]["calls"] == 2  # the name closes with its stage
+
+
 def test_timed_decorator_counts_only_when_enabled():
     @timers.timed("deco.fn")
     def fn(x):
