@@ -48,13 +48,13 @@ the run and writes its merged counter/gauge/histogram registry --
 deterministic and byte-identical at any ``--workers N`` -- to ``PATH``
 as JSON.
 
-``--executor {auto,serial,supervised}``, ``--timeout S`` and
-``--retries N`` (report/faults/perf/serve) select the sweep execution
-backend (:mod:`repro.sweep.executors`): the supervised executor runs
-one process per in-flight cell, classifies worker death as ``crashed``
-and deadline overruns as ``timeout``, and retries exactly those
-transient outcomes up to N extra attempts (default 0) with
-deterministic backoff.  Deterministic failures (a cell that raises) are
+``--timeout S`` and ``--retries N`` (report/faults/perf/serve) ask for
+sweep supervision (:mod:`repro.sweep.executors`): a sweep with more
+than one worker, a timeout or retries runs one process per in-flight
+cell, classifies worker death as ``crashed`` and deadline overruns as
+``timeout``, and retries exactly those transient outcomes up to N extra
+attempts (default 0) with deterministic backoff; any other sweep runs
+its cells inline.  Deterministic failures (a cell that raises) are
 never retried, and retried results are byte-identical to a clean serial
 run.
 
@@ -71,6 +71,8 @@ import sys
 from typing import List, Optional
 
 import numpy as np
+
+from .core.tsolvers import TSOLVER_NAMES
 
 __all__ = ["main", "build_parser"]
 
@@ -104,10 +106,6 @@ _EXPERIMENTS = (
 #: (exit 1) covers typos.
 _SCENARIO_FAMILIES = ("stencil", "moe", "inference24")
 
-#: Transposable-mask solver backends, duplicated from
-#: ``repro.core.tsolvers.TSOLVER_NAMES`` for the same lazy-import reason.
-_TSOLVERS = ("greedy", "exact", "tsenor")
-
 #: Storage formats, duplicated from ``repro.formats.registry
 #: .available_formats()`` for the same lazy-import reason (the sync is
 #: asserted in ``tests/test_cli.py``).
@@ -134,18 +132,12 @@ def _add_workers_flag(cmd: argparse.ArgumentParser) -> None:
 
 
 def _add_supervision_flags(cmd: argparse.ArgumentParser) -> None:
-    """``--executor``/``--timeout``/``--retries`` for the sweep supervision layer."""
-    cmd.add_argument(
-        "--executor", default=None, choices=["auto", "serial", "supervised"],
-        help="sweep execution backend: 'serial' runs cells inline, "
-        "'supervised' runs one process per in-flight cell (worker death -> "
-        "crashed, deadline overrun -> timeout); 'auto' (default) picks "
-        "serial at --workers 1 and supervised otherwise",
-    )
+    """``--timeout``/``--retries`` for the sweep supervision layer."""
     cmd.add_argument(
         "--timeout", type=float, default=None, metavar="S",
-        help="per-cell deadline in seconds; an overrunning worker is killed "
-        "and the cell classified 'timeout' (supervised executor only)",
+        help="per-cell deadline in seconds; the cell runs in its own "
+        "process, which is killed at the deadline and the cell classified "
+        "'timeout'",
     )
     cmd.add_argument(
         "--retries", type=int, default=0,
@@ -216,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     prune.add_argument("--sparsity", type=float, default=0.5)
     prune.add_argument("--m", type=int, default=8)
     prune.add_argument(
-        "--tsolver", default=None, choices=list(_TSOLVERS),
+        "--tsolver", default=None, choices=list(TSOLVER_NAMES),
         help="transposable-mask solver backend for --pattern NMT "
         "(default: $REPRO_TSOLVER or greedy; other patterns ignore it)",
     )
@@ -230,12 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sparsity", type=float, default=0.75)
     sim.add_argument("--arch", default="TB-STC")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument(
-        "--tsolver", default=None, choices=list(_TSOLVERS),
-        help="transposable-mask solver backend used if the workload's "
-        "masks are built with the NMT family (default: $REPRO_TSOLVER "
-        "or greedy)",
-    )
     sim.add_argument(
         "--weight-bits", type=int, default=16,
         help="weight precision in bits (8 halves weight traffic; default: 16)",
@@ -446,10 +432,7 @@ def _sweep_options(args, progress=None):
     flags describe; raises ``ValueError`` on invalid combinations."""
     from .sweep import SweepOptions
 
-    return SweepOptions(
-        executor=args.executor, timeout=args.timeout, retries=args.retries,
-        progress=progress,
-    )
+    return SweepOptions(timeout=args.timeout, retries=args.retries, progress=progress)
 
 
 def _warn_cell_failures(failures) -> None:
@@ -707,16 +690,13 @@ def _run_simulate(args) -> int:
         config = arch_by_name(args.arch)
         options = SimOptions(
             weight_bits=args.weight_bits, fault=args.fault,
-            fault_seed=args.fault_seed, tsolver=args.tsolver,
-            orientation=args.orientation,
+            fault_seed=args.fault_seed, orientation=args.orientation,
         )
     except ValueError as exc:
         return _fail(str(exc))
     family = ARCH_FAMILY.get(args.arch, PatternFamily.TBS)
     layer = LayerSpec("cli", args.rows, args.cols, args.b_cols)
-    workload = build_workload(
-        layer, family, args.sparsity, seed=args.seed, tsolver=args.tsolver
-    )
+    workload = build_workload(layer, family, args.sparsity, seed=args.seed)
     result = simulate_arch(config, workload, options=options)
     if args.json:
         print(json.dumps(result.to_dict(), sort_keys=True))
@@ -924,7 +904,6 @@ def _run_serve(args) -> int:
             queue_size=args.queue_size,
             rate=args.rate or None,
             burst=args.burst or None,
-            executor=args.executor,
             timeout=args.timeout,
             retries=args.retries,
             drain_timeout_s=args.drain_timeout,

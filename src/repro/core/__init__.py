@@ -13,16 +13,13 @@ This subpackage is the paper's algorithmic contribution (Sec. III):
 
 from .blocks import (
     BlockIndex,
-    block_densities,
     block_grid_shape,
-    block_nnz_counts,
     iter_blocks,
     merge_from_blocks,
     pad_to_blocks,
     split_into_blocks,
 )
 from .criteria import (
-    magnitude_scores,
     sparsegpt_prune,
     sparsegpt_scores,
     wanda_scores,
@@ -47,41 +44,26 @@ from .maskspace import (
 from .patterns import (
     DEFAULT_CANDIDATES,
     DEFAULT_M,
-    BlockPattern,
     Direction,
     NMConfig,
     PatternFamily,
     PatternSpec,
     default_candidates,
-    nearest_candidate,
     nearest_candidates_grid,
-    sparsity_of,
 )
-from .similarity import (
-    direction_distribution,
-    kept_overlap,
-    mask_agreement,
-    pattern_similarity_sweep,
-)
-from .sparsify import TBSResult, block_pattern_grid, tbs_sparsify
+from .similarity import mask_agreement, pattern_similarity_sweep
+from .sparsify import TBSResult, tbs_sparsify
 from .tsolvers import (
     DEFAULT_TSOLVER,
     TSOLVER_NAMES,
     resolve_tsolver,
-    solve_block,
     solve_blocks,
 )
-from .transposable import (
-    is_transposable,
-    transposable_block_mask,
-    transposable_mask,
-    transposable_sparsify,
-)
-from .validate import ValidationReport, Violation, validate_mask, validate_tbs_result
+from .transposable import transposable_sparsify
+from .validate import ValidationReport, Violation, validate_mask
 
 __all__ = [
     "BlockIndex",
-    "BlockPattern",
     "DEFAULT_CANDIDATES",
     "DEFAULT_M",
     "DEFAULT_TSOLVER",
@@ -93,47 +75,34 @@ __all__ = [
     "TBSResult",
     "ValidationReport",
     "Violation",
-    "block_densities",
     "block_grid_shape",
-    "block_nnz_counts",
-    "block_pattern_grid",
     "default_candidates",
-    "direction_distribution",
     "global_threshold",
     "highlight_mask",
-    "is_transposable",
     "iter_blocks",
-    "kept_overlap",
     "log2_maskspace_rs_h",
     "log2_maskspace_rs_v",
     "log2_maskspace_tbs",
     "log2_maskspace_ts",
     "log2_maskspace_us",
-    "magnitude_scores",
     "make_mask",
     "mask_agreement",
     "maskspace_table",
     "merge_from_blocks",
-    "nearest_candidate",
     "nearest_candidates_grid",
     "pad_to_blocks",
     "resolve_tsolver",
-    "solve_block",
     "solve_blocks",
     "pattern_similarity_sweep",
     "sparsegpt_prune",
     "sparsegpt_scores",
-    "sparsity_of",
     "split_into_blocks",
     "tbs_sparsify",
     "tile_mask",
     "topn_along_last",
-    "transposable_block_mask",
-    "transposable_mask",
     "transposable_sparsify",
     "unstructured_mask",
     "validate_mask",
-    "validate_tbs_result",
     "vegeta_mask",
     "wanda_scores",
 ]

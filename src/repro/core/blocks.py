@@ -10,7 +10,7 @@ logical extent so that callers never see phantom elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -75,11 +75,6 @@ def extract_block(matrix: np.ndarray, idx: BlockIndex, m: int) -> np.ndarray:
     return block
 
 
-def scatter_block(target: np.ndarray, idx: BlockIndex, block: np.ndarray) -> None:
-    """Write an ``m x m`` block back into ``target``, clipping padding."""
-    target[idx.slices] = block[: idx.height, : idx.width]
-
-
 def split_into_blocks(matrix: np.ndarray, m: int) -> np.ndarray:
     """Reshape a padded matrix into a 4-D ``(n_br, n_bc, m, m)`` block view."""
     padded = pad_to_blocks(matrix, m)
@@ -94,34 +89,3 @@ def merge_from_blocks(blocks: np.ndarray, rows: int, cols: int) -> np.ndarray:
         raise ValueError(f"blocks must be square, got {m}x{m2}")
     merged = blocks.swapaxes(1, 2).reshape(n_br * m, n_bc * m)
     return merged[:rows, :cols]
-
-
-def block_nnz_counts(mask: np.ndarray, m: int) -> np.ndarray:
-    """Per-block non-zero counts, shape ``(n_br, n_bc)``."""
-    blocks = split_into_blocks(mask.astype(np.int64), m)
-    return blocks.sum(axis=(2, 3))
-
-
-def block_densities(mask: np.ndarray, m: int) -> np.ndarray:
-    """Per-block densities (relative to the full m*m block, padding counts
-    as zeros, matching how the hardware sees the padded tile)."""
-    return block_nnz_counts(mask, m) / float(m * m)
-
-
-def row_group_view(matrix: np.ndarray, m: int) -> np.ndarray:
-    """View rows as groups of ``m`` consecutive reduction-dim elements.
-
-    Returns shape ``(rows, n_groups, m)`` over the column-padded matrix.
-    This is the layout in which row-wise (reduction-dimension) N:M
-    constraints are expressed.
-    """
-    padded = pad_to_blocks(matrix, m) if matrix.shape[1] % m else matrix
-    if padded.shape[0] != matrix.shape[0]:
-        padded = padded[: matrix.shape[0]]
-    rows, cols = padded.shape
-    return padded.reshape(rows, cols // m, m)
-
-
-def blocks_list(matrix: np.ndarray, m: int) -> List[np.ndarray]:
-    """Materialised list of ``m x m`` blocks in row-major block order."""
-    return [extract_block(matrix, idx, m) for idx in iter_blocks(*matrix.shape, m)]

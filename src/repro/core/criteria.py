@@ -23,7 +23,6 @@ from typing import Callable, Tuple
 import numpy as np
 
 __all__ = [
-    "magnitude_scores",
     "wanda_scores",
     "sparsegpt_scores",
     "sparsegpt_prune",
@@ -49,11 +48,6 @@ def _check_calibration(weights: np.ndarray, activations: np.ndarray) -> np.ndarr
             f"activation feature dim {activations.shape[1]} != weight input dim {weights.shape[1]}"
         )
     return activations
-
-
-def magnitude_scores(weights: np.ndarray) -> np.ndarray:
-    """Plain magnitude criterion ``|W|``."""
-    return np.abs(_check_weight(weights))
 
 
 def wanda_scores(weights: np.ndarray, activations: np.ndarray) -> np.ndarray:

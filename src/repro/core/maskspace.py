@@ -29,9 +29,6 @@ __all__ = [
     "log2_maskspace_rs_h",
     "log2_maskspace_tbs",
     "log2_maskspace_us",
-    "exact_maskspace_ts",
-    "exact_maskspace_rs_v",
-    "exact_maskspace_tbs",
     "maskspace_table",
 ]
 
@@ -120,29 +117,6 @@ def log2_maskspace_us(x: int, y: int, sparsity: float = 0.5) -> float:
     total = x * y
     keep = total - int(round(sparsity * total))
     return log2_choose(total, keep)
-
-
-# ---------------------------------------------------------------------------
-# Exact big-integer versions (small matrices; used to validate the log code).
-# ---------------------------------------------------------------------------
-
-
-def exact_maskspace_ts(x: int, y: int, m: int) -> int:
-    _check_dims(x, y, m)
-    tiles = x * y // m
-    return sum(math.comb(m, 2**i) ** tiles for i in _candidate_exponents(m))
-
-
-def exact_maskspace_rs_v(x: int, y: int, m: int) -> int:
-    _check_dims(x, y, m)
-    per_row = sum(math.comb(m, 2**i) ** (y // m) for i in _candidate_exponents(m))
-    return per_row**x
-
-
-def exact_maskspace_tbs(x: int, y: int, m: int) -> int:
-    _check_dims(x, y, m)
-    per_block = sum(2 * math.comb(m, 2**i) ** m for i in _candidate_exponents(m))
-    return per_block ** (x * y // (m * m))
 
 
 def maskspace_table(x: int, y: int, m: int) -> dict:

@@ -40,10 +40,6 @@ class PatternFamily(enum.Enum):
     TBS = "transposable-block-wise"
     NMT = "transposable-nm"
 
-    @property
-    def is_structured(self) -> bool:
-        return self is not PatternFamily.US
-
 
 class Direction(enum.Enum):
     """Per-block sparsity dimension of a TBS block (Fig. 8(a) ``Sparsity dim.``).
@@ -55,10 +51,6 @@ class Direction(enum.Enum):
 
     ROW = 0
     COL = 1
-
-    @property
-    def transposed(self) -> "Direction":
-        return Direction.COL if self is Direction.ROW else Direction.ROW
 
 
 #: The paper's experimental configuration (Sec. VII-A3): M = 8 and the
@@ -98,53 +90,8 @@ class NMConfig:
         if not 0 <= self.n <= self.m:
             raise ValueError(f"N must be in [0, {self.m}], got {self.n}")
 
-    @property
-    def density(self) -> float:
-        return self.n / self.m
-
-    @property
-    def sparsity(self) -> float:
-        return 1.0 - self.density
-
     def __str__(self) -> str:  # e.g. "2:4"
         return f"{self.n}:{self.m}"
-
-
-@dataclass(frozen=True)
-class BlockPattern:
-    """Resolved sparsity metadata of one M x M TBS block.
-
-    This is what the DDC format's per-block Info table encodes (Fig. 8(a)):
-    the sparsity dimension, the block's N, and (added by the format layer)
-    the element offset of the block payload.
-    """
-
-    n: int
-    m: int
-    direction: Direction
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.n <= self.m:
-            raise ValueError(f"N must be in [0, {self.m}], got {self.n}")
-
-    @property
-    def nnz(self) -> int:
-        """Total non-zeros in the block -- always a multiple of M.
-
-        This is the "balance property" that the intra-block sparsity-aware
-        mapping exploits (Sec. VI-B2): N non-zeros in each of the M
-        rows/columns gives exactly ``N * M`` elements.
-        """
-        return self.n * self.m
-
-    @property
-    def density(self) -> float:
-        return self.n / self.m
-
-    @property
-    def is_trivial(self) -> bool:
-        """Empty or fully dense blocks have no meaningful direction."""
-        return self.n == 0 or self.n == self.m
 
 
 @dataclass(frozen=True)
@@ -175,34 +122,20 @@ class PatternSpec:
             n = round((1.0 - self.sparsity) * self.m)
             object.__setattr__(self, "fixed_n", max(0, min(self.m, n)))
 
-    @property
-    def density(self) -> float:
-        return 1.0 - self.sparsity
-
-
-def nearest_candidate(density: float, m: int, candidates: Sequence[int]) -> int:
-    """Pick the candidate N whose density N/M is closest to ``density``.
-
-    Implements Algorithm 1 step 2 (``N_p = argmin |N_i / M - d_p|``; the
-    paper's listing writes the sparsity degree ``s_p`` where the density is
-    clearly intended -- N/M is a density, and matching it against a sparsity
-    would invert the selection).  Ties break toward the smaller N so that
-    the overall mask never exceeds the target density.
-    """
-    if not candidates:
-        raise ValueError("candidate list must not be empty")
-    best = min(candidates, key=lambda n: (abs(n / m - density), n))
-    return best
-
 
 def nearest_candidates_grid(density, m: int, candidates: Sequence[int]):
-    """Vectorized :func:`nearest_candidate` over an array of densities.
+    """Pick, per density, the candidate N whose density N/M is closest.
 
-    Bit-compatible with the scalar form: candidates are sorted ascending
-    so the first argmin along the candidate axis realises the same
-    ``(abs(n / m - density), n)`` lexicographic tie-break, and the
-    per-candidate distance ``n / m - density`` is computed with the same
-    float operations.  Returns an int64 array shaped like ``density``.
+    Implements Algorithm 1 step 2 (``N_p = argmin |N_i / M - d_p|``; the
+    paper's listing writes the sparsity degree ``s_p`` where the density
+    is clearly intended -- N/M is a density, and matching it against a
+    sparsity would invert the selection).  Ties break toward the smaller
+    N so that the overall mask never exceeds the target density:
+    candidates are sorted ascending, so the first argmin along the
+    candidate axis realises the ``(abs(n / m - density), n)``
+    lexicographic order of the scalar oracle in
+    ``tests/core/topn_oracle.py``.  Returns an int64 array shaped like
+    ``density``.
     """
     import numpy as np
 
@@ -212,15 +145,6 @@ def nearest_candidates_grid(density, m: int, candidates: Sequence[int]):
     density = np.asarray(density, dtype=np.float64)
     diffs = np.abs(cands / m - density[..., None])
     return cands[np.argmin(diffs, axis=-1)]
-
-
-def sparsity_of(mask) -> float:
-    """Fraction of zero entries in a boolean/0-1 mask array."""
-    total = mask.size
-    if total == 0:
-        return 0.0
-    kept = int(mask.sum())
-    return 1.0 - kept / total
 
 
 def is_power_of_two(x: int) -> bool:

@@ -18,9 +18,7 @@ from .patterns import DEFAULT_M, PatternFamily, PatternSpec
 
 __all__ = [
     "mask_agreement",
-    "kept_overlap",
     "pattern_similarity_sweep",
-    "direction_distribution",
 ]
 
 
@@ -42,17 +40,6 @@ def mask_agreement(mask: np.ndarray, reference: np.ndarray) -> float:
     return float((mask.astype(bool) == reference.astype(bool)).mean())
 
 
-def kept_overlap(mask: np.ndarray, reference: np.ndarray) -> float:
-    """Jaccard overlap of the *kept* positions (intersection over union)."""
-    _validate_pair(mask, reference)
-    a = mask.astype(bool)
-    b = reference.astype(bool)
-    union = int((a | b).sum())
-    if union == 0:
-        return 1.0
-    return float((a & b).sum() / union)
-
-
 def pattern_similarity_sweep(
     scores: np.ndarray,
     sparsity: float = 0.5,
@@ -68,23 +55,3 @@ def pattern_similarity_sweep(
         spec = PatternSpec(family, m=m, sparsity=sparsity)
         out[family.name] = mask_agreement(make_mask(scores, spec), reference)
     return out
-
-
-def direction_distribution(results) -> Dict[str, float]:
-    """Aggregate block-direction fractions over one or many TBS results.
-
-    Returns the Fig. 17 quantities: fraction of blocks that are row-wise
-    sparse, column-wise sparse, and "other" (empty/dense blocks whose
-    direction is immaterial).
-    """
-    if not isinstance(results, (list, tuple)):
-        results = [results]
-    totals = {"row": 0, "col": 0, "other": 0}
-    for result in results:
-        hist = result.direction_histogram()
-        for key in totals:
-            totals[key] += hist[key]
-    count = sum(totals.values())
-    if count == 0:
-        return {key: 0.0 for key in totals}
-    return {key: value / count for key, value in totals.items()}

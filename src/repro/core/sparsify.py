@@ -15,7 +15,7 @@ that best approximates the unstructured mask at the target sparsity:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,14 +24,13 @@ from .blocks import merge_from_blocks, split_into_blocks
 from .masks import _col_ranks, _row_ranks, _top_k, _top_n
 from .patterns import (
     DEFAULT_M,
-    BlockPattern,
     Direction,
     PatternSpec,
     PatternFamily,
     nearest_candidates_grid,
 )
 
-__all__ = ["TBSResult", "tbs_sparsify", "block_pattern_grid"]
+__all__ = ["TBSResult", "tbs_sparsify"]
 
 
 @dataclass
@@ -61,17 +60,6 @@ class TBSResult:
     @property
     def sparsity(self) -> float:
         return 1.0 - float(self.mask.mean()) if self.mask.size else 0.0
-
-    def block_patterns(self) -> List[List[BlockPattern]]:
-        """Per-block :class:`BlockPattern` metadata (DDC Info-table source)."""
-        n_br, n_bc = self.block_n.shape
-        return [
-            [
-                BlockPattern(int(self.block_n[r, c]), self.m, Direction(int(self.block_direction[r, c])))
-                for c in range(n_bc)
-            ]
-            for r in range(n_br)
-        ]
 
     def transposed(self) -> "TBSResult":
         """The TBS metadata of ``W.T`` -- the paper's transposition property.
@@ -199,14 +187,3 @@ def tbs_sparsify(
     chosen = np.where(choose_col[:, :, None, None], col_masks, row_masks)
     mask = merge_from_blocks(chosen, rows, cols)
     return TBSResult(mask=mask, block_n=block_n, block_direction=direction, m=m, shape=(rows, cols))
-
-
-def block_pattern_grid(result: TBSResult) -> np.ndarray:
-    """Object array of :class:`BlockPattern`, convenient for format layers."""
-    grid = np.empty(result.block_n.shape, dtype=object)
-    for r in range(grid.shape[0]):
-        for c in range(grid.shape[1]):
-            grid[r, c] = BlockPattern(
-                int(result.block_n[r, c]), result.m, Direction(int(result.block_direction[r, c]))
-            )
-    return grid

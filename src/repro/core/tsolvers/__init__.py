@@ -20,8 +20,11 @@ optimality:
   the exact retained score (the CI ``solver`` job gates this).
 
 Backend selection resolves ``explicit argument -> $REPRO_TSOLVER ->
-"greedy"``; every entry point in :mod:`repro.core.transposable`, the
-one-shot pruner and the CLI (``--tsolver``) accepts a backend name.
+"greedy"``.  Two entry points choose a backend explicitly: ``repro
+prune --pattern NMT --tsolver`` and the ``wide`` experiment's
+per-cell backend, both through
+:func:`repro.core.transposable.transposable_sparsify`; every other NM-T
+mask resolves through ``$REPRO_TSOLVER`` and then greedy.
 Each solve is timed under a ``tsolver.<backend>`` perf stage
 (:mod:`repro.perf.timers`), so while instrumentation is on
 (:func:`repro.obs.enabled`) backend cost shows up in the metrics
@@ -40,7 +43,6 @@ __all__ = [
     "TSOLVER_ENV",
     "TSOLVER_NAMES",
     "resolve_tsolver",
-    "solve_block",
     "solve_blocks",
 ]
 
@@ -60,23 +62,6 @@ def resolve_tsolver(backend: Optional[str] = None) -> str:
     if name not in TSOLVER_NAMES:
         raise ValueError(f"unknown tsolver {name!r}; choose from {TSOLVER_NAMES}")
     return name
-
-
-def _validate_block(scores: np.ndarray, n: int) -> np.ndarray:
-    scores = np.abs(np.asarray(scores, dtype=np.float64))
-    if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
-        raise ValueError(f"expected a square block, got {scores.shape}")
-    m = scores.shape[0]
-    if not 0 <= n <= m:
-        raise ValueError(f"N must be in [0, {m}], got {n}")
-    return scores
-
-
-def solve_block(scores: np.ndarray, n: int, backend: Optional[str] = None) -> np.ndarray:
-    """Max-score strictly transposable mask of one square score block."""
-    scores = _validate_block(scores, n)
-    masks = solve_blocks(scores[None], np.array([n]), backend=backend)
-    return masks[0]
 
 
 def solve_blocks(

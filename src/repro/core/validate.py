@@ -22,7 +22,6 @@ __all__ = [
     "Violation",
     "ValidationReport",
     "validate_mask",
-    "validate_tbs_result",
 ]
 
 
@@ -171,10 +170,3 @@ def validate_mask(
                     )
         return report
     raise ValueError(f"unknown family {spec.family}")
-
-
-def validate_tbs_result(result: TBSResult) -> ValidationReport:
-    """Validate a :class:`TBSResult` against its own declared metadata."""
-    spec = PatternSpec(PatternFamily.TBS, m=result.m)
-    return validate_mask(result.mask, spec, tbs=result)
-

@@ -6,8 +6,7 @@ exactly the mask the DVPE computes with; one flipped bit silently
 reshapes the GEMM.  This package stresses that trust boundary:
 
 * :mod:`~repro.faults.injectors` -- seeded bit flips in encoded
-  payloads, stuck-at mask faults, DRAM transaction perturbation,
-  checkpoint-file corruption;
+  payloads, stuck-at mask faults, DRAM transaction perturbation;
 * :mod:`~repro.faults.ecc`       -- parity / SECDED protection model for
   metadata words, with storage and energy overheads that flow into the
   traffic and energy reports;
@@ -38,7 +37,6 @@ from .injectors import (
     FAULT_TARGETS,
     BitFlip,
     InjectionRecord,
-    corrupt_file,
     inject_mask_stuck_at,
     inject_payload_bitflips,
     payload_targets,
@@ -61,7 +59,6 @@ __all__ = [
     "adjudicate",
     "chaos_from_env",
     "classify_decode",
-    "corrupt_file",
     "ecc_overhead_bytes",
     "ecc_words",
     "inject_mask_stuck_at",

@@ -152,12 +152,6 @@ class CampaignResult:
     #: Keys of cells that failed, when run with ``allow_partial=True``.
     failed_cells: List[str] = field(default_factory=list)
 
-    def cell(self, fmt: str, model: str) -> Optional[CellOutcome]:
-        for c in self.cells:
-            if c.format_name == fmt and c.model == model:
-                return c
-        return None
-
 
 def _trial_rng(spec: CampaignSpec, fmt: str, model: str, trial: int) -> np.random.Generator:
     return np.random.default_rng(

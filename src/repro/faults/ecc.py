@@ -79,11 +79,6 @@ class ECCConfig:
             return 1
         return _hamming_check_bits(self.word_bits)
 
-    @property
-    def overhead_ratio(self) -> float:
-        """Extra storage per protected bit (check bits / data bits)."""
-        return self.check_bits / self.word_bits
-
 
 def ecc_overhead_bytes(meta_bytes: float, config: ECCConfig) -> int:
     """Check-bit storage for ``meta_bytes`` of protected metadata."""

@@ -1,8 +1,8 @@
-"""Deterministic fault injectors for encoded payloads, masks and files.
+"""Deterministic fault injectors for encoded payloads and masks.
 
 Every injector draws from a caller-supplied ``np.random.Generator`` and
 records exactly what it flipped, so a campaign is bit-reproducible from
-its seed and a SECDED model can *undo* a correctable flip.  Three fault
+its seed and a SECDED model can *undo* a correctable flip.  Two fault
 surfaces are covered:
 
 * **encoded payloads** -- single/multi bit flips in a storage format's
@@ -11,9 +11,7 @@ surfaces are covered:
   metadata is its 16-bit Info words, bitmap's is the occupancy bitmap);
 * **masks** -- stuck-at-0/1 faults on individual mask bits
   (:func:`inject_mask_stuck_at`), modelling corruption upstream of the
-  encoder;
-* **files** -- truncation or byte garbling of checkpoint/cache files
-  (:func:`corrupt_file`), exercising the checkpoint digest verification.
+  encoder.
 
 Flips are applied **in place** on the ``EncodedMatrix`` arrays; use
 :meth:`InjectionRecord.revert` (bit flips are involutive) to restore.
@@ -22,8 +20,7 @@ Flips are applied **in place** on the ``EncodedMatrix`` arrays; use
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -36,7 +33,6 @@ __all__ = [
     "payload_targets",
     "inject_payload_bitflips",
     "inject_mask_stuck_at",
-    "corrupt_file",
 ]
 
 #: Injectable targets, in the order fault models name them.
@@ -252,32 +248,3 @@ def inject_mask_stuck_at(
     changed = bool(faulty[r, c]) != bool(stuck)
     faulty[r, c] = bool(stuck)
     return faulty, (r, c), changed
-
-
-def corrupt_file(
-    path: Union[str, Path],
-    rng: np.random.Generator,
-    mode: str = "flip",
-    nbytes: int = 8,
-) -> str:
-    """Corrupt a file on disk: ``flip`` random bytes or ``truncate`` it.
-
-    Models a torn write / bit-rotted checkpoint.  Returns a short
-    description of what was done (for campaign logs).
-    """
-    path = Path(path)
-    data = bytearray(path.read_bytes())
-    if not data:
-        raise ValueError(f"cannot corrupt empty file {path}")
-    if mode == "truncate":
-        keep = int(rng.integers(len(data)))
-        path.write_bytes(bytes(data[:keep]))
-        return f"truncated {path.name} to {keep}/{len(data)} bytes"
-    if mode != "flip":
-        raise ValueError(f"mode must be 'flip' or 'truncate', got {mode!r}")
-    n = min(nbytes, len(data))
-    offsets = rng.choice(len(data), size=n, replace=False)
-    for off in offsets:
-        data[int(off)] ^= int(rng.integers(1, 256))
-    path.write_bytes(bytes(data))
-    return f"flipped {n} bytes of {path.name}"

@@ -35,7 +35,7 @@ from .bcsrcoo import BCSRCOOFormat
 from .bitmap import BitmapFormat
 from .conversion import ConversionSchedule, StorageElement, block_storage_stream, convert_block
 from .csr import CSRFormat
-from .ddc import DDCFormat, infer_block_pattern
+from .ddc import DDCFormat
 from .dense import DenseFormat
 from .memory_model import (
     DEFAULT_BURST_BYTES,
@@ -83,7 +83,6 @@ __all__ = [
     "format_class",
     "format_index",
     "get_format",
-    "infer_block_pattern",
     "merge_contiguous",
     "register_format",
     "trace_violations",

@@ -289,11 +289,6 @@ class EncodedMatrix:
         return self.value_bytes + self.index_bytes + self.meta_bytes
 
     @property
-    def payload_bytes(self) -> int:
-        """Bytes that carry actual non-zero values (the useful traffic)."""
-        return self.nnz * VALUE_BYTES
-
-    @property
     def traced_bytes(self) -> int:
         """Total bytes of the forward consumption trace."""
         return self.trace("forward").total_bytes

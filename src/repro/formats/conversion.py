@@ -65,10 +65,6 @@ class ConversionSchedule:
     def cycles(self) -> int:
         return max(self.input_cycles, len(self.outputs))
 
-    @property
-    def elements_out(self) -> int:
-        return sum(len(beat) for beat in self.outputs)
-
 
 def block_storage_stream(block: np.ndarray, direction: Direction) -> List[StorageElement]:
     """Elements of one block in storage order.

@@ -35,40 +35,12 @@ from .base import (
     Trace,
 )
 
-__all__ = ["DDC_INFO_DTYPE", "DDCFormat", "infer_block_pattern"]
+__all__ = ["DDC_INFO_DTYPE", "DDCFormat"]
 
 #: One Info-table entry per block (Fig. 8(a)): the block's sparsity
 #: dimension (a :class:`Direction` value), its N, and the byte offset of
 #: its payload run from the end of the Info table.
 DDC_INFO_DTYPE = np.dtype([("direction", np.int64), ("n", np.int64), ("offset", np.int64)])
-
-
-def infer_block_pattern(block: np.ndarray) -> tuple:
-    """Infer (n, direction) of one block from its non-zero structure.
-
-    A block whose rows all carry the same count ``n`` is a valid
-    reduction-dim (ROW) block; uniform column counts give COL.  When both
-    hold (e.g. empty or dense blocks) ROW wins; when neither holds the
-    block is stored at the direction with the smaller maximum count,
-    padded to that count (graceful handling of near-TBS inputs).
-    Returns ``(n, direction, exact)``.
-    """
-    row_counts = np.count_nonzero(block, axis=1)
-    col_counts = np.count_nonzero(block, axis=0)
-    # A lane set is "uniform" when every non-empty lane carries the same
-    # count (empty lanes are allowed: the N:M constraint is "at most N",
-    # and ragged-edge padding produces legitimately empty lanes).
-    row_max = int(row_counts.max())
-    col_max = int(col_counts.max())
-    row_uniform = set(row_counts.tolist()) <= {0, row_max}
-    col_uniform = set(col_counts.tolist()) <= {0, col_max}
-    if row_uniform:
-        return row_max, Direction.ROW, True
-    if col_uniform:
-        return col_max, Direction.COL, True
-    if row_max <= col_max:
-        return row_max, Direction.ROW, False
-    return col_max, Direction.COL, False
 
 
 def _pack_lanes(work: np.ndarray, ns: np.ndarray):
@@ -247,10 +219,3 @@ class DDCFormat(SparseFormat):
         return np.ascontiguousarray(
             merge_from_blocks(blocks.reshape(n_br, n_bc, m, m), rows, cols)
         )
-
-    @staticmethod
-    def compression_ratio(encoded: EncodedMatrix) -> float:
-        """Dense bytes / DDC bytes."""
-        rows, cols = encoded.shape
-        dense_bytes = rows * cols * VALUE_BYTES
-        return dense_bytes / encoded.total_bytes if encoded.total_bytes else float("inf")

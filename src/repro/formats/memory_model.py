@@ -59,11 +59,6 @@ class TrafficReport:
             return 1.0
         return min(1.0, self.useful_bytes / self.fetched_bytes)
 
-    @property
-    def redundancy_ratio(self) -> float:
-        """Fraction of fetched traffic that is not useful."""
-        return 1.0 - self.bandwidth_utilization
-
 
 def useful_bytes_floor(encoded: EncodedMatrix, m: int = 8) -> int:
     """Minimal bytes needed to move the sparse operand.

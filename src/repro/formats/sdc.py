@@ -119,11 +119,3 @@ class SDCFormat(SparseFormat):
         row_ids = np.broadcast_to(np.arange(rows)[:, None], idxs.shape)
         dense[row_ids[valid], idxs[valid]] = vals[valid]
         return dense
-
-    @staticmethod
-    def padding_ratio(encoded: EncodedMatrix) -> float:
-        """Fraction of stored value slots that are padding (redundant)."""
-        stored = int(encoded.tables["widths"].sum())
-        if stored == 0:
-            return 0.0
-        return 1.0 - encoded.nnz / stored

@@ -26,9 +26,8 @@ from .config import (
     vegeta,
 )
 from .dram import DRAMModel, DRAMResult
-from .dram_trace import BankedDRAM, DRAMTraceResult
 from .dvpe import DVPE, DVPEResult
-from .energy import EnergyModel, EnergyParams, EnergyReport, scale_energy_between_nodes
+from .energy import EnergyModel, EnergyParams, EnergyReport
 from .mapping import (
     BlockWork,
     MappedSchedule,
@@ -48,10 +47,8 @@ __all__ = [
     "BlockWork",
     "CodecStats",
     "CodecUnit",
-    "BankedDRAM",
     "DRAMModel",
     "DRAMResult",
-    "DRAMTraceResult",
     "DVPE",
     "DVPEResult",
     "EnergyModel",
@@ -71,7 +68,6 @@ __all__ = [
     "map_naive",
     "mapping_cycles",
     "rm_stc",
-    "scale_energy_between_nodes",
     "schedule_direct",
     "schedule_sparsity_aware",
     "sgcn",

@@ -11,7 +11,7 @@ format, and their scheduling/mapping capabilities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 from ..core.patterns import PatternFamily
@@ -92,22 +92,8 @@ class ArchConfig:
         return self.num_pes * self.lanes_per_pe
 
     @property
-    def peak_tops(self) -> float:
-        """Peak dense throughput in TOPS (2 ops per MAC)."""
-        return 2 * self.peak_macs_per_cycle * self.frequency_ghz / 1e3
-
-    @property
     def dram_bytes_per_cycle(self) -> float:
         return self.dram_bandwidth_gbs / self.frequency_ghz
-
-    def with_bandwidth(self, gbs: float) -> "ArchConfig":
-        """Copy with a different off-chip bandwidth (Fig. 15(c) sweep)."""
-        return replace(self, dram_bandwidth_gbs=gbs)
-
-    def with_ecc(self, mode: str) -> "ArchConfig":
-        """Copy with a different metadata-protection mode."""
-        return replace(self, name=f"{self.name}+{mode}" if mode != "none" else self.name,
-                       metadata_ecc=mode)
 
 
 def tb_stc(**overrides) -> ArchConfig:

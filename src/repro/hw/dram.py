@@ -135,10 +135,6 @@ class PerturbedTrace:
     def delivered_bytes(self) -> int:
         return sum(seg.nbytes for seg in self.segments)
 
-    @property
-    def missing_bytes(self) -> int:
-        return sum(seg.nbytes for seg in self.dropped)
-
     def length_check_fails(self, expected_bytes: int) -> bool:
         """Would a DMA byte-counter check flag this transfer?
 

@@ -39,11 +39,6 @@ class DVPEResult:
     def total_cycles(self) -> int:
         return self.compute_cycles + self.stall_cycles
 
-    def utilization(self, lanes: int) -> float:
-        if self.total_cycles == 0:
-            return 1.0
-        return self.macs / (self.total_cycles * lanes)
-
 
 class DVPE:
     """Cycle model of one Diverse Vector PE."""

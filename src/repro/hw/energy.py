@@ -7,7 +7,7 @@ calibrated so that the TB-STC instance running at full utilization and
 2.19 mW in the codec and 0.69 mW in the MBD unit, 200.59 mW total.
 
 All energies are in picojoules; :class:`EnergyReport` aggregates a
-workload's component energies and derives power and EDP.
+workload's component energies over its cycles.
 """
 
 from __future__ import annotations
@@ -16,21 +16,7 @@ from typing import Dict
 
 from .config import ArchConfig
 
-__all__ = ["EnergyParams", "EnergyReport", "EnergyModel", "scale_energy_between_nodes"]
-
-#: DeepScaleTool-style dynamic-energy scaling factors relative to 7 nm
-#: (approximate, capacitance-dominated; used to port published per-op
-#: numbers from other nodes, as the paper does for its baselines).
-_NODE_ENERGY_FACTOR = {7: 1.0, 10: 1.45, 12: 1.7, 16: 2.1, 22: 2.9, 28: 3.6, 45: 6.5, 65: 9.8}
-
-
-def scale_energy_between_nodes(energy: float, from_nm: int, to_nm: int = 7) -> float:
-    """Scale a dynamic energy between technology nodes."""
-    try:
-        factor = _NODE_ENERGY_FACTOR[to_nm] / _NODE_ENERGY_FACTOR[from_nm]
-    except KeyError as exc:
-        raise ValueError(f"unsupported node: {exc}") from None
-    return energy * factor
+__all__ = ["EnergyParams", "EnergyReport", "EnergyModel"]
 
 
 @dataclass(frozen=True)
@@ -83,16 +69,6 @@ class EnergyReport:
     @property
     def time_s(self) -> float:
         return self.cycles / (self.frequency_ghz * 1e9)
-
-    @property
-    def average_power_w(self) -> float:
-        time = self.time_s
-        return self.total_j / time if time > 0 else 0.0
-
-    @property
-    def edp(self) -> float:
-        """Energy-Delay Product in J*s."""
-        return self.total_j * self.time_s
 
     def to_dict(self) -> Dict:
         """Plain JSON-ready payload (used by ``SimResult.to_dict``)."""

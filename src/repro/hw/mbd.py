@@ -33,10 +33,6 @@ class MBDStats:
     mux_selections: int = 0
     transposed_tiles: int = 0
 
-    def merge(self, other: "MBDStats") -> None:
-        self.mux_selections += other.mux_selections
-        self.transposed_tiles += other.transposed_tiles
-
 
 class MBDUnit:
     """Functional + accounting model of the MBD unit."""
@@ -75,9 +71,3 @@ class MBDUnit:
             stats.transposed_tiles = 1
         gathered = work[indices] if indices.size else np.zeros((0, b_tile.shape[1]))
         return gathered, stats
-
-    def selection_count(self, nnz: int, b_cols: int) -> int:
-        """MUX operations for one block against ``b_cols`` columns of B."""
-        if nnz < 0 or b_cols < 0:
-            raise ValueError("negative counts")
-        return nnz * b_cols

@@ -18,18 +18,17 @@ direct, and for sparsity-aware two heaps of plain numbers that track
 only the costs and the PE free times the makespan depends on.
 Duck-typed sequences (e.g. the corrupted descriptor streams the stall
 guards exist for) take guarded event loops instead, whose
-length-snapshot guards they exercise; ``record=True`` schedules take
-the same loops, which are the ones that track block and PE identities.
-The sort-based loop the sparsity-aware heap replaced lives on as a
-test oracle (``tests/hw/scheduler_oracle.py``), and the equivalence
-suites prove every path agrees with it bit-exactly.
+length-snapshot guards they exercise.  The sort-based loop the
+sparsity-aware heap replaced lives on as a test oracle
+(``tests/hw/scheduler_oracle.py``), and the equivalence suites prove
+every path agrees with it bit-exactly.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +39,6 @@ from ..obs.tracer import instant as _obs_instant
 from ..perf import timed
 
 __all__ = [
-    "Assignment",
     "ScheduleResult",
     "SimStallError",
     "schedule_direct",
@@ -86,33 +84,12 @@ class SimStallError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Assignment:
-    """One block's placement: which PE ran it and when."""
-
-    block: int
-    pe: int
-    start: float
-    end: float
-
-
-@dataclass(frozen=True)
 class ScheduleResult:
     """Outcome of scheduling a block list onto a PE array."""
 
     makespan: int
     total_work: int
     num_pes: int
-    assignments: Tuple[Assignment, ...] = field(default=())
-
-    @property
-    def utilization(self) -> float:
-        if self.makespan == 0 or self.num_pes == 0:
-            return 1.0
-        return self.total_work / (self.makespan * self.num_pes)
-
-    @property
-    def idle_cycles(self) -> int:
-        return self.makespan * self.num_pes - self.total_work
 
 
 def _validate(costs: Sequence[int], num_pes: int) -> None:
@@ -169,21 +146,17 @@ def _validate_array(arr: np.ndarray, num_pes: int) -> None:
 
 
 @timed("hw.scheduler.direct")
-def schedule_direct(
-    costs: Sequence[int], num_pes: int, record: bool = False
-) -> ScheduleResult:
+def schedule_direct(costs: Sequence[int], num_pes: int) -> ScheduleResult:
     """Direct (lockstep) mapping: waves of ``num_pes`` blocks in order.
 
     This is the Fig. 11(a) baseline: the PE array loads one block per PE,
     computes, and only loads the next wave when the *slowest* block of
     the current wave finishes -- so every wave costs its maximum block
     cost and light blocks leave their PEs idle.
-
-    ``record=True`` captures per-block placements for trace rendering.
     """
-    arr = None if record else _as_cost_array(costs)
+    arr = _as_cost_array(costs)
     if arr is None:
-        return _schedule_direct_reference(costs, num_pes, record)
+        return _schedule_direct_reference(costs, num_pes)
     _validate_array(arr, num_pes)
     n = int(arr.size)
     if n == 0:
@@ -207,28 +180,21 @@ def schedule_direct(
     return ScheduleResult(makespan, total, num_pes)
 
 
-def _schedule_direct_reference(
-    costs: Sequence[int], num_pes: int, record: bool = False
-) -> ScheduleResult:
+def _schedule_direct_reference(costs: Sequence[int], num_pes: int) -> ScheduleResult:
     """Event loop of :func:`schedule_direct`, one wave at a time.
 
-    The only path for ``record=True`` (``sim.trace`` renders its
-    placements) and for duck-typed sequences, which the array path
-    does not accept.
+    The path for duck-typed sequences, which the array path does not
+    accept.
     """
     _validate(costs, num_pes)
     makespan = 0
-    assignments: List[Assignment] = []
     for w0 in range(0, len(costs), num_pes):
         wave = costs[w0 : w0 + num_pes]
-        if record:
-            for pe, cost in enumerate(wave):
-                assignments.append(Assignment(w0 + pe, pe, makespan, makespan + cost))
         if _obs_enabled():
             obs_metrics.observe("hw.scheduler.wave_cycles", max(wave))
         makespan += max(wave)
     total = sum(costs)
-    return ScheduleResult(makespan, total, num_pes, tuple(assignments))
+    return ScheduleResult(makespan, total, num_pes)
 
 
 @timed("hw.scheduler.sparsity_aware")
@@ -236,7 +202,6 @@ def schedule_sparsity_aware(
     costs: Sequence[int],
     num_pes: int,
     window: int = 8,
-    record: bool = False,
 ) -> ScheduleResult:
     """Windowed earliest-free-PE dispatch.
 
@@ -250,12 +215,11 @@ def schedule_sparsity_aware(
     Dispatch rule: hand the *largest* block in the window to the PE that
     frees first (longest-processing-time within the lookahead).
 
-    The event loop below keeps the window in a max-heap keyed
+    Cost arrays take :func:`_makespan`.  Duck-typed sequences take the
+    guarded event loop below, which keeps the window in a max-heap keyed
     ``(-cost, -block_id)`` -- the exact tie-break of the sort-based
     oracle's ``sort(reverse=True); pop(0)`` -- and the PEs in a heap of
-    ``(free_time, pe)``, so ``record=True`` names every placement.
-    Without ``record``, cost arrays take :func:`_makespan`, which drops
-    both identities because the makespan does not depend on them.
+    ``(free_time, pe)``.
     """
     arr = _as_cost_array(costs)
     if arr is not None:
@@ -270,11 +234,10 @@ def schedule_sparsity_aware(
             obs_metrics.counter_add("hw.scheduler.blocks_dispatched", len(costs))
             for c in costs:
                 obs_metrics.observe("hw.scheduler.block_cycles", c)
-        if not record:
-            # Same total as re-reading the stream (float arrays sum
-            # left-to-right to match the event loop's accumulation order).
-            total = int(arr.sum()) if arr.dtype.kind != "f" else float(sum(costs))
-            return ScheduleResult(_makespan(costs, num_pes, window), total, num_pes)
+        # Same total as re-reading the stream (float arrays sum
+        # left-to-right to match the event loop's accumulation order).
+        total = int(arr.sum()) if arr.dtype.kind != "f" else float(sum(costs))
+        return ScheduleResult(_makespan(costs, num_pes, window), total, num_pes)
     pending = costs
     # Snapshot the block count once: every bound below uses it, so even
     # a sequence whose __len__ drifts (corrupted block list) terminates.
@@ -285,7 +248,6 @@ def schedule_sparsity_aware(
     fetch_cursor = 0
     dispatched = 0
     fetched_total = 0  # left-to-right sum at fetch time
-    assignments: List[Assignment] = []
 
     def _stall_state() -> dict:
         return {
@@ -322,16 +284,13 @@ def schedule_sparsity_aware(
                 state=_stall_state(),
             )
         # Dispatch the heaviest visible block to the earliest-free PE.
-        neg_cost, neg_id = heapq.heappop(buffer)
-        cost, block_id = -neg_cost, -neg_id
+        cost = -heapq.heappop(buffer)[0]
         dispatched += 1
         free_time, pe = heapq.heappop(heap)
         heapq.heappush(heap, (free_time + cost, pe))
-        if record:
-            assignments.append(Assignment(block_id, pe, free_time, free_time + cost))
 
     makespan = max(t for t, _ in heap)
-    return ScheduleResult(makespan, fetched_total, num_pes, tuple(assignments))
+    return ScheduleResult(makespan, fetched_total, num_pes)
 
 
 def _makespan(costs: List, num_pes: int, window: int):

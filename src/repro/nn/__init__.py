@@ -4,8 +4,6 @@ from .data import cluster_dataset, image_dataset, sequence_dataset
 from .layers import (
     BatchNorm2d,
     Conv2d,
-    Dropout,
-    Flatten,
     GELU,
     GlobalAvgPool2d,
     LayerNorm,
@@ -19,20 +17,16 @@ from .layers import (
     Sequential,
     TransformerEncoderLayer,
 )
-from .losses import accuracy, mse_loss, softmax_cross_entropy
+from .losses import softmax_cross_entropy
 from .models import Embedding, TransformerClassifier, make_cnn, make_mlp, prunable_layers
-from .optim import SGD, Adam
-from .quantize import quantization_error, quantize_model, quantize_weights
-from .schedulers import ConstantLR, CosineLR, StepLR, WarmupLR
+from .optim import SGD
+from .quantize import quantize_model, quantize_weights
 from .train import TrainResult, apply_masks, evaluate, one_shot_prune, train
 
 __all__ = [
-    "Adam",
     "BatchNorm2d",
     "Conv2d",
-    "Dropout",
     "Embedding",
-    "Flatten",
     "GELU",
     "GlobalAvgPool2d",
     "LayerNorm",
@@ -45,24 +39,17 @@ __all__ = [
     "Residual",
     "SGD",
     "Sequential",
-    "ConstantLR",
-    "CosineLR",
-    "StepLR",
-    "WarmupLR",
     "TrainResult",
     "TransformerClassifier",
     "TransformerEncoderLayer",
-    "accuracy",
     "apply_masks",
     "cluster_dataset",
     "evaluate",
     "image_dataset",
     "make_cnn",
     "make_mlp",
-    "mse_loss",
     "one_shot_prune",
     "prunable_layers",
-    "quantization_error",
     "quantize_model",
     "quantize_weights",
     "sequence_dataset",

@@ -29,8 +29,6 @@ __all__ = [
     "LayerNorm",
     "MaxPool2d",
     "GlobalAvgPool2d",
-    "Flatten",
-    "Dropout",
     "Sequential",
     "Residual",
     "MultiHeadSelfAttention",
@@ -79,9 +77,6 @@ class Module:
 
     def eval(self) -> "Module":
         return self.train(False)
-
-    def num_parameters(self) -> int:
-        return sum(p.size for mod in self.modules() for p in mod.params.values())
 
 
 def _kaiming(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -377,34 +372,6 @@ class GlobalAvgPool2d(Module):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         n, c, h, w = self._shape
         return np.broadcast_to(grad[:, :, None, None], self._shape) / (h * w)
-
-
-class Flatten(Module):
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad.reshape(self._shape)
-
-
-class Dropout(Module):
-    def __init__(self, p: float = 0.1, seed: int = 0):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout p must be in [0, 1)")
-        self.p = p
-        self._rng = np.random.default_rng(seed)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.p == 0.0:
-            self._mask = None
-            return x
-        self._mask = (self._rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * self._mask
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad if self._mask is None else grad * self._mask
 
 
 class Sequential(Module):

@@ -6,7 +6,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["softmax_cross_entropy", "mse_loss", "accuracy"]
+__all__ = ["softmax_cross_entropy"]
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -24,17 +24,3 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> Tuple[float
     grad = probs
     grad[np.arange(n), labels] -= 1.0
     return loss, grad / n
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Mean squared error; returns ``(loss, dpred)``."""
-    if pred.shape != target.shape:
-        raise ValueError("prediction/target shape mismatch")
-    diff = pred - target
-    loss = float((diff**2).mean())
-    return loss, 2.0 * diff / diff.size
-
-
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 classification accuracy."""
-    return float((logits.argmax(axis=1) == labels).mean())

@@ -8,7 +8,7 @@ import numpy as np
 
 from .layers import Module
 
-__all__ = ["SGD", "Adam"]
+__all__ = ["SGD"]
 
 
 class _Optimizer:
@@ -47,39 +47,3 @@ class SGD(_Optimizer):
             vel = grad if vel is None else self.momentum * vel + grad
             self._velocity[i] = vel
             mod.params[name] = param - self.lr * vel
-
-
-class Adam(_Optimizer):
-    def __init__(
-        self,
-        model: Module,
-        lr: float = 1e-3,
-        betas: Tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(model, lr)
-        self.b1, self.b2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._m: Dict[int, np.ndarray] = {}
-        self._v: Dict[int, np.ndarray] = {}
-        self._t = 0
-
-    def step(self) -> None:
-        self._t += 1
-        for i, (mod, name) in enumerate(self.handles):
-            grad = mod.grads.get(name)
-            if grad is None:
-                continue
-            param = mod.params[name]
-            if self.weight_decay and name == "weight":
-                grad = grad + self.weight_decay * param
-            m = self._m.get(i, np.zeros_like(param))
-            v = self._v.get(i, np.zeros_like(param))
-            m = self.b1 * m + (1 - self.b1) * grad
-            v = self.b2 * v + (1 - self.b2) * grad**2
-            self._m[i], self._v[i] = m, v
-            mhat = m / (1 - self.b1**self._t)
-            vhat = v / (1 - self.b2**self._t)
-            mod.params[name] = param - self.lr * mhat / (np.sqrt(vhat) + self.eps)

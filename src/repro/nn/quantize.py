@@ -16,7 +16,7 @@ import numpy as np
 from .layers import Conv2d, Linear, Module
 from .models import prunable_layers
 
-__all__ = ["quantize_weights", "quantize_model", "quantization_error"]
+__all__ = ["quantize_weights", "quantize_model"]
 
 
 def quantize_weights(weights: np.ndarray, bits: int = 8) -> np.ndarray:
@@ -47,11 +47,3 @@ def quantize_model(model: Module, bits: int = 8, include_stem_head: bool = False
         layer.params["weight"] = quantize_weights(layer.params["weight"], bits=bits)
         touched.append(f"{type(layer).__name__}[{i}].weight")
     return touched
-
-
-def quantization_error(weights: np.ndarray, bits: int = 8) -> float:
-    """Relative L2 error of quantizing ``weights``."""
-    denom = float(np.linalg.norm(weights))
-    if denom == 0:
-        return 0.0
-    return float(np.linalg.norm(weights - quantize_weights(weights, bits))) / denom

@@ -76,22 +76,20 @@ def _project(
     sparsity: float,
     m: int,
     ts_cap: Optional[float],
-    tsolver: Optional[str] = None,
 ):
     """Project magnitude scores onto one family: (mask, spec, tbs_meta).
 
     ``ts_cap`` pins the TS family to the STC hardware ratio (4:8 = 50%,
     the paper's Table I footnote); pass ``None`` for an iso-sparsity TS
-    comparison (fixed N = (1-s)*M).  ``tsolver`` selects the
-    :mod:`repro.core.tsolvers` backend for the NMT family (greedy /
-    exact / tsenor); other families ignore it.
+    comparison (fixed N = (1-s)*M).  The NMT family solves its blocks
+    with the ``$REPRO_TSOLVER`` backend (default greedy).
     """
     sparsity = min(1.0, max(0.0, sparsity))
     if family is PatternFamily.TBS:
         result = tbs_sparsify(scores, m=m, sparsity=sparsity)
         return result.mask, PatternSpec(family, m=m, sparsity=sparsity), result
     if family is PatternFamily.NMT:
-        mask, _ = transposable_sparsify(scores, m=m, sparsity=sparsity, backend=tsolver)
+        mask, _ = transposable_sparsify(scores, m=m, sparsity=sparsity)
         return mask, PatternSpec(family, m=m, sparsity=sparsity), None
     if family is PatternFamily.TS and ts_cap is not None:
         spec = PatternSpec(family, m=m, sparsity=min(sparsity, ts_cap))
@@ -130,8 +128,6 @@ def apply_masks(
     m: int = 8,
     ts_cap: Optional[float] = 0.5,
     global_threshold: bool = False,
-    checks: Optional[str] = None,
-    tsolver: Optional[str] = None,
 ) -> float:
     """Regenerate and install masks on every prunable layer.
 
@@ -141,9 +137,8 @@ def apply_masks(
     ``global_threshold=True`` follows the paper's Sec. III-B1 flow: one
     magnitude threshold over *all* prunable weights sets each layer's
     individual sparsity degree; the default prunes every layer to the
-    same target independently.  ``checks`` overrides the global invariant
-    strictness (:mod:`repro.runtime.checks`) for the generated masks;
-    ``tsolver`` picks the transposable-mask backend for the NMT family.
+    same target independently.  The generated masks are checked at the
+    ambient :mod:`repro.runtime.checks` level.
     """
     layers = prunable_layers(model)
     if family is None:
@@ -158,8 +153,8 @@ def apply_masks(
     total = 0
     for i, (layer, layer_sparsity) in enumerate(zip(layers, per_layer)):
         scores = np.abs(layer.weight_matrix())
-        mask, spec, tbs = _project(scores, family, layer_sparsity, m, ts_cap, tsolver=tsolver)
-        check_mask(mask, spec, tbs=tbs, context=f"apply_masks layer {i}", level=checks)
+        mask, spec, tbs = _project(scores, family, layer_sparsity, m, ts_cap)
+        check_mask(mask, spec, tbs=tbs, context=f"apply_masks layer {i}")
         layer.set_mask(mask)
         kept += int(mask.sum())
         total += mask.size
@@ -199,47 +194,36 @@ def train(
     seed: int = 0,
     mask_refresh: Callable[[int], bool] = lambda epoch: True,
     ts_cap: Optional[float] = 0.5,
-    scheduler=None,
     global_threshold: bool = False,
-    rng: Optional[np.random.Generator] = None,
     loss_fn: Optional[Callable] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    checkpoint_every: int = 1,
     watchdog: Union[None, bool, WatchdogConfig] = None,
-    checks: Optional[str] = None,
 ) -> TrainResult:
     """Train ``model`` on ``data = (train_x, train_y, test_x, test_y)``.
 
     ``family=None`` trains densely; otherwise the mask is regenerated at
     the start of every epoch for which ``mask_refresh(epoch)`` is true.
-    ``scheduler`` is an optional LR schedule from
-    :mod:`repro.nn.schedulers`, stepped once per epoch.
+    Batches are shuffled by ``default_rng(seed)``; checkpoints capture
+    and restore its exact stream position.
 
     Resilience knobs:
 
-    * ``rng`` -- explicit :class:`numpy.random.Generator` driving the
-      batch shuffling (defaults to ``default_rng(seed)``); checkpoints
-      capture and restore its exact stream position.
     * ``loss_fn`` -- the training criterion, ``(logits, labels) ->
       (loss, dlogits)``; defaults to softmax cross-entropy.
-    * ``checkpoint_dir`` -- if set, every ``checkpoint_every``-th epoch
-      (and the final one) is persisted atomically; with ``resume=True``
-      the run restarts after the newest readable checkpoint and produces
-      a bit-identical result to an uninterrupted run.
+    * ``checkpoint_dir`` -- if set, every epoch is persisted atomically;
+      with ``resume=True`` the run restarts after the newest readable
+      checkpoint and produces a bit-identical result to an uninterrupted
+      run.
     * ``watchdog`` -- ``None`` for the default NaN/Inf/spike policy, a
       :class:`~repro.runtime.watchdog.WatchdogConfig` to tune it, or
       ``False`` to disable.  Rollbacks restore the last good epoch and
       shrink the learning rate; exhausted retries end the run early with
       ``result.degraded = True`` at the last good state.
-    * ``checks`` -- invariant strictness override for mask generation
-      (``"off"`` / ``"warn"`` / ``"strict"``).
     """
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be >= 1")
     train_x, train_y, test_x, test_y = data
     opt = optimizer or SGD(model, lr=0.05, momentum=0.9, weight_decay=5e-4)
-    rng = rng if rng is not None else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     criterion = loss_fn or softmax_cross_entropy
     wd = _watchdog_for(watchdog)
     result = TrainResult(family=family, sparsity=sparsity)
@@ -251,7 +235,7 @@ def train(
     if resume and store is not None:
         snap = store.latest()
         if snap is not None:
-            restore_train_state(snap, model, layers, opt, rng, scheduler=scheduler)
+            restore_train_state(snap, model, layers, opt, rng)
             wd.load_state_dict(snap.meta.get("watchdog", {}))
             base_lr = float(snap.meta.get("base_lr", base_lr))
             result.loss_history = list(snap.meta["loss_history"])
@@ -267,7 +251,6 @@ def train(
     def _capture(epoch: int):
         return capture_train_state(
             epoch, model, layers, opt, rng,
-            scheduler=scheduler,
             loss_history=result.loss_history,
             sparsity_history=result.sparsity_history,
             extra_meta={"base_lr": base_lr, "seed": seed, "watchdog": wd.state_dict()},
@@ -277,15 +260,12 @@ def train(
 
     epoch = start_epoch
     while epoch < epochs:
-        if scheduler is not None:
-            scheduler.step()
-            opt.lr = opt.lr * wd.lr_scale
-        elif wd.lr_scale != 1.0:
+        if wd.lr_scale != 1.0:
             opt.lr = base_lr * wd.lr_scale
         if family is not None and mask_refresh(epoch):
             achieved = apply_masks(
                 model, family, sparsity, m=m, ts_cap=ts_cap,
-                global_threshold=global_threshold, checks=checks,
+                global_threshold=global_threshold,
             )
         else:
             achieved = result.sparsity_history[-1] if result.sparsity_history else 0.0
@@ -318,7 +298,7 @@ def train(
                     "nn.watchdog.rollback", epoch=epoch, reason=diverged, action=action
                 )
             result.watchdog_events = [e.as_dict() for e in wd.events]
-            restore_train_state(last_good, model, layers, opt, rng, scheduler=scheduler)
+            restore_train_state(last_good, model, layers, opt, rng)
             result.loss_history = list(last_good.meta["loss_history"])
             result.sparsity_history = list(last_good.meta["sparsity_history"])
             if action == "degrade":
@@ -331,7 +311,7 @@ def train(
         wd.record_good(mean_loss)
         if need_state:
             last_good = _capture(epoch)
-            if store is not None and (epoch % checkpoint_every == 0 or epoch == epochs - 1):
+            if store is not None:
                 store.save(last_good)
         epoch += 1
 
@@ -349,24 +329,21 @@ def one_shot_prune(
     score_fn: Optional[Callable] = None,
     m: int = 8,
     ts_cap: Optional[float] = 0.5,
-    checks: Optional[str] = None,
-    tsolver: Optional[str] = None,
 ) -> float:
     """One-shot pruning of a trained model (the Table II protocol).
 
     ``score_fn(layer) -> scores`` supplies the criterion (Wanda,
     SparseGPT saliency, ...); default is weight magnitude.  Returns the
-    achieved sparsity.  ``checks`` overrides the invariant strictness
-    for the generated masks; ``tsolver`` picks the transposable-mask
-    backend for the NMT family (wide layers need ``tsenor``).
+    achieved sparsity.  The generated masks are checked at the ambient
+    :mod:`repro.runtime.checks` level.
     """
     layers = prunable_layers(model)
     kept = 0
     total = 0
     for i, layer in enumerate(layers):
         scores = np.abs(layer.weight_matrix()) if score_fn is None else np.abs(score_fn(layer))
-        mask, spec, tbs = _project(scores, family, sparsity, m, ts_cap, tsolver=tsolver)
-        check_mask(mask, spec, tbs=tbs, context=f"one_shot_prune layer {i}", level=checks)
+        mask, spec, tbs = _project(scores, family, sparsity, m, ts_cap)
+        check_mask(mask, spec, tbs=tbs, context=f"one_shot_prune layer {i}")
         layer.set_mask(mask)
         kept += int(mask.sum())
         total += mask.size

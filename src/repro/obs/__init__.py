@@ -29,7 +29,6 @@ from .metrics import (
     MetricsRegistry,
     capture,
     counter_add,
-    gauge_max,
     merge_payload,
     metrics_dict,
     observe,
@@ -60,7 +59,6 @@ __all__ = [
     "enabled",
     "enabled_scope",
     "events",
-    "gauge_max",
     "ingest",
     "instant",
     "merge_payload",

@@ -34,7 +34,7 @@ cross-process payloads from older code fail loudly.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 __all__ = [
     "METRICS_SCHEMA",
@@ -42,7 +42,6 @@ __all__ = [
     "bucket_exponent",
     "capture",
     "counter_add",
-    "gauge_max",
     "merge_payload",
     "metrics_dict",
     "observe",
@@ -149,11 +148,6 @@ class MetricsRegistry:
     def counter_add(self, name: str, value: Number = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + value
 
-    def gauge_max(self, name: str, value: Number) -> None:
-        prev = self.gauges.get(name)
-        if prev is None or value > prev:
-            self.gauges[name] = value
-
     def observe(self, name: str, value: Number) -> None:
         hist = self.histograms.get(name)
         if hist is None:
@@ -176,7 +170,9 @@ class MetricsRegistry:
         for name, value in other.counters.items():
             self.counter_add(name, value)
         for name, value in other.gauges.items():
-            self.gauge_max(name, value)
+            prev = self.gauges.get(name)
+            if prev is None or value > prev:
+                self.gauges[name] = value
         for name, hist in other.histograms.items():
             mine = self.histograms.get(name)
             if mine is None:
@@ -241,14 +237,6 @@ class MetricsRegistry:
             reg.timers[name] = [int(rec["calls"]), int(round(rec["seconds"] * 1e9))]
         return reg
 
-    @classmethod
-    def merged(cls, payloads: Iterable[Dict[str, Any]]) -> "MetricsRegistry":
-        """A fresh registry holding the fold of every payload."""
-        reg = cls()
-        for payload in payloads:
-            reg.merge_payload(payload)
-        return reg
-
     def is_empty(self) -> bool:
         return not (self.counters or self.gauges or self.histograms or self.timers)
 
@@ -278,10 +266,6 @@ def swap_registry(new: Optional[MetricsRegistry] = None) -> MetricsRegistry:
 
 def counter_add(name: str, value: Number = 1) -> None:
     _REGISTRY.counter_add(name, value)
-
-
-def gauge_max(name: str, value: Number) -> None:
-    _REGISTRY.gauge_max(name, value)
 
 
 def observe(name: str, value: Number) -> None:

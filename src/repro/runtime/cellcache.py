@@ -111,15 +111,6 @@ class CellCache:
             return True, obj[1]
         return True, obj  # legacy pre-envelope entry: the pickle IS the value
 
-    def read(self, path: Optional[Path]) -> Any:
-        """Cached value at ``path``, or None on miss/corruption.
-
-        Ambiguous for cells whose legitimate value is ``None`` -- kept
-        for callers that know their values are never ``None``; prefer
-        :meth:`read_hit`.
-        """
-        return self.read_hit(path)[1]
-
     @contextlib.contextmanager
     def write_lock(self, path: Path) -> Iterator[None]:
         """Inter-process exclusive lock for publishing ``path``.

@@ -58,12 +58,9 @@ def _payload_digest(state: TrainState, meta_json: str) -> str:
 class CheckpointStore:
     """Directory of atomic, content-addressed training checkpoints."""
 
-    def __init__(self, directory: Union[str, Path], max_keep: Optional[int] = None):
-        if max_keep is not None and max_keep < 1:
-            raise ValueError("max_keep must be >= 1 (or None to keep everything)")
+    def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.max_keep = max_keep
 
     # -- writing ------------------------------------------------------------
 
@@ -92,17 +89,7 @@ class CheckpointStore:
                 raise
             if _obs_enabled():
                 obs_metrics.counter_add("checkpoint.saves")
-            if self.max_keep is not None:
-                self._prune()
             return path
-
-    def _prune(self) -> None:
-        paths = self.list()
-        for path in paths[: max(0, len(paths) - self.max_keep)]:
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
 
     # -- reading ------------------------------------------------------------
 

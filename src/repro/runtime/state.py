@@ -8,8 +8,7 @@ can persist them and the watchdog can hold them in memory.
 
 Everything is duck-typed against the :mod:`repro.nn` conventions
 (``model.modules()``, ``module.params``, maskable layers with ``mask``,
-optimizers with ``_velocity`` / ``_m`` / ``_v`` / ``_t`` slots,
-schedulers with an ``epoch`` counter) so this package never imports
+optimizers with a ``_velocity`` slot) so this package never imports
 :mod:`repro.nn` and stays dependency-free.
 """
 
@@ -35,9 +34,9 @@ __all__ = [
     "restore_train_state",
 ]
 
-#: Optimizer slot attributes we know how to snapshot (SGD / Adam).
-_OPT_ARRAY_SLOTS = ("_velocity", "_m", "_v")
-_OPT_SCALAR_SLOTS = ("_t", "lr", "momentum", "weight_decay")
+#: Optimizer slot attributes we know how to snapshot (SGD with momentum).
+_OPT_ARRAY_SLOTS = ("_velocity",)
+_OPT_SCALAR_SLOTS = ("lr", "momentum", "weight_decay")
 
 
 @dataclass
@@ -170,7 +169,6 @@ def capture_train_state(
     opt,
     rng: np.random.Generator,
     *,
-    scheduler=None,
     loss_history: Optional[List[float]] = None,
     sparsity_history: Optional[List[float]] = None,
     extra_meta: Optional[Dict[str, Any]] = None,
@@ -187,8 +185,6 @@ def capture_train_state(
         "loss_history": list(loss_history or []),
         "sparsity_history": list(sparsity_history or []),
     }
-    if scheduler is not None and hasattr(scheduler, "epoch"):
-        meta["scheduler_epoch"] = int(scheduler.epoch)
     if extra_meta:
         meta.update(extra_meta)
     return TrainState(epoch=int(epoch), arrays=arrays, meta=meta)
@@ -200,13 +196,9 @@ def restore_train_state(
     layers,
     opt,
     rng: np.random.Generator,
-    *,
-    scheduler=None,
 ) -> None:
     """Put a run back exactly where :func:`capture_train_state` saw it."""
     restore_model(model, state.arrays)
     restore_masks(layers, state.arrays)
     restore_optimizer(opt, {"arrays": state.arrays, "scalars": state.meta.get("optimizer", {})})
     restore_rng(rng, state.meta["rng_state"])
-    if scheduler is not None and "scheduler_epoch" in state.meta:
-        scheduler.epoch = int(state.meta["scheduler_epoch"])

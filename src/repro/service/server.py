@@ -94,8 +94,7 @@ class ServiceConfig:
     queue_size: int = 64
     rate: Optional[float] = 10.0  #: per-client submissions/s (None = off)
     burst: Optional[float] = 20.0
-    executor: Optional[str] = None
-    timeout: Optional[float] = None  #: per-cell deadline (supervised executor)
+    timeout: Optional[float] = None  #: per-cell deadline (runs cells supervised)
     retries: int = 0
     drain_timeout_s: float = 30.0
     allow_fn_prefixes: Tuple[str, ...] = ("repro.",)
@@ -501,7 +500,6 @@ class SimService:
             )
 
         options = SweepOptions(
-            executor=self.config.executor,
             timeout=self.config.timeout,
             retries=self.config.retries,
             progress=progress,

@@ -37,11 +37,9 @@ from .engine import (
     SweepError,
     SweepResult,
     configured_workers,
-    default_workers,
     run_sweep,
 )
 from .executors import (
-    EXECUTOR_NAMES,
     Executor,
     RetryPolicy,
     SerialExecutor,
@@ -53,7 +51,6 @@ from .spec import SweepCell, SweepSpec, derive_seed, fn_ref, resolve_fn
 
 __all__ = [
     "CELL_STATUSES",
-    "EXECUTOR_NAMES",
     "Executor",
     "RetryPolicy",
     "SerialExecutor",
@@ -68,7 +65,6 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "configured_workers",
-    "default_workers",
     "derive_seed",
     "fn_ref",
     "resolve_fn",

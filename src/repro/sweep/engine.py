@@ -9,12 +9,12 @@ serial loops did, which is what makes ``--workers N`` bit-identical to
 
 Execution model (see :mod:`repro.sweep.executors` for the machinery):
 
-* the ``serial`` executor runs every cell inline in this process (no
-  pool, no pickling) -- the reference path, picked automatically for
-  ``workers == 1``;
-* the ``supervised`` executor runs one child process per in-flight cell
-  and *watches* it: a worker that dies (OOM, SIGKILL, ``os._exit``)
-  settles its cell as ``crashed``, a worker past the per-cell
+* a sweep with one worker, no timeout, no retries and no chaos runs
+  every cell inline in this process (no pool, no pickling) -- the
+  serial reference path;
+* any other sweep is supervised: one child process per in-flight cell,
+  *watched*, so a worker that dies (OOM, SIGKILL, ``os._exit``)
+  settles its cell as ``crashed`` and a worker past the per-cell
   ``SweepOptions.timeout`` is killed and settles as ``timeout`` --
   neither hangs or unwinds the sweep;
 * transient outcomes (``crashed``/``timeout``) are retried up to
@@ -23,9 +23,9 @@ Execution model (see :mod:`repro.sweep.executors` for the machinery):
   deterministic failures (a cell that *raises*) become a structured
   ``failed`` :class:`SweepCellResult` carrying ``error`` and
   ``traceback`` strings and are never retried;
-* after ``SweepOptions.breaker_threshold`` consecutive transient
-  failures a circuit breaker degrades the sweep to inline serial
-  execution (logged, and counted as ``sweep.degraded``);
+* after :data:`~repro.sweep.executors.BREAKER_THRESHOLD` consecutive
+  transient failures a circuit breaker degrades the sweep to inline
+  serial execution (logged, and counted as ``sweep.degraded``);
 * with a cache directory, finished cells are pickled content-addressed
   (:mod:`repro.runtime.cellcache`); ``resume=True`` serves hits from
   disk, so restarting a killed sweep only recomputes missing cells.
@@ -54,7 +54,13 @@ from ..obs import state as obs_state
 from ..obs import tracer as obs_tracer
 from ..runtime.cellcache import CellCache
 from ..runtime.checks import check_level, get_check_level
-from .executors import RetryPolicy, Supervisor, make_executor, resolve_executor_name
+from .executors import (
+    BREAKER_THRESHOLD,
+    RetryPolicy,
+    SerialExecutor,
+    SupervisedProcessExecutor,
+    Supervisor,
+)
 from .options import SweepOptions
 from .spec import SweepSpec, derive_seed, resolve_fn
 
@@ -65,7 +71,6 @@ __all__ = [
     "SweepError",
     "SweepResult",
     "configured_workers",
-    "default_workers",
     "run_sweep",
 ]
 
@@ -118,19 +123,6 @@ class SweepCancelled(SweepError):
         self.done = done
         self.total = total
         self.pending_keys = list(pending_keys)
-
-
-def default_workers() -> int:
-    """Worker count to use when the caller does not say.
-
-    Honours ``REPRO_SWEEP_WORKERS`` (how the benchmark harness and CI
-    select parallelism without threading a flag through every driver),
-    else falls back to the machine's CPU count.
-    """
-    env = _env_workers()
-    if env is not None:
-        return env
-    return max(1, os.cpu_count() or 1)
 
 
 def _env_workers() -> Optional[int]:
@@ -230,29 +222,6 @@ class SweepResult:
             bits = ", ".join(f"{v} {k}" for k, v in sorted(self.supervision.items()))
             base += f" [{bits}]"
         return base
-
-    def metrics(self) -> Optional[Dict[str, Any]]:
-        """Merged deterministic metrics of the whole sweep, or None.
-
-        Folds every cell's payload in **spec order** (the merge is
-        order-insensitive anyway; spec order makes the identity obvious)
-        and adds the orchestration counters ``sweep.cells_{status}``
-        plus the supervision counters (``sweep.retries`` ...) -- so the
-        dict is byte-identical between ``--workers 1`` and ``--workers
-        N`` (supervision counts depend only on the cells and the chaos
-        configuration, never on worker assignment).
-        """
-        payloads = [c.metrics for c in self.cells if c.metrics is not None]
-        if not payloads and not obs_state.enabled():
-            return None
-        reg = obs_metrics.MetricsRegistry.merged(payloads)
-        for status in CELL_STATUSES:
-            n = sum(1 for c in self.cells if c.status == status)
-            if n:
-                reg.counter_add(f"sweep.cells_{status}", n)
-        for name, value in self.supervision.items():
-            reg.counter_add(f"sweep.{name}", value)
-        return reg.to_dict(deterministic_only=True)
 
 
 class _ObsCellScope:
@@ -363,8 +332,11 @@ def run_sweep(
 
     ``options`` (a :class:`~repro.sweep.options.SweepOptions`, validated
     on construction) is the one source of the supervision settings:
-    executor, per-cell timeout, retries, backoff, circuit breaker,
-    chaos, and the ``progress``/``cancel`` hooks.  ``progress`` is called
+    per-cell timeout, retries, chaos, and the ``progress``/``cancel``
+    hooks.  The cells run inline when ``workers == 1`` and none of
+    timeout, retries or chaos is set; otherwise each runs in a
+    supervised worker process, the only place a deadline can be
+    enforced or a crash survived.  ``progress`` is called
     as each cell settles, with the cell result plus ``(done, total)``
     counts -- in *completion* order, which under parallelism is
     nondeterministic; only the returned :class:`SweepResult` ordering is
@@ -459,8 +431,8 @@ def run_sweep(
     supervision: Dict[str, int] = {}
     if pending:
         n_workers = min(max(1, workers), len(pending))
-        exec_name = resolve_executor_name(
-            opts.executor, workers, force_supervised=chaos is not None
+        supervised = (
+            workers > 1 or opts.timeout is not None or opts.retries > 0 or chaos is not None
         )
         if chaos is not None:
             from ..faults import chaos as chaos_mod
@@ -473,16 +445,18 @@ def run_sweep(
             pending = [chaos_mod.wrap_payload(p, chaos, ledger_dir) for p in pending]
         policy = RetryPolicy(
             max_attempts=opts.retries + 1,
-            backoff_s=opts.backoff_s,
             seed=derive_seed(0, "sweep-backoff", spec.name),
         )
-        exec_obj = make_executor(exec_name, n_workers, timeout_s=opts.timeout)
+        exec_obj = (
+            SupervisedProcessExecutor(n_workers, timeout_s=opts.timeout)
+            if supervised else SerialExecutor()
+        )
         # Chaos drills disable the circuit breaker: induced crashes are
         # expected there, and degrading to inline execution would run a
         # crash cell inside the supervisor process itself.
         supervisor = Supervisor(
             exec_obj, policy,
-            breaker_threshold=None if chaos is not None else opts.breaker_threshold,
+            breaker_threshold=None if chaos is not None else BREAKER_THRESHOLD,
         )
         try:
             for raw, attempts in supervisor.run(pending, cancel=cancel):

@@ -8,7 +8,9 @@ fixes that, behind a small pluggable interface:
 
 * :class:`SerialExecutor` -- runs every cell inline in the submitting
   process.  Zero overhead, bit-exact reference path; cannot enforce
-  timeouts and cannot survive a cell that kills the process.
+  timeouts and cannot survive a cell that kills the process, so the
+  engine uses it only for sweeps with one worker, no timeout, no
+  retries and no chaos.
 * :class:`SupervisedProcessExecutor` -- one child process per in-flight
   cell, with a result pipe per child.  The supervisor waits on the
   pipes, so it *observes* worker death (EOF without a result -> the
@@ -57,7 +59,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from .spec import derive_seed
 
 __all__ = [
-    "EXECUTOR_NAMES",
+    "BREAKER_THRESHOLD",
     "TRANSIENT_STATUSES",
     "Executor",
     "RetryPolicy",
@@ -65,8 +67,6 @@ __all__ = [
     "Supervisor",
     "SupervisionStats",
     "SupervisedProcessExecutor",
-    "make_executor",
-    "resolve_executor_name",
 ]
 
 logger = logging.getLogger("repro.sweep")
@@ -81,8 +81,9 @@ RawResult = Tuple[str, str, Any, float, int, Optional[Dict[str, Any]]]
 #: the cell -- the only statuses a :class:`RetryPolicy` ever retries.
 TRANSIENT_STATUSES = ("crashed", "timeout")
 
-#: Names accepted by :func:`make_executor` / ``SweepOptions(executor=...)``.
-EXECUTOR_NAMES = ("auto", "serial", "supervised")
+#: Consecutive transient outcomes after which a :class:`Supervisor`
+#: degrades the rest of its sweep to inline execution.
+BREAKER_THRESHOLD = 5
 
 
 def _execute(payload: Dict[str, Any]) -> RawResult:
@@ -164,9 +165,6 @@ class Executor:
     ``imap`` cannot promise.
     """
 
-    name = "base"
-    supports_timeout = False
-
     def free_slots(self) -> int:
         raise NotImplementedError
 
@@ -188,19 +186,10 @@ class SerialExecutor(Executor):
     """Run every attempt inline in the submitting process.
 
     The bit-exact reference path: no pickling, no processes, no
-    supervision.  A per-cell ``timeout`` cannot be enforced inline (there
-    is nobody left to enforce it), so it is ignored with one warning.
+    supervision, and so no per-cell deadline.
     """
 
-    name = "serial"
-    supports_timeout = False
-
-    def __init__(self, timeout_s: Optional[float] = None):
-        if timeout_s is not None:
-            logger.warning(
-                "serial executor cannot enforce per-cell timeout %.3gs; ignoring "
-                "(use executor='supervised' for deadline enforcement)", timeout_s,
-            )
+    def __init__(self) -> None:
         self._settled: List[RawResult] = []
 
     def free_slots(self) -> int:
@@ -265,9 +254,6 @@ class SupervisedProcessExecutor(Executor):
     its deadline is SIGKILLed and settles as ``timeout``.  Either way the
     sweep keeps going; there is no shared pool to break.
     """
-
-    name = "supervised"
-    supports_timeout = True
 
     def __init__(
         self,
@@ -378,39 +364,6 @@ class SupervisedProcessExecutor(Executor):
             self._reap(inf, kill=True)
 
 
-def resolve_executor_name(
-    name: Optional[str], workers: int, force_supervised: bool = False
-) -> str:
-    """Resolve a user-facing executor choice to a concrete executor name.
-
-    ``None``/``"auto"`` picks serial for ``workers == 1`` (the historical
-    bit-exact inline path) and supervised otherwise.  ``force_supervised``
-    (chaos injection active) upgrades auto-serial to supervised -- chaos
-    crash cells run inline would kill the submitting process -- but an
-    explicit ``"serial"`` is honoured (the caller asked for it).
-    """
-    if name in (None, "auto"):
-        if force_supervised:
-            return "supervised"
-        return "supervised" if workers > 1 else "serial"
-    if name not in ("serial", "supervised"):
-        raise ValueError(
-            f"unknown executor {name!r}; choose from {EXECUTOR_NAMES}"
-        )
-    return name
-
-
-def make_executor(
-    name: str, workers: int, timeout_s: Optional[float] = None
-) -> Executor:
-    """Instantiate a concrete executor by (already-resolved) name."""
-    if name == "serial":
-        return SerialExecutor(timeout_s=timeout_s)
-    if name == "supervised":
-        return SupervisedProcessExecutor(workers, timeout_s=timeout_s)
-    raise ValueError(f"unknown executor {name!r}; choose from {EXECUTOR_NAMES}")
-
-
 class Supervisor:
     """Drive an executor over a payload queue with retries and a breaker.
 
@@ -440,7 +393,7 @@ class Supervisor:
         self,
         executor: Executor,
         policy: Optional[RetryPolicy] = None,
-        breaker_threshold: Optional[int] = 5,
+        breaker_threshold: Optional[int] = BREAKER_THRESHOLD,
     ):
         if breaker_threshold is not None and breaker_threshold < 1:
             raise ValueError(f"breaker_threshold must be >= 1, got {breaker_threshold}")

@@ -1,8 +1,8 @@
 """Frozen sweep-execution options (the ``SimOptions`` of the sweep layer).
 
 :class:`SweepOptions` bundles the *how-to-run* knobs of
-:func:`~repro.sweep.engine.run_sweep` -- executor choice, per-cell
-timeout, retry budget, chaos injection, progress and cancellation --
+:func:`~repro.sweep.engine.run_sweep` -- per-cell timeout, retry
+budget, chaos injection, progress and cancellation --
 into one frozen, hashable value that drivers can thread through
 unchanged (``run_experiment`` -> table/figure driver -> ``run_sweep``)
 instead of growing a kwarg tail at every layer; ``run_sweep`` has no
@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .executors import EXECUTOR_NAMES
-
 __all__ = ["SweepOptions"]
 
 
@@ -32,17 +30,15 @@ __all__ = ["SweepOptions"]
 class SweepOptions:
     """How a sweep executes (never *what* it computes).
 
-    ``executor`` is ``"auto"``/``None`` (serial when ``workers == 1``,
-    supervised otherwise), ``"serial"``, or ``"supervised"``.
-    ``timeout`` is a per-cell deadline in seconds, enforced only by the
-    supervised executor.  ``retries`` is the number of *extra* attempts
-    a cell gets after a transient (``crashed``/``timeout``) outcome --
-    deterministic failures are never retried.  ``backoff_s`` seeds the
-    exponential backoff between attempts; ``breaker_threshold`` is the
-    consecutive-transient-failure count that degrades the sweep to
-    inline serial execution.  ``chaos`` optionally carries a
+    ``timeout`` is a per-cell deadline in seconds.  ``retries`` is the
+    number of *extra* attempts a cell gets after a transient
+    (``crashed``/``timeout``) outcome -- deterministic failures are
+    never retried.  ``chaos`` optionally carries a
     :class:`repro.faults.chaos.ChaosConfig` for fault drills (typed
-    loosely to keep this module free of a faults dependency).
+    loosely to keep this module free of a faults dependency).  Setting
+    any of the three makes the sweep run each cell in a supervised
+    worker process, as more than one worker does; otherwise the cells
+    run inline.
 
     ``progress`` and ``cancel`` let callers that sit far above
     :func:`~repro.sweep.engine.run_sweep` (the simulation service, which
@@ -55,30 +51,17 @@ class SweepOptions:
     :class:`~repro.sweep.engine.SweepCancelled`.
     """
 
-    executor: Optional[str] = None
     timeout: Optional[float] = None
     retries: int = 0
-    backoff_s: float = 0.05
-    breaker_threshold: int = 5
     chaos: Optional[Any] = None
     progress: Optional[Any] = None
     cancel: Optional[Any] = None
 
     def __post_init__(self) -> None:
-        if self.executor is not None and self.executor not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; choose from {EXECUTOR_NAMES}"
-            )
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
-        if self.breaker_threshold < 1:
-            raise ValueError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
-            )
         if self.progress is not None and not callable(self.progress):
             raise ValueError("progress must be callable (or None)")
         if self.cancel is not None and not callable(

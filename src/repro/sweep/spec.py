@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from importlib import import_module
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 __all__ = ["SweepCell", "SweepSpec", "derive_seed", "fn_ref", "resolve_fn"]
 
@@ -112,28 +112,3 @@ class SweepSpec:
 
     def __len__(self) -> int:
         return len(self.cells)
-
-    @classmethod
-    def build(
-        cls,
-        name: str,
-        fn: Union[str, Callable[..., Any]],
-        grid: Iterable[Tuple[str, Dict[str, Any]]],
-        base_seed: Optional[int] = None,
-    ) -> "SweepSpec":
-        """Spec with one cell per ``(key, kwargs)`` grid entry.
-
-        With ``base_seed`` given, every cell also gets a
-        :func:`derive_seed`-derived ambient seed from its key.
-        """
-        ref = fn_ref(fn)
-        cells = tuple(
-            SweepCell(
-                key=key,
-                fn=ref,
-                kwargs=dict(kwargs),
-                seed=None if base_seed is None else derive_seed(base_seed, key),
-            )
-            for key, kwargs in grid
-        )
-        return cls(name=name, cells=cells)

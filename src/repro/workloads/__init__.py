@@ -8,7 +8,6 @@ from .layers import (
     LayerSpec,
     bert_layers,
     opt_6_7b_layers,
-    resnet18_layers,
     resnet50_layers,
 )
 from .models import ISO_ACCURACY_SPARSITY, ModelWorkload, build_model_workload
@@ -47,7 +46,6 @@ __all__ = [
     "moe_combined_sparsity",
     "opt_6_7b_layers",
     "pattern_mask",
-    "resnet18_layers",
     "resnet50_layers",
     "route_tokens",
     "stencil_tap_mask",

@@ -190,7 +190,6 @@ def pattern_mask(
     family: PatternFamily,
     sparsity: float,
     m: int = DEFAULT_M,
-    tsolver: Optional[str] = None,
 ):
     """Project ``weights`` onto ``family`` at ``sparsity``.
 
@@ -205,7 +204,7 @@ def pattern_mask(
         tbs = tbs_sparsify(weights, m=m, sparsity=sparsity)
         return tbs.mask, tbs
     if family is PatternFamily.NMT:
-        mask, _ = transposable_sparsify(weights, m=m, sparsity=sparsity, backend=tsolver)
+        mask, _ = transposable_sparsify(weights, m=m, sparsity=sparsity)
         return mask, None
     if family is PatternFamily.TS:
         # NVIDIA STC supports only the fixed 2:4/4:8 ratio.
@@ -222,22 +221,19 @@ def build_workload(
     m: int = DEFAULT_M,
     seed: int = 0,
     scale: int = 1,
-    tsolver: Optional[str] = None,
 ) -> GEMMWorkload:
     """Generate weights for ``layer`` and prune them with ``family``.
 
     ``scale`` downsamples the layer dimensions (see
     :meth:`LayerSpec.scaled`) to keep the Python block-level simulation
-    tractable; ratios between architectures are preserved.  ``tsolver``
-    picks the :mod:`repro.core.tsolvers` backend for the NMT family
-    (other families ignore it).
+    tractable; ratios between architectures are preserved.
 
     Note the STC caveat from the paper (Table I footnote): the TS
     baseline always runs 4:8, so its effective sparsity saturates at 50%.
     """
     spec_layer = layer.scaled(scale, m=m) if scale > 1 else layer
     weights = synthetic_weights(spec_layer.rows, spec_layer.cols, seed=seed)
-    mask, tbs = pattern_mask(weights, family, sparsity, m=m, tsolver=tsolver)
+    mask, tbs = pattern_mask(weights, family, sparsity, m=m)
 
     return GEMMWorkload(
         name=f"{spec_layer.name}[{family.name}@{sparsity:.0%}]",

@@ -11,7 +11,7 @@ must win on flexibility alone.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..core.patterns import DEFAULT_M, PatternFamily
 from .generator import GEMMWorkload, pattern_mask, synthetic_weights
@@ -37,7 +37,6 @@ def build_inference24_workloads(
     seed: int = 0,
     scale: int = 1,
     seq_len: int = 128,
-    tsolver: Optional[str] = None,
 ) -> List[GEMMWorkload]:
     """One-shot magnitude-prune every projection with ``family``.
 
@@ -50,7 +49,7 @@ def build_inference24_workloads(
     for i, layer in enumerate(inference24_layers(seq_len)):
         spec_layer = layer.scaled(scale, m=m) if scale > 1 else layer
         weights = synthetic_weights(spec_layer.rows, spec_layer.cols, seed=seed + i)
-        mask, tbs = pattern_mask(weights, family, sparsity, m=m, tsolver=tsolver)
+        mask, tbs = pattern_mask(weights, family, sparsity, m=m)
         workloads.append(
             GEMMWorkload(
                 name=f"inf24.{spec_layer.name}[{family.name}@{sparsity:.0%}]",

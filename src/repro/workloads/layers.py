@@ -7,7 +7,7 @@ the sparse weight matrix:
   ``B`` is ``(C_in*kh*kw, H_out*W_out)``;
 * transformer projections are plain ``(d_out, d_in) x (d_in, tokens)``.
 
-The shapes below follow the published architectures (ResNet-18/50,
+The shapes below follow the published architectures (ResNet-50,
 BERT-base, OPT-6.7B).  Because the simulator models each block
 individually in Python, layer shapes can be scaled down by an integer
 factor (``scale``) while preserving the aspect ratios and block
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-__all__ = ["LayerSpec", "resnet50_layers", "resnet18_layers", "bert_layers", "opt_6_7b_layers", "MODEL_LAYERS"]
+__all__ = ["LayerSpec", "resnet50_layers", "bert_layers", "opt_6_7b_layers", "MODEL_LAYERS"]
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,6 @@ class LayerSpec:
     def __post_init__(self) -> None:
         if min(self.rows, self.cols, self.b_cols) < 1:
             raise ValueError(f"invalid layer shape for {self.name}")
-
-    @property
-    def macs(self) -> int:
-        """Dense multiply-accumulate count."""
-        return self.rows * self.cols * self.b_cols
 
     def scaled(self, scale: int, m: int = 8) -> "LayerSpec":
         """Divide every dimension by ``scale``, keeping M-alignment."""
@@ -75,18 +70,6 @@ def resnet50_layers() -> List[LayerSpec]:
     ]
 
 
-def resnet18_layers() -> List[LayerSpec]:
-    return [
-        _conv("res18.conv2", 64, 64, 3, 56),
-        _conv("res18.conv3", 128, 128, 3, 28),
-        _conv("res18.conv3_down", 128, 64, 3, 28),
-        _conv("res18.conv4", 256, 256, 3, 14),
-        _conv("res18.conv4_down", 256, 128, 3, 14),
-        _conv("res18.conv5", 512, 512, 3, 7),
-        _conv("res18.conv5_down", 512, 256, 3, 7),
-    ]
-
-
 def bert_layers(seq_len: int = 128) -> List[LayerSpec]:
     """BERT-base encoder layer GEMMs (hidden 768, FFN 3072)."""
     h = 768
@@ -112,7 +95,6 @@ def opt_6_7b_layers(seq_len: int = 128) -> List[LayerSpec]:
 #: Model name -> (layer list, per-layer repeat counts for end-to-end runs).
 MODEL_LAYERS: Dict[str, Tuple] = {
     "resnet50": (resnet50_layers, (1, 3, 3, 1, 4, 4, 1, 6, 6, 1, 3, 3)),
-    "resnet18": (resnet18_layers, (4, 3, 1, 3, 1, 3, 1)),
     "bert": (bert_layers, (12, 12, 12, 12)),
     "opt-6.7b": (opt_6_7b_layers, (32, 32, 32, 32)),
 }

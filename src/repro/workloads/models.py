@@ -61,10 +61,6 @@ class ModelWorkload:
         if len(self.layers) != len(self.repeats):
             raise ValueError("layers and repeats must align")
 
-    @property
-    def total_macs(self) -> int:
-        return sum(r * layer.macs for r, layer in zip(self.repeats, self.layers))
-
 
 @timed("workloads.build")
 def build_model_workload(

@@ -18,7 +18,7 @@ lower to the simulator:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -106,7 +106,6 @@ def build_moe_workloads(
     m: int = DEFAULT_M,
     seed: int = 0,
     scale: int = 1,
-    tsolver: Optional[str] = None,
 ) -> Tuple[List[GEMMWorkload], GEMMWorkload]:
     """(per-expert workloads, combined block-diagonal workload).
 
@@ -128,7 +127,7 @@ def build_moe_workloads(
         combined[e * s.d_ff : (e + 1) * s.d_ff, e * s.d_model : (e + 1) * s.d_model] = w
 
     target = 0.0 if sparsity <= 0.0 else moe_combined_sparsity(s, sparsity)
-    mask, tbs = pattern_mask(combined, family, target, m=m, tsolver=tsolver)
+    mask, tbs = pattern_mask(combined, family, target, m=m)
     counts = route_tokens(s, seed=seed)
     combined_wl = GEMMWorkload(
         name=f"{s.name}.combined[{family.name}@{target:.0%}]",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -127,7 +127,6 @@ def build_stencil_workload(
     m: int = DEFAULT_M,
     seed: int = 0,
     scale: int = 1,
-    tsolver: Optional[str] = None,
 ) -> GEMMWorkload:
     """Lower ``spec`` and project it onto ``family`` at >= its structure.
 
@@ -142,7 +141,7 @@ def build_stencil_workload(
     structure = s.structure()
     weights = synthetic_weights(layer.rows, layer.cols, seed=seed) * structure
     target = sparsity if sparsity <= 0.0 else max(sparsity, s.structural_sparsity)
-    mask, tbs = pattern_mask(weights, family, target, m=m, tsolver=tsolver)
+    mask, tbs = pattern_mask(weights, family, target, m=m)
     return GEMMWorkload(
         name=f"{layer.name}[{family.name}@{target:.0%}]",
         values=weights,

@@ -6,16 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.blocks import (
-    block_densities,
     block_grid_shape,
-    block_nnz_counts,
-    blocks_list,
     extract_block,
     iter_blocks,
     merge_from_blocks,
     pad_to_blocks,
-    row_group_view,
-    scatter_block,
     split_into_blocks,
 )
 
@@ -107,38 +102,3 @@ class TestExtractScatter:
         block = extract_block(a, idx, 4)
         assert block.shape == (4, 4)
         assert block.sum() == 1  # only the (4,4) corner element is real
-
-    def test_scatter_roundtrip(self):
-        a = np.zeros((5, 5))
-        idx = next(i for i in iter_blocks(5, 5, 4) if (i.row, i.col) == (1, 1))
-        scatter_block(a, idx, np.full((4, 4), 7.0))
-        assert a[4, 4] == 7.0
-        assert a.sum() == 7.0
-
-    def test_blocks_list_count(self):
-        a = np.zeros((10, 10))
-        assert len(blocks_list(a, 4)) == 9
-
-
-class TestCounts:
-    def test_block_nnz_counts(self):
-        mask = np.zeros((8, 8), dtype=bool)
-        mask[0, 0] = mask[0, 1] = mask[4, 4] = True
-        counts = block_nnz_counts(mask, 4)
-        np.testing.assert_array_equal(counts, [[2, 0], [0, 1]])
-
-    def test_block_densities(self):
-        mask = np.ones((4, 4), dtype=bool)
-        np.testing.assert_allclose(block_densities(mask, 4), [[1.0]])
-
-    def test_row_group_view_shape(self):
-        a = np.zeros((3, 16))
-        v = row_group_view(a, 8)
-        assert v.shape == (3, 2, 8)
-
-    @given(st.integers(1, 30), st.integers(1, 30))
-    @settings(max_examples=30, deadline=None)
-    def test_nnz_conserved(self, rows, cols):
-        rng = np.random.default_rng(rows * 31 + cols)
-        mask = rng.random((rows, cols)) < 0.3
-        assert block_nnz_counts(mask, 8).sum() == mask.sum()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.criteria import (
     calibration_hessian,
-    magnitude_scores,
     sparsegpt_prune,
     sparsegpt_scores,
     wanda_scores,
@@ -18,16 +17,6 @@ def _layer(seed=0, out_f=16, in_f=24, samples=64):
     weights = rng.normal(size=(out_f, in_f))
     activations = rng.normal(size=(samples, in_f)) * np.exp(rng.normal(0, 0.5, size=in_f))
     return weights, activations
-
-
-class TestMagnitude:
-    def test_absolute_value(self):
-        w = np.array([[-2.0, 1.0], [0.5, -3.0]])
-        np.testing.assert_array_equal(magnitude_scores(w), [[2.0, 1.0], [0.5, 3.0]])
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            magnitude_scores(np.ones(4))
 
 
 class TestWanda:

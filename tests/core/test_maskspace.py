@@ -5,9 +5,8 @@ import math
 import pytest
 
 from repro.core.maskspace import (
-    exact_maskspace_rs_v,
-    exact_maskspace_tbs,
-    exact_maskspace_ts,
+    _candidate_exponents,
+    _check_dims,
     log2_maskspace_rs_h,
     log2_maskspace_rs_v,
     log2_maskspace_tbs,
@@ -15,6 +14,28 @@ from repro.core.maskspace import (
     log2_maskspace_us,
     maskspace_table,
 )
+
+
+# Exact big-integer mask-space counts: the oracle the log2 formulas are
+# checked against on matrices small enough to count exactly.
+
+
+def exact_maskspace_ts(x: int, y: int, m: int) -> int:
+    _check_dims(x, y, m)
+    tiles = x * y // m
+    return sum(math.comb(m, 2**i) ** tiles for i in _candidate_exponents(m))
+
+
+def exact_maskspace_rs_v(x: int, y: int, m: int) -> int:
+    _check_dims(x, y, m)
+    per_row = sum(math.comb(m, 2**i) ** (y // m) for i in _candidate_exponents(m))
+    return per_row**x
+
+
+def exact_maskspace_tbs(x: int, y: int, m: int) -> int:
+    _check_dims(x, y, m)
+    per_block = sum(2 * math.comb(m, 2**i) ** m for i in _candidate_exponents(m))
+    return per_block ** (x * y // (m * m))
 
 
 class TestLogMatchesExact:

@@ -5,27 +5,17 @@ import math
 import pytest
 
 from repro.core.patterns import (
-    BlockPattern,
-    Direction,
     NMConfig,
     PatternFamily,
     PatternSpec,
     default_candidates,
     is_power_of_two,
     log2_choose,
-    nearest_candidate,
-    sparsity_of,
+    nearest_candidates_grid,
 )
-
-import numpy as np
 
 
 class TestNMConfig:
-    def test_density_and_sparsity(self):
-        nm = NMConfig(2, 4)
-        assert nm.density == 0.5
-        assert nm.sparsity == 0.5
-
     def test_str(self):
         assert str(NMConfig(4, 8)) == "4:8"
 
@@ -40,10 +30,6 @@ class TestNMConfig:
     def test_rejects_zero_m(self):
         with pytest.raises(ValueError):
             NMConfig(0, 0)
-
-    def test_extreme_ratios(self):
-        assert NMConfig(0, 8).density == 0.0
-        assert NMConfig(8, 8).sparsity == 0.0
 
 
 class TestDefaultCandidates:
@@ -68,43 +54,25 @@ class TestDefaultCandidates:
 
 class TestNearestCandidate:
     def test_exact_match(self):
-        assert nearest_candidate(0.25, 8, (0, 1, 2, 4, 8)) == 2
+        assert nearest_candidates_grid(0.25, 8, (0, 1, 2, 4, 8)) == 2
 
     def test_rounds_to_closest(self):
-        assert nearest_candidate(0.3, 8, (0, 1, 2, 4, 8)) == 2
-        assert nearest_candidate(0.45, 8, (0, 1, 2, 4, 8)) == 4
+        assert nearest_candidates_grid(0.3, 8, (0, 1, 2, 4, 8)) == 2
+        assert nearest_candidates_grid(0.45, 8, (0, 1, 2, 4, 8)) == 4
 
     def test_tie_prefers_smaller(self):
         # density 0.1875 is equidistant from 1/8 and 2/8.
-        assert nearest_candidate(0.1875, 8, (0, 1, 2, 4, 8)) == 1
+        assert nearest_candidates_grid(0.1875, 8, (0, 1, 2, 4, 8)) == 1
 
     def test_zero_density(self):
-        assert nearest_candidate(0.0, 8, (0, 1, 2, 4, 8)) == 0
+        assert nearest_candidates_grid(0.0, 8, (0, 1, 2, 4, 8)) == 0
 
     def test_full_density(self):
-        assert nearest_candidate(1.0, 8, (0, 1, 2, 4, 8)) == 8
+        assert nearest_candidates_grid(1.0, 8, (0, 1, 2, 4, 8)) == 8
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
-            nearest_candidate(0.5, 8, ())
-
-
-class TestBlockPattern:
-    def test_nnz_is_multiple_of_m(self):
-        # The "balance property" exploited by intra-block scheduling.
-        for n in (0, 1, 2, 4, 8):
-            bp = BlockPattern(n, 8, Direction.ROW)
-            assert bp.nnz == n * 8
-            assert bp.nnz % 8 == 0
-
-    def test_trivial_blocks(self):
-        assert BlockPattern(0, 8, Direction.ROW).is_trivial
-        assert BlockPattern(8, 8, Direction.COL).is_trivial
-        assert not BlockPattern(2, 8, Direction.ROW).is_trivial
-
-    def test_direction_transpose(self):
-        assert Direction.ROW.transposed is Direction.COL
-        assert Direction.COL.transposed is Direction.ROW
+            nearest_candidates_grid(0.5, 8, ())
 
 
 class TestPatternSpec:
@@ -124,22 +92,8 @@ class TestPatternSpec:
         with pytest.raises(ValueError):
             PatternSpec(PatternFamily.TBS, m=4, candidates=(0, 9))
 
-    def test_density(self):
-        assert PatternSpec(PatternFamily.US, sparsity=0.75).density == 0.25
-
-    def test_structured_flag(self):
-        assert not PatternFamily.US.is_structured
-        assert PatternFamily.TBS.is_structured
-
 
 class TestHelpers:
-    def test_sparsity_of(self):
-        mask = np.array([[1, 0], [0, 0]], dtype=bool)
-        assert sparsity_of(mask) == 0.75
-
-    def test_sparsity_of_empty(self):
-        assert sparsity_of(np.zeros((0, 0), dtype=bool)) == 0.0
-
     def test_is_power_of_two(self):
         assert is_power_of_two(1) and is_power_of_two(8)
         assert not is_power_of_two(0) and not is_power_of_two(6)

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.masks import unstructured_mask
-from repro.core.similarity import (
-    direction_distribution,
-    kept_overlap,
-    mask_agreement,
-    pattern_similarity_sweep,
-)
-from repro.core.sparsify import tbs_sparsify
+from repro.core.similarity import mask_agreement, pattern_similarity_sweep
 
 
 def _rand(shape, seed=0):
@@ -41,22 +35,6 @@ class TestAgreement:
         assert mask_agreement(a, b) == pytest.approx(1 - l1 / a.size)
 
 
-class TestOverlap:
-    def test_identical(self):
-        mask = unstructured_mask(_rand((8, 8)), 0.5)
-        assert kept_overlap(mask, mask) == 1.0
-
-    def test_disjoint(self):
-        a = np.zeros((2, 2), dtype=bool)
-        b = np.zeros((2, 2), dtype=bool)
-        a[0, 0] = True
-        b[1, 1] = True
-        assert kept_overlap(a, b) == 0.0
-
-    def test_both_empty(self):
-        assert kept_overlap(np.zeros((4, 4), dtype=bool), np.zeros((4, 4), dtype=bool)) == 1.0
-
-
 class TestSweep:
     def test_tbs_most_similar_to_us(self):
         """Fig. 4(b): TBS similarity with US exceeds the other patterns."""
@@ -77,20 +55,3 @@ class TestSweep:
         scores = rng.normal(size=(128, 128)) * scale
         sims = pattern_similarity_sweep(scores, sparsity=0.75, m=8)
         assert sims["TBS"] > 0.85
-
-
-class TestDirectionDistribution:
-    def test_fractions_sum_to_one(self):
-        res = tbs_sparsify(_rand((64, 64), seed=6), m=8, sparsity=0.75)
-        dist = direction_distribution(res)
-        assert sum(dist.values()) == pytest.approx(1.0)
-
-    def test_accepts_list(self):
-        res1 = tbs_sparsify(_rand((64, 64), seed=7), m=8, sparsity=0.75)
-        res2 = tbs_sparsify(_rand((64, 64), seed=8), m=8, sparsity=0.5)
-        dist = direction_distribution([res1, res2])
-        assert sum(dist.values()) == pytest.approx(1.0)
-
-    def test_empty_input(self):
-        dist = direction_distribution([])
-        assert dist == {"row": 0.0, "col": 0.0, "other": 0.0}

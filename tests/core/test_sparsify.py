@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.masks import unstructured_mask
 from repro.core.patterns import Direction
 from repro.core.similarity import mask_agreement
-from repro.core.sparsify import block_pattern_grid, tbs_sparsify
+from repro.core.sparsify import tbs_sparsify
 
 
 def _rand(shape, seed=0):
@@ -96,18 +96,6 @@ class TestTBSSparsify:
         res = tbs_sparsify(_rand((30, 50), seed=8), m=8, sparsity=0.5)
         assert res.mask.shape == (30, 50)
         assert res.block_n.shape == (4, 7)
-
-    def test_block_patterns_accessor(self):
-        res = tbs_sparsify(_rand((16, 16), seed=9), m=8, sparsity=0.5)
-        patterns = res.block_patterns()
-        assert len(patterns) == 2 and len(patterns[0]) == 2
-        assert patterns[0][0].m == 8
-
-    def test_block_pattern_grid(self):
-        res = tbs_sparsify(_rand((16, 16), seed=10), m=8, sparsity=0.5)
-        grid = block_pattern_grid(res)
-        assert grid.shape == (2, 2)
-        assert grid[0, 0].n == res.block_n[0, 0]
 
     @given(st.floats(0.3, 0.9), st.integers(0, 100))
     @settings(max_examples=25, deadline=None)

@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 import repro.core.masks as masks_mod
 from repro.core.masks import highlight_mask, tile_mask, topn_along_last, vegeta_mask
-from repro.core.patterns import NMConfig, nearest_candidate, nearest_candidates_grid
+from repro.core.patterns import NMConfig, nearest_candidates_grid
 from repro.core.sparsify import tbs_sparsify
 
-from .topn_oracle import ranks_argsort, topn_argsort
+from .topn_oracle import nearest_candidate, ranks_argsort, topn_argsort
 
 _SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
 

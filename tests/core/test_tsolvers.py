@@ -14,14 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.transposable import is_transposable
 from repro.core.tsolvers import (
     DEFAULT_TSOLVER,
     TSOLVER_NAMES,
     resolve_tsolver,
-    solve_block,
     solve_blocks,
 )
+
+from .transposable_oracle import is_transposable, solve_block
 
 
 def _rand_blocks(b, m, seed=0):

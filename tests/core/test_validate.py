@@ -6,11 +6,16 @@ import pytest
 from repro.core.masks import make_mask, tile_mask, vegeta_mask
 from repro.core.patterns import NMConfig, PatternFamily, PatternSpec
 from repro.core.sparsify import tbs_sparsify
-from repro.core.validate import validate_mask, validate_tbs_result
+from repro.core.validate import validate_mask
 
 
 def _rand(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape)
+
+
+def validate_tbs_result(result):
+    """Validate a TBS result's mask against its own declared metadata."""
+    return validate_mask(result.mask, PatternSpec(PatternFamily.TBS, m=result.m), tbs=result)
 
 
 class TestValidGeneratorsPass:

@@ -7,9 +7,13 @@ descending ``argsort`` of ``|scores|`` scattered back into ranks with
 to the lower index, ``inf`` first, NaN last, a C-contiguous mask).
 :func:`ranks_argsort` gives the same ranks in the M-first form of
 ``repro.core.masks._count_ranks``, the one rank count every generator
-reads, so a test can swap it in there.  Both live here only as test
-oracles; nothing in ``src/`` calls them.
+reads, so a test can swap it in there.  :func:`nearest_candidate` is the
+scalar form of Algorithm 1 step 2 that
+``repro.core.patterns.nearest_candidates_grid`` vectorizes.  All three
+live here only as test oracles; nothing in ``src/`` calls them.
 """
+
+from typing import Sequence
 
 import numpy as np
 
@@ -38,3 +42,18 @@ def ranks_argsort(groups: np.ndarray) -> np.ndarray:
     """Ranks of every group along axis 0, M-first and C-ordered."""
     ranks = _ranks_last(np.moveaxis(np.asarray(groups, dtype=np.float64), 0, -1))
     return np.ascontiguousarray(np.moveaxis(ranks, -1, 0))
+
+
+def nearest_candidate(density: float, m: int, candidates: Sequence[int]) -> int:
+    """Pick the candidate N whose density N/M is closest to ``density``.
+
+    Implements Algorithm 1 step 2 (``N_p = argmin |N_i / M - d_p|``; the
+    paper's listing writes the sparsity degree ``s_p`` where the density is
+    clearly intended -- N/M is a density, and matching it against a sparsity
+    would invert the selection).  Ties break toward the smaller N so that
+    the overall mask never exceeds the target density.
+    """
+    if not candidates:
+        raise ValueError("candidate list must not be empty")
+    best = min(candidates, key=lambda n: (abs(n / m - density), n))
+    return best

@@ -10,7 +10,6 @@ class TestConfig:
         cfg = ECCConfig()
         assert not cfg.enabled
         assert cfg.check_bits == 0
-        assert cfg.overhead_ratio == 0.0
 
     def test_parity_is_one_bit(self):
         assert ECCConfig(mode="parity").check_bits == 1

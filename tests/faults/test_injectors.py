@@ -6,7 +6,6 @@ import pytest
 from repro.core.sparsify import tbs_sparsify
 from repro.faults.injectors import (
     FAULT_TARGETS,
-    corrupt_file,
     inject_mask_stuck_at,
     inject_payload_bitflips,
     payload_targets,
@@ -20,6 +19,8 @@ from repro.formats import (
     EncodeSpec,
     SDCFormat,
 )
+
+from ..runtime.file_faults import corrupt_file
 
 FORMATS = {
     "dense": DenseFormat,

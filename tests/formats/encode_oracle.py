@@ -6,7 +6,9 @@ forward traces with array operations.  The functions here are the loops
 those replaced, one row or one block at a time.  Each takes
 ``(fmt, values, spec)`` like ``SparseFormat._encode``, so a test can
 call it directly or install it in place of a format's ``_encode``.
-They live here only as a test oracle; nothing in ``src/`` calls them.
+:func:`infer_block_pattern` is the per-block N and direction inference
+``ddc_encode_loop`` runs on each block's non-zero structure.  They live here only as a test oracle;
+nothing in ``src/`` calls them.
 """
 
 import math
@@ -26,8 +28,36 @@ from repro.formats.base import (
     Trace,
     apply_mask,
 )
-from repro.formats.ddc import DDC_INFO_DTYPE, infer_block_pattern
+from repro.formats.ddc import DDC_INFO_DTYPE
 from repro.formats.sdc import SDC_INDEX_BYTES
+
+
+def infer_block_pattern(block: np.ndarray) -> tuple:
+    """Infer (n, direction) of one block from its non-zero structure.
+
+    A block whose rows all carry the same count ``n`` is a valid
+    reduction-dim (ROW) block; uniform column counts give COL.  When both
+    hold (e.g. empty or dense blocks) ROW wins; when neither holds the
+    block is stored at the direction with the smaller maximum count,
+    padded to that count (graceful handling of near-TBS inputs).
+    Returns ``(n, direction, exact)``.
+    """
+    row_counts = np.count_nonzero(block, axis=1)
+    col_counts = np.count_nonzero(block, axis=0)
+    # A lane set is "uniform" when every non-empty lane carries the same
+    # count (empty lanes are allowed: the N:M constraint is "at most N",
+    # and ragged-edge padding produces legitimately empty lanes).
+    row_max = int(row_counts.max())
+    col_max = int(col_counts.max())
+    row_uniform = set(row_counts.tolist()) <= {0, row_max}
+    col_uniform = set(col_counts.tolist()) <= {0, col_max}
+    if row_uniform:
+        return row_max, Direction.ROW, True
+    if col_uniform:
+        return col_max, Direction.COL, True
+    if row_max <= col_max:
+        return row_max, Direction.ROW, False
+    return col_max, Direction.COL, False
 
 
 def csr_encode_loop(fmt, values, spec) -> EncodedMatrix:

@@ -91,7 +91,7 @@ class TestConvertBlock:
 
     def test_single_element(self):
         schedule = convert_block([StorageElement(1.0, 0, 0)])
-        assert schedule.elements_out == 1
+        assert sum(len(beat) for beat in schedule.outputs) == 1
         assert schedule.flush_cycles == 1  # below threshold -> flushed
 
     @given(
@@ -111,7 +111,7 @@ class TestConvertBlock:
         schedule = convert_block(stream, n_queues=m)
         out_vals = sorted(e.value for beat in schedule.outputs for e in beat)
         assert out_vals == sorted(e.value for e in stream)
-        assert schedule.elements_out == m * n
+        assert sum(len(beat) for beat in schedule.outputs) == m * n
 
 
 # Every (in_width, out_width, threshold) in 1..4 the closed form covers.

@@ -10,9 +10,9 @@ from repro.core.blocks import block_grid_shape
 from repro.core.patterns import Direction
 from repro.core.sparsify import tbs_sparsify
 from repro.formats import CSRFormat, DDCFormat, EncodeSpec, SDCFormat
-from repro.formats.ddc import DDC_INFO_DTYPE, infer_block_pattern
+from repro.formats.ddc import DDC_INFO_DTYPE
 
-from .encode_oracle import ddc_encode_loop
+from .encode_oracle import ddc_encode_loop, infer_block_pattern
 
 
 class TestInferBlockPattern:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core import tbs_sparsify
 from repro.formats import (
     ORIENTATIONS,
+    VALUE_BYTES,
     EncodeSpec,
     available_formats,
     get_format,
@@ -65,7 +66,7 @@ class TestFormatProperties:
         sparse, res = _tbs_case(seed)
         _, enc = _encode(name, sparse, res)
         for orientation in ORIENTATIONS:
-            assert enc.traced_bytes_for(orientation) >= enc.payload_bytes, orientation
+            assert enc.traced_bytes_for(orientation) >= enc.nnz * VALUE_BYTES, orientation
 
     @given(seed=st.integers(0, 100))
     @settings(max_examples=10, deadline=None)

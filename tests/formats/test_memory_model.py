@@ -62,7 +62,6 @@ class TestTrafficReport:
             enc = fmt.encode(sparse, EncodeSpec(tbs=res if fmt.name == "ddc" else None))
             rep = traffic_report(enc)
             assert 0.0 <= rep.bandwidth_utilization <= 1.0
-            assert rep.redundancy_ratio == pytest.approx(1 - rep.bandwidth_utilization)
 
     def test_empty_matrix_full_utilization(self):
         enc = CSRFormat().encode(np.zeros((8, 8)))

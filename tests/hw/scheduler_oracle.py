@@ -10,19 +10,30 @@ nothing in ``src/`` calls it.  It takes trusted lists and arrays only:
 the stall guards for malformed streams belong to the scheduler's own
 guarded loop.
 
-:func:`per_pe_busy` derives each PE's busy time from a ``record=True``
-schedule's placements; :class:`~repro.hw.scheduler.ScheduleResult`
-does not carry it.
+:class:`CostStream` is a well-formed duck-typed cost sequence: the
+schedulers take their guarded event loops for it, so a test can hold
+those loops against the oracle too.
 """
 
 import heapq
 
-from repro.hw.scheduler import Assignment, ScheduleResult, _validate
+from repro.hw.scheduler import ScheduleResult, _validate
 
 
-def schedule_sparsity_aware_sort(
-    costs, num_pes, window=8, record=False
-) -> ScheduleResult:
+class CostStream:
+    """A list of costs behind ``__len__``/``__getitem__`` only."""
+
+    def __init__(self, costs):
+        self._costs = list(costs)
+
+    def __len__(self):
+        return len(self._costs)
+
+    def __getitem__(self, index):
+        return self._costs[index]
+
+
+def schedule_sparsity_aware_sort(costs, num_pes, window=8) -> ScheduleResult:
     """Windowed earliest-free-PE dispatch, sorting the window each step."""
     _validate(costs, num_pes)
     if window < 1:
@@ -32,29 +43,15 @@ def schedule_sparsity_aware_sort(
     heap = [(0, pe) for pe in range(num_pes)]  # (free_time, pe)
     heapq.heapify(heap)
     fetch_cursor = 0
-    assignments = []
     while fetch_cursor < n_blocks or buffer:
         while fetch_cursor < n_blocks and len(buffer) < window:
             buffer.append((costs[fetch_cursor], fetch_cursor))
             fetch_cursor += 1
         buffer.sort(reverse=True)
-        cost, block_id = buffer.pop(0)
+        cost, _ = buffer.pop(0)
         free_time, pe = heapq.heappop(heap)
         heapq.heappush(heap, (free_time + cost, pe))
-        if record:
-            assignments.append(Assignment(block_id, pe, free_time, free_time + cost))
 
     makespan = max(t for t, _ in heap) if heap else 0
     total = sum(costs[i] for i in range(n_blocks))
-    return ScheduleResult(makespan, total, num_pes, tuple(assignments))
-
-
-def per_pe_busy(result: ScheduleResult) -> tuple:
-    """Busy time of every PE: ``end - start`` summed over its placements.
-
-    Needs a ``record=True`` result; without placements every PE reads 0.
-    """
-    busy = [0] * result.num_pes
-    for a in result.assignments:
-        busy[a.pe] += a.end - a.start
-    return tuple(busy)
+    return ScheduleResult(makespan, total, num_pes)

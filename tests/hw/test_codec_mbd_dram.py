@@ -85,13 +85,6 @@ class TestMBDUnit:
         assert gathered.shape == (0, 4)
         assert stats.mux_selections == 0
 
-    def test_selection_count(self):
-        assert MBDUnit().selection_count(nnz=16, b_cols=64) == 1024
-
-    def test_selection_count_rejects_negative(self):
-        with pytest.raises(ValueError):
-            MBDUnit().selection_count(-1, 4)
-
 
 class TestDRAMModel:
     def test_streaming_cycles(self):

@@ -40,9 +40,6 @@ class TestPaperConfiguration:
         assert cfg.inter_block_scheduling and cfg.intra_block_mapping
         assert cfg.has_codec and cfg.has_mbd and cfg.alternate_unit
 
-    def test_peak_tops(self):
-        assert tb_stc().peak_tops == pytest.approx(2.048)
-
 
 class TestBaselines:
     def test_tc_is_dense(self):
@@ -89,8 +86,3 @@ class TestValidation:
     def test_rejects_zero_bandwidth(self):
         with pytest.raises(ValueError):
             ArchConfig(name="bad", dram_bandwidth_gbs=0)
-
-    def test_with_bandwidth(self):
-        cfg = tb_stc().with_bandwidth(256.0)
-        assert cfg.dram_bandwidth_gbs == 256.0
-        assert cfg.name == "TB-STC"

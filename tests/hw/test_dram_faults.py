@@ -39,7 +39,7 @@ class TestPerturb:
         out = perturb_trace(segs, TransactionFaultModel(p_drop=1.0), np.random.default_rng(0))
         assert len(out.dropped) == 4
         assert out.segments == []
-        assert out.missing_bytes == sum(s.nbytes for s in segs)
+        assert sum(s.nbytes for s in out.dropped) == sum(s.nbytes for s in segs)
         assert out.length_check_fails(sum(s.nbytes for s in segs))
 
     def test_certain_duplicate_does_not_fail_length_check(self):

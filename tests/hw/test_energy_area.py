@@ -4,7 +4,7 @@ import pytest
 
 from repro.hw.area import a100_overhead_percent, area_breakdown
 from repro.hw.config import rm_stc, tb_stc, tensor_core
-from repro.hw.energy import EnergyModel, EnergyReport, scale_energy_between_nodes
+from repro.hw.energy import EnergyModel, EnergyReport
 
 
 class TestTableIIIPower:
@@ -56,17 +56,6 @@ class TestEnergyReport:
         with pytest.raises(ValueError):
             EnergyReport().add("x", -1.0)
 
-    def test_edp(self):
-        report = EnergyReport(cycles=1000, frequency_ghz=1.0)
-        report.add("compute", 1e12)  # 1 J
-        assert report.time_s == pytest.approx(1e-6)
-        assert report.edp == pytest.approx(1e-6)
-
-    def test_power(self):
-        report = EnergyReport(cycles=1_000_000_000, frequency_ghz=1.0)  # 1 s
-        report.add("compute", 1e12)  # 1 J
-        assert report.average_power_w == pytest.approx(1.0)
-
 
 class TestEnergyModel:
     def test_workload_report_components(self):
@@ -97,18 +86,3 @@ class TestEnergyModel:
     def test_codec_energy_gated_by_config(self):
         report = EnergyModel(tensor_core()).report(100, 100, 0, 0, codec_elements=100)
         assert "codec" not in report.components
-
-
-class TestNodeScaling:
-    def test_identity(self):
-        assert scale_energy_between_nodes(1.0, 7, 7) == 1.0
-
-    def test_bigger_node_costs_more(self):
-        assert scale_energy_between_nodes(1.0, 7, 28) > 1.0
-
-    def test_scaling_down(self):
-        assert scale_energy_between_nodes(3.6, 28, 7) == pytest.approx(1.0)
-
-    def test_unknown_node_rejected(self):
-        with pytest.raises(ValueError):
-            scale_energy_between_nodes(1.0, 5, 7)

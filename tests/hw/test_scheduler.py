@@ -7,19 +7,23 @@ from hypothesis import strategies as st
 
 from repro.hw.scheduler import SimStallError, schedule_direct, schedule_sparsity_aware
 
-from .scheduler_oracle import per_pe_busy
+
+def _utilization(res):
+    """Busy share of the PE array's cycles (1.0 for an empty schedule)."""
+    if res.makespan == 0:
+        return 1.0
+    return res.total_work / (res.makespan * res.num_pes)
 
 
 class TestDirect:
     def test_round_robin(self):
         res = schedule_direct([4, 1, 4, 1], num_pes=2)
-        assert per_pe_busy(schedule_direct([4, 1, 4, 1], num_pes=2, record=True)) == (8, 2)
         assert res.makespan == 8
-        assert res.utilization == pytest.approx(10 / 16)
+        assert _utilization(res) == pytest.approx(10 / 16)
 
     def test_empty(self):
         res = schedule_direct([], 4)
-        assert res.makespan == 0 and res.utilization == 1.0
+        assert res.makespan == 0 and _utilization(res) == 1.0
 
     def test_rejects_no_pes(self):
         with pytest.raises(ValueError):
@@ -41,14 +45,14 @@ class TestSparsityAware:
         costs = [4, 1, 4, 1]  # a, b, c, d on 2 PEs
         direct = schedule_direct(costs, 2)
         aware = schedule_sparsity_aware(costs, 2)
-        assert direct.utilization <= 0.7
-        assert aware.utilization == pytest.approx(1.0)
+        assert _utilization(direct) <= 0.7
+        assert _utilization(aware) == pytest.approx(1.0)
         assert aware.makespan == 5
 
     def test_balanced_input_stays_balanced(self):
         res = schedule_sparsity_aware([2] * 8, 4)
         assert res.makespan == 4
-        assert res.utilization == 1.0
+        assert _utilization(res) == 1.0
 
     def test_never_worse_than_direct(self):
         rng = np.random.default_rng(0)
@@ -69,8 +73,6 @@ class TestSparsityAware:
         costs = [3, 5, 2, 8, 1]
         res = schedule_sparsity_aware(costs, 3)
         assert res.total_work == sum(costs)
-        recorded = schedule_sparsity_aware(costs, 3, record=True)
-        assert sum(per_pe_busy(recorded)) == sum(costs)
 
     def test_utilization_improvement_on_tbs_distribution(self):
         """Paper claim (Sec. VI / Fig. 16(b)): 1.57x computation-utilization
@@ -83,7 +85,7 @@ class TestSparsityAware:
             costs = rng.choice([0, 1, 2, 4, 8], size=256, p=[0.1, 0.35, 0.3, 0.15, 0.1]).tolist()
             direct = schedule_direct(costs, 16)
             aware = schedule_sparsity_aware(costs, 16)
-            gains.append(aware.utilization / max(1e-9, direct.utilization))
+            gains.append(_utilization(aware) / max(1e-9, _utilization(direct)))
         assert np.mean(gains) > 1.2
 
     def test_rejects_bad_window(self):

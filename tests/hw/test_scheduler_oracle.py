@@ -1,14 +1,14 @@
 """The identity-free sparsity-aware heap matches the sort-based oracle.
 
-Without ``record``, :func:`repro.hw.scheduler.schedule_sparsity_aware`
+On cost arrays :func:`repro.hw.scheduler.schedule_sparsity_aware`
 keeps only costs in its window heap and only free times in its PE heap:
 no block ids, no PE numbers.  Its makespan and total must still equal
 :func:`schedule_sparsity_aware_sort`'s through ``float.hex``, on cost
 vectors shaped like the ones ``sim.engine`` builds: integer costs, the
 same costs as float64, fractional row-overhead costs (the SGCN, RM-STC
 and DVPE+FAN multiples of 0.15, 0.05 and 0.2), many zero-cost blocks and
-few distinct costs, so ties are everywhere.  With ``record=True`` the
-placements must stay byte-identical to the oracle's.
+few distinct costs, so ties are everywhere.  The guarded event loop
+that duck-typed streams take must match the same oracle.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.hw.scheduler import schedule_sparsity_aware
 
-from .scheduler_oracle import schedule_sparsity_aware_sort
+from .scheduler_oracle import CostStream, schedule_sparsity_aware_sort
 
 
 def _engine_costs(seed, n, n_distinct, zero_share, overhead):
@@ -64,24 +64,21 @@ def test_makespan_and_total_match_sort_oracle(
     ref = schedule_sparsity_aware_sort(costs.tolist(), num_pes, window=window)
     assert _hex(fast.makespan) == _hex(ref.makespan)
     assert _hex(fast.total_work) == _hex(ref.total_work)
-    assert fast.num_pes == ref.num_pes and fast.assignments == ()
+    assert fast.num_pes == ref.num_pes
 
 
 @settings(max_examples=40, deadline=None)
 @given(**_COSTS)
-def test_record_placements_byte_identical(
+def test_guarded_loop_matches_sort_oracle(
     seed, n, n_distinct, zero_share, overhead, window, num_pes
 ):
-    """``repr`` compares every placement's block, PE and the exact value
-    and type of its start and end."""
-    costs = _engine_costs(seed, n, n_distinct, zero_share, overhead)
-    fast = schedule_sparsity_aware(costs, num_pes, window=window, record=True)
-    ref = schedule_sparsity_aware_sort(costs.tolist(), num_pes, window=window, record=True)
-    assert repr(fast.assignments) == repr(ref.assignments)
-    assert _hex(fast.makespan) == _hex(ref.makespan)
-    assert _hex(fast.total_work) == _hex(ref.total_work)
-    # Recording changes nothing the makespan-only path reports.
+    """A duck-typed stream takes the guarded loop, which tracks block and
+    PE identities; it must report the array path's numbers bit for bit."""
+    costs = _engine_costs(seed, n, n_distinct, zero_share, overhead).tolist()
+    guarded = schedule_sparsity_aware(CostStream(costs), num_pes, window=window)
+    ref = schedule_sparsity_aware_sort(costs, num_pes, window=window)
+    assert _hex(guarded.makespan) == _hex(ref.makespan)
+    assert _hex(guarded.total_work) == _hex(ref.total_work)
     plain = schedule_sparsity_aware(costs, num_pes, window=window)
-    assert _hex(plain.makespan) == _hex(fast.makespan)
-    assert _hex(plain.total_work) == _hex(fast.total_work)
-    assert sorted(a.block for a in fast.assignments) == list(range(n))
+    assert _hex(plain.makespan) == _hex(guarded.makespan)
+    assert _hex(plain.total_work) == _hex(guarded.total_work)

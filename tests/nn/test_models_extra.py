@@ -107,7 +107,6 @@ class TestCNNStructure:
     def test_module_registry_complete(self):
         model = make_cnn(channels=3, width=8, n_classes=4, seed=8)
         # Every parameterised module reachable via modules().
-        assert model.num_parameters() > 0
         handles = model.parameters()
         assert len({id(m) for m, _ in handles}) >= 8
 

@@ -125,7 +125,6 @@ class TestSweepMetrics:
 
     def test_metrics_none_when_disabled(self):
         result = run_sweep(self.SPEC, workers=1)
-        assert result.metrics() is None
         assert all(cell.metrics is None for cell in result.cells)
 
     def test_cells_carry_deterministic_payloads(self):
@@ -137,17 +136,21 @@ class TestSweepMetrics:
 
     def test_workers_do_not_change_metrics(self):
         """The headline contract: --workers N metrics == serial, byte for byte."""
-        with obs.enabled_scope():
-            serial = run_sweep(self.SPEC, workers=1).metrics()
         obs.reset()
         with obs.enabled_scope():
-            parallel = run_sweep(self.SPEC, workers=2).metrics()
+            run_sweep(self.SPEC, workers=1)
+            serial = obs.metrics_dict(deterministic_only=True)
+        obs.reset()
+        with obs.enabled_scope():
+            run_sweep(self.SPEC, workers=2)
+            parallel = obs.metrics_dict(deterministic_only=True)
         assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
 
     def test_sweep_counters_and_span_events(self):
+        obs.reset()
         with obs.enabled_scope():
-            result = run_sweep(self.SPEC, workers=1)
-            merged = result.metrics()
+            run_sweep(self.SPEC, workers=1)
+            merged = obs.metrics_dict(deterministic_only=True)
             names = [e["name"] for e in obs.events()]
         assert merged["counters"]["sweep.cells_ok"] == 4
         assert sum(1 for n in names if n.startswith("sweep.cell.")) >= 4

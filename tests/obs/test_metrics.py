@@ -59,9 +59,10 @@ class TestRegistry:
 
     def test_gauge_is_high_water_mark(self):
         reg = MetricsRegistry()
-        reg.gauge_max("depth", 3)
-        reg.gauge_max("depth", 1)
-        reg.gauge_max("depth", 7)
+        for value in (3, 1, 7):
+            other = MetricsRegistry()
+            other.gauges["depth"] = value
+            reg.merge(other)
         assert reg.gauges == {"depth": 7}
 
     def test_histogram_exact_summary(self):
@@ -80,8 +81,8 @@ class TestRegistry:
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter_add("n", 2)
         b.counter_add("n", 3)
-        a.gauge_max("g", 10)
-        b.gauge_max("g", 4)
+        a.gauges["g"] = 10
+        b.gauges["g"] = 4
         a.observe("h", 8)
         b.observe("h", 16)
         a.timer_add("t", 100)
@@ -107,7 +108,7 @@ class TestRegistry:
     def test_round_trip_survives_json(self):
         reg = MetricsRegistry()
         reg.counter_add("n", 7)
-        reg.gauge_max("g", 3)
+        reg.gauges["g"] = 3
         reg.observe("h", 5)
         payload = reg.to_dict(deterministic_only=True)
         back = MetricsRegistry.from_dict(json.loads(json.dumps(payload)))
@@ -127,7 +128,9 @@ class TestRegistry:
             reg = MetricsRegistry()
             reg.counter_add("n", value)
             payloads.append(reg.to_dict(deterministic_only=True))
-        merged = MetricsRegistry.merged(payloads)
+        merged = MetricsRegistry()
+        for payload in payloads:
+            merged.merge_payload(payload)
         assert merged.counters == {"n": 6}
 
     def test_is_empty(self):
@@ -140,11 +143,9 @@ class TestRegistry:
 class TestModuleRegistry:
     def test_module_functions_hit_installed_registry(self):
         metrics.counter_add("a", 2)
-        metrics.gauge_max("b", 9)
         metrics.observe("c", 4)
         payload = metrics.metrics_dict(deterministic_only=True)
         assert payload["counters"] == {"a": 2}
-        assert payload["gauges"] == {"b": 9}
         assert payload["histograms"]["c"]["count"] == 1
 
     def test_swap_registry_isolates(self):

@@ -8,6 +8,8 @@ import pytest
 from repro.runtime.checkpoint import CheckpointError, CheckpointStore
 from repro.runtime.state import TrainState
 
+from .file_faults import corrupt_file
+
 
 def _state(epoch=0, value=1.0):
     return TrainState(
@@ -85,8 +87,6 @@ class TestLatest:
     def test_bit_rot_in_newest_falls_back_to_previous(self, tmp_path):
         """Seeded byte flips mid-file (still a plausible zip!) must raise
         CheckpointError on load and make latest() serve the prior epoch."""
-        from repro.faults.injectors import corrupt_file
-
         store = CheckpointStore(tmp_path)
         store.save(_state(epoch=1))
         newest = store.save(_state(epoch=2, value=9.0))
@@ -97,8 +97,6 @@ class TestLatest:
         assert latest is not None and latest.epoch == 1
 
     def test_truncated_newest_falls_back(self, tmp_path):
-        from repro.faults.injectors import corrupt_file
-
         store = CheckpointStore(tmp_path)
         store.save(_state(epoch=3))
         newest = store.save(_state(epoch=5, value=2.0))
@@ -192,20 +190,6 @@ class TestIntegrity:
         loaded = store.load(path)
         again = store.save(loaded)
         assert again == path
-
-
-class TestRetention:
-    def test_max_keep_prunes_oldest(self, tmp_path):
-        store = CheckpointStore(tmp_path, max_keep=2)
-        for epoch in range(5):
-            store.save(_state(epoch=epoch, value=float(epoch)))
-        kept = store.list()
-        assert len(kept) == 2
-        assert [store.load(p).epoch for p in kept] == [3, 4]
-
-    def test_rejects_bad_max_keep(self, tmp_path):
-        with pytest.raises(ValueError):
-            CheckpointStore(tmp_path, max_keep=0)
 
 
 class TestMetaEncoding:

@@ -3,7 +3,7 @@
 The acceptance property: a run killed partway through and resumed from
 its checkpoint directory produces *exactly* the histories and accuracies
 of an uninterrupted run -- same RNG stream position, parameter bytes,
-optimizer slots, masks and LR schedule.
+optimizer slots and masks.
 """
 
 import os
@@ -18,8 +18,7 @@ import pytest
 from repro.core.patterns import PatternFamily
 from repro.nn.data import cluster_dataset
 from repro.nn.models import make_mlp
-from repro.nn.optim import Adam
-from repro.nn.schedulers import CosineLR
+from repro.nn.optim import SGD
 from repro.nn.train import train
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -68,26 +67,28 @@ class TestInProcessResume:
         _assert_same_params(resumed_model, baseline_model)
         assert resumed.test_accuracy == baseline.test_accuracy
 
-    def test_resume_with_scheduler_and_adam(self, tmp_path):
+    def test_resume_with_explicit_sgd_momentum(self, tmp_path):
+        """A caller's SGD resumes bit-exactly: its velocity slots and its
+        lr/momentum/weight-decay come back from the checkpoint."""
         data = _data()
 
         def fresh():
             model = _model()
-            opt = Adam(model, lr=5e-3)
-            return model, opt, CosineLR(opt, total=6)
+            return model, SGD(model, lr=0.02, momentum=0.8, weight_decay=1e-3)
 
-        model, opt, sched = fresh()
-        baseline = _run(model, data, epochs=6, optimizer=opt, scheduler=sched)
+        baseline_model, opt = fresh()
+        baseline = _run(baseline_model, data, epochs=6, optimizer=opt)
 
-        model, opt, sched = fresh()
-        _run(model, data, epochs=3, optimizer=opt, scheduler=sched, checkpoint_dir=tmp_path)
-        model, opt, sched = fresh()
+        model, opt = fresh()
+        _run(model, data, epochs=3, optimizer=opt, checkpoint_dir=tmp_path)
+        resumed_model, opt = fresh()
         resumed = _run(
-            model, data, epochs=6, optimizer=opt, scheduler=sched,
+            resumed_model, data, epochs=6, optimizer=opt,
             checkpoint_dir=tmp_path, resume=True,
         )
         assert resumed.resumed_from == 2
         assert resumed.loss_history == baseline.loss_history
+        _assert_same_params(resumed_model, baseline_model)
         assert resumed.test_accuracy == baseline.test_accuracy
 
     def test_resume_preserves_stale_masks(self, tmp_path):
@@ -110,14 +111,14 @@ class TestInProcessResume:
         assert res.resumed_from is None
         assert len(res.loss_history) == 2
 
-    def test_checkpoint_every_thins_saves(self, tmp_path):
+    def test_every_epoch_is_checkpointed(self, tmp_path):
         from repro.runtime.checkpoint import CheckpointStore
 
         data = _data()
-        _run(_model(), data, epochs=5, checkpoint_dir=tmp_path, checkpoint_every=2)
+        _run(_model(), data, epochs=5, checkpoint_dir=tmp_path)
         store = CheckpointStore(tmp_path)
         epochs = [store.load(p).epoch for p in store.list()]
-        assert epochs == [0, 2, 4]
+        assert epochs == [0, 1, 2, 3, 4]
 
     def test_completed_run_resume_is_a_noop(self, tmp_path):
         data = _data()

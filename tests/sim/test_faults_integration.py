@@ -46,7 +46,7 @@ class TestFaultClassification:
         single-bit metadata flips into corrections."""
         for seed in range(5):
             res = simulate(
-                tb_stc().with_ecc("secded"),
+                tb_stc(metadata_ecc="secded"),
                 _workload(),
                 options=SimOptions(fault="metadata", fault_seed=seed),
             )
@@ -61,15 +61,15 @@ class TestECCOverheads:
 
     def test_protection_charges_traffic_and_energy(self):
         base = simulate(tb_stc(), _workload())
-        prot = simulate(tb_stc().with_ecc("secded"), _workload())
+        prot = simulate(tb_stc(metadata_ecc="secded"), _workload())
         assert prot.breakdown["ecc_bytes"] > 0
         assert prot.energy.components["ecc"] > 0
         assert prot.dram_bytes >= base.dram_bytes
         assert prot.energy.total_j > base.energy.total_j
 
     def test_parity_cheaper_than_secded(self):
-        parity = simulate(tb_stc().with_ecc("parity"), _workload())
-        secded = simulate(tb_stc().with_ecc("secded"), _workload())
+        parity = simulate(tb_stc(metadata_ecc="parity"), _workload())
+        secded = simulate(tb_stc(metadata_ecc="secded"), _workload())
         assert parity.breakdown["ecc_bytes"] < secded.breakdown["ecc_bytes"]
 
     def test_explicit_ecc_argument_overrides_config(self):
@@ -79,7 +79,7 @@ class TestECCOverheads:
     def test_bitmap_format_also_pays(self):
         # RM-STC's occupancy bitmap is metadata too; SDC is exempt only
         # because its validity flags are folded into the index bytes.
-        res = simulate(rm_stc().with_ecc("secded"), _workload())
+        res = simulate(rm_stc(metadata_ecc="secded"), _workload())
         assert res.breakdown["ecc_bytes"] > 0
 
 

@@ -5,9 +5,7 @@ import pickle
 import pytest
 
 from repro.core.patterns import PatternFamily
-from repro.faults.ecc import ECCConfig
 from repro.hw.config import tb_stc
-from repro.hw.energy import EnergyParams
 from repro.sim.engine import simulate
 from repro.sim.metrics import SIM_RESULT_SCHEMA, SimResult
 from repro.sim.options import SimOptions
@@ -62,45 +60,6 @@ class TestSimOptions:
     def test_rejects_bad_orientation(self):
         with pytest.raises(ValueError, match="orientation"):
             SimOptions(orientation="sideways")
-
-    def test_orientation_round_trips_through_dict(self):
-        opts = SimOptions(orientation="transposed")
-        assert opts.to_dict()["orientation"] == "transposed"
-        assert SimOptions.from_dict(opts.to_dict()) == opts
-
-    def test_old_dicts_without_orientation_still_load(self):
-        payload = SimOptions().to_dict()
-        del payload["orientation"]
-        assert SimOptions.from_dict(payload).orientation == "forward"
-
-    def test_with_returns_modified_copy(self):
-        base = SimOptions()
-        quant = base.with_(weight_bits=4)
-        assert quant.weight_bits == 4
-        assert base.weight_bits == 16
-        with pytest.raises(ValueError):
-            base.with_(weight_bits=99)  # validation runs on copies too
-
-    def test_dict_round_trip_defaults(self):
-        opts = SimOptions()
-        assert SimOptions.from_dict(opts.to_dict()) == opts
-
-    def test_dict_round_trip_nested(self):
-        opts = SimOptions(
-            energy_params=EnergyParams(),
-            row_overhead_cycles=2.5,
-            weight_bits=8,
-            ecc=ECCConfig(mode="secded"),
-            fault="metadata",
-            fault_seed=7,
-            cycle_budget=10**9,
-        )
-        back = SimOptions.from_dict(opts.to_dict())
-        assert back.energy_params == opts.energy_params
-        assert back.ecc.mode == "secded"
-        assert back.with_(energy_params=None, ecc=None) == opts.with_(
-            energy_params=None, ecc=None
-        )
 
 
 class TestSimulateOptions:

@@ -22,7 +22,7 @@ from repro.formats.base import EncodeSpec
 
 from ..formats.eager_encode_oracle import as_encode
 from ..formats.encode_oracle import ENCODE_ORACLES, ddc_encode_loop
-from ..hw.scheduler_oracle import per_pe_busy, schedule_sparsity_aware_sort
+from ..hw.scheduler_oracle import CostStream, schedule_sparsity_aware_sort
 from .engine_oracle import block_costs_loop, codec_visible_and_elements_loop
 
 
@@ -34,7 +34,7 @@ def loop_oracles():
     names ``repro.sim.engine`` binds, and every format's ``encode``
     through the class, so each loop encode is installed as its class's
     ``encode``.  Direct schedules get the direct event loop, which stays
-    in ``src/`` for ``record=True``.
+    in ``src/`` for duck-typed cost streams.
     """
     from repro.formats.csr import CSRFormat
     from repro.formats.ddc import DDCFormat
@@ -131,27 +131,21 @@ def _schedule_fields(res):
     # Scalar *types* may legitimately differ (an untouched PE's free
     # time stays int 0; float costs promote only touched slots), so
     # compare through float, which is exact for every cost magnitude
-    # generated here, and hexify so equality means bit-equal.  Per-PE
-    # busy time comes from the record=True placements.
+    # generated here, and hexify so equality means bit-equal.
     return (
         float(res.makespan).hex(),
         float(res.total_work).hex(),
         res.num_pes,
-        [float(b).hex() for b in per_pe_busy(res)],
-        [
-            (int(a.block), int(a.pe), float(a.start).hex(), float(a.end).hex())
-            for a in res.assignments
-        ],
     )
 
 
 @settings(max_examples=40, deadline=None)
-@given(costs=_COST_LISTS, num_pes=st.integers(1, 8), record=st.booleans())
-def test_schedule_direct_matches_reference(costs, num_pes, record):
+@given(costs=_COST_LISTS, num_pes=st.integers(1, 8), guarded=st.booleans())
+def test_schedule_direct_matches_reference(costs, num_pes, guarded):
     from repro.hw.scheduler import _schedule_direct_reference, schedule_direct
 
-    fast = schedule_direct(costs, num_pes, record=record)
-    ref = _schedule_direct_reference(costs, num_pes, record=record)
+    fast = schedule_direct(CostStream(costs) if guarded else costs, num_pes)
+    ref = _schedule_direct_reference(costs, num_pes)
     assert _schedule_fields(fast) == _schedule_fields(ref)
 
 
@@ -160,13 +154,15 @@ def test_schedule_direct_matches_reference(costs, num_pes, record):
     costs=_COST_LISTS,
     num_pes=st.integers(1, 8),
     window=st.integers(1, 16),
-    record=st.booleans(),
+    guarded=st.booleans(),
 )
-def test_schedule_sparsity_aware_matches_reference(costs, num_pes, window, record):
+def test_schedule_sparsity_aware_matches_reference(costs, num_pes, window, guarded):
     from repro.hw.scheduler import schedule_sparsity_aware
 
-    fast = schedule_sparsity_aware(costs, num_pes, window=window, record=record)
-    ref = schedule_sparsity_aware_sort(costs, num_pes, window=window, record=record)
+    fast = schedule_sparsity_aware(
+        CostStream(costs) if guarded else costs, num_pes, window=window
+    )
+    ref = schedule_sparsity_aware_sort(costs, num_pes, window=window)
     assert _schedule_fields(fast) == _schedule_fields(ref)
 
 

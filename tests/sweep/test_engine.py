@@ -12,7 +12,6 @@ from repro.sweep import (
     SweepOptions,
     SweepSpec,
     configured_workers,
-    default_workers,
     run_sweep,
 )
 
@@ -46,10 +45,6 @@ class TestConfiguredWorkers:
     def test_rejects_non_positive(self):
         with pytest.raises(SweepError, match="workers"):
             configured_workers(0)
-
-    def test_default_workers_uses_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)
-        assert default_workers() >= 1
 
 
 class TestRunSweepInline:

@@ -8,6 +8,7 @@ counts, byte-equal values), never on wall-clock except for coarse
 "finished well before the hang duration" bounds.
 """
 
+import os
 import time
 
 import pytest
@@ -23,7 +24,6 @@ from repro.sweep import (
     fn_ref,
     run_sweep,
 )
-from repro.sweep.executors import make_executor, resolve_executor_name
 
 from . import _cells
 
@@ -78,28 +78,44 @@ class TestRetryPolicy:
             RetryPolicy(retry_statuses=("failed",))
 
 
-class TestResolveExecutorName:
-    def test_auto_is_serial_at_one_worker(self):
-        assert resolve_executor_name(None, 1) == "serial"
-        assert resolve_executor_name("auto", 1) == "serial"
+class TestExecutorChoice:
+    """The run decides the executor: inline only for one worker with no
+    timeout, no retries and no chaos; a supervised child process else."""
 
-    def test_auto_is_supervised_when_parallel(self):
-        assert resolve_executor_name(None, 4) == "supervised"
+    SPEC = SweepSpec("where", (SweepCell(key="pid", fn=_cells.pid_of_worker),))
 
-    def test_chaos_forces_supervised(self):
-        assert resolve_executor_name("auto", 1, force_supervised=True) == "supervised"
+    def _pid(self, workers, **options):
+        result = run_sweep(self.SPEC, workers=workers, options=SweepOptions(**options))
+        return result.value("pid")
 
-    def test_explicit_serial_honoured_even_under_force(self):
-        assert resolve_executor_name("serial", 1, force_supervised=True) == "serial"
+    def test_one_worker_runs_inline(self):
+        assert self._pid(1) == os.getpid()
 
-    def test_explicit_supervised_at_one_worker(self):
-        assert resolve_executor_name("supervised", 1) == "supervised"
+    def test_more_workers_run_supervised(self):
+        assert self._pid(2) != os.getpid()
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            resolve_executor_name("threads", 2)
-        with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("threads", 2)
+    def test_timeout_runs_supervised(self):
+        assert self._pid(1, timeout=30.0) != os.getpid()
+
+    def test_retries_run_supervised(self):
+        assert self._pid(1, retries=1) != os.getpid()
+
+    def test_chaos_runs_supervised(self, tmp_path):
+        """A crash cell run inline would take this process with it."""
+        from repro.faults.chaos import ChaosConfig
+
+        chaos = ChaosConfig(modes=("crash",), ledger_dir=str(tmp_path))
+        result = run_sweep(self.SPEC, workers=1, options=SweepOptions(chaos=chaos))
+        assert result.cells[0].status == "crashed"
+
+    def test_timeout_at_one_worker_is_enforced(self):
+        spec = SweepSpec("slow", (
+            SweepCell(key="slow", fn=_cells.sleep_then, kwargs={"x": 1, "seconds": 5.0}),
+        ))
+        start = time.monotonic()
+        result = run_sweep(spec, workers=1, options=SweepOptions(timeout=0.5))
+        assert result.cells[0].status == "timeout"
+        assert time.monotonic() - start < 4.5
 
 
 class TestSerialExecutor:
@@ -110,11 +126,6 @@ class TestSerialExecutor:
         (raw,) = ex.poll(0.0)
         assert raw[0] == "k" and raw[1] == "ok" and raw[2] == 25
         assert ex.free_slots() == 1
-
-    def test_timeout_warned_and_ignored(self, caplog):
-        with caplog.at_level("WARNING", logger="repro.sweep"):
-            SerialExecutor(timeout_s=1.0)
-        assert "cannot enforce" in caplog.text
 
 
 class TestSupervisedExecutor:
@@ -137,7 +148,7 @@ class TestSupervisedExecutor:
             SweepCell(key="victim", fn=_cells.sigkill_self),
             SweepCell(key="x=3", fn=_cells.square, kwargs={"x": 3}),
         ))
-        result = run_sweep(spec, workers=2, options=SweepOptions(executor="supervised"))
+        result = run_sweep(spec, workers=2)
         assert result.value("x=3") == 9  # sibling unaffected
         victim = result.cells[0]
         assert victim.status == "crashed" and "died without a result" in victim.error
@@ -151,7 +162,7 @@ class TestSupervisedExecutor:
         ))
         start = time.monotonic()
         result = run_sweep(
-            spec, workers=2, options=SweepOptions(executor="supervised", timeout=2.0)
+            spec, workers=2, options=SweepOptions(timeout=2.0)
         )
         elapsed = time.monotonic() - start
         assert elapsed < 60  # nowhere near the 600 s sleep
@@ -165,7 +176,7 @@ class TestSupervisedExecutor:
             SweepCell(key="bad", fn=_cells.boom, kwargs={"x": 1}),
         ))
         result = run_sweep(
-            spec, workers=1, options=SweepOptions(executor="supervised", retries=3)
+            spec, workers=1, options=SweepOptions(retries=3)
         )
         cell = result.cells[0]
         assert cell.status == "failed"
@@ -183,7 +194,7 @@ class TestRetries:
             for i in range(3)
         ))
         result = run_sweep(
-            spec, workers=2, options=SweepOptions(executor="supervised", retries=1)
+            spec, workers=2, options=SweepOptions(retries=1)
         )
         assert result.ok
         assert [c.value for c in result.cells] == [0, 7, 14]
@@ -200,7 +211,7 @@ class TestRetries:
         ))
         result = run_sweep(
             spec, workers=1,
-            options=SweepOptions(executor="supervised", timeout=2.0, retries=1),
+            options=SweepOptions(timeout=2.0, retries=1),
         )
         assert result.ok
         assert result.value("x=5") == 105
@@ -214,7 +225,7 @@ class TestRetries:
             SweepCell(key="x=6", fn=_cells.square, kwargs={"x": 6}),
         ))
         result = run_sweep(
-            spec, workers=2, options=SweepOptions(executor="supervised", retries=1)
+            spec, workers=2, options=SweepOptions(retries=1)
         )
         doomed = result.cells[0]
         assert doomed.status == "crashed"
@@ -234,7 +245,7 @@ class TestRetries:
         obs.reset()
         with obs.enabled_scope():
             result = run_sweep(
-                spec, workers=1, options=SweepOptions(executor="supervised", retries=1)
+                spec, workers=1, options=SweepOptions(retries=1)
             )
             counters = obs.metrics_dict(deterministic_only=True)["counters"]
         assert "1 retries" in result.summary()

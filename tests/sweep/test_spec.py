@@ -70,14 +70,3 @@ class TestSweepSpec:
             SweepCell(key=f"k{i}", fn=_cells.square, kwargs={"x": i}) for i in range(4)
         )
         assert len(SweepSpec("s", cells)) == 4
-
-    def test_build_without_base_seed(self):
-        spec = SweepSpec.build("s", _cells.add, [("a", {"a": 1, "b": 2})])
-        assert spec.cells[0].seed is None
-
-    def test_build_derives_seeds_per_key(self):
-        grid = [("a", {"a": 1, "b": 2}), ("b", {"a": 3, "b": 4})]
-        spec = SweepSpec.build("s", _cells.add, grid, base_seed=0)
-        assert spec.cells[0].seed == derive_seed(0, "a")
-        assert spec.cells[1].seed == derive_seed(0, "b")
-        assert spec.cells[0].seed != spec.cells[1].seed

@@ -53,6 +53,28 @@ class TestParser:
 
         assert _SCENARIO_FAMILIES == SCENARIO_FAMILIES
 
+    @pytest.mark.parametrize("argv", [
+        ["report", "table3"],
+        ["prune", "w.npy"],
+        ["simulate", "--rows", "8", "--cols", "8", "--b-cols", "8"],
+        ["faults"],
+        ["perf"],
+        ["serve", "--data-dir", "/tmp/x"],
+    ])
+    def test_no_command_takes_executor(self, argv):
+        """The run picks its executor; there is no flag to pick one."""
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--executor", "serial"])
+
+    def test_simulate_takes_no_tsolver(self):
+        """No architecture simulates an NM-T mask, so no solver to pick."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([
+                "simulate", "--rows", "8", "--cols", "8", "--b-cols", "8",
+                "--tsolver", "greedy",
+            ])
+
 
 class TestReport:
     def test_table3(self, capsys):

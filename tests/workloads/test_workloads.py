@@ -18,8 +18,6 @@ from repro.workloads import (
 
 
 class TestLayerSpec:
-    def test_macs(self):
-        assert LayerSpec("x", 4, 5, 6).macs == 120
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
@@ -161,7 +159,7 @@ class TestModelWorkloads:
     def test_layers_and_repeats_align(self):
         bundle = build_model_workload("bert", PatternFamily.TBS, scale=8)
         assert len(bundle.layers) == len(bundle.repeats)
-        assert bundle.total_macs > 0
+        assert all(r > 0 for r in bundle.repeats)
 
     def test_tbs_runs_sparser_than_ts_iso_accuracy(self):
         """The Fig. 13 mechanism: flexible patterns earn higher sparsity."""
