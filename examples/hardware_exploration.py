@@ -19,7 +19,6 @@ from repro.analysis import (
 from repro.core.patterns import PatternFamily
 from repro.hw import tb_stc
 from repro.sim import normalized_edp, simulate, simulate_layer_sweep, speedup
-from repro.sim.baselines import simulate_arch
 from repro.workloads import bert_layers, build_workload
 
 
@@ -47,7 +46,7 @@ def sweep_bandwidth() -> None:
     rows = []
     base = None
     for bw in (32, 64, 128, 256, 512):
-        result = simulate_arch(tb_stc(dram_bandwidth_gbs=float(bw)), workload)
+        result = simulate(tb_stc(dram_bandwidth_gbs=float(bw)), workload)
         base = base or result
         rows.append([f"{bw} GB/s", result.cycles, f"{base.cycles / result.cycles:.2f}x"])
     print(render_table(["bandwidth", "cycles", "speedup vs 32 GB/s"], rows))
@@ -94,7 +93,7 @@ def roofline() -> None:
     rows = []
     for sparsity in (0.5, 0.75, 0.875):
         workload = build_workload(layer, PatternFamily.TBS, sparsity, seed=0, scale=2)
-        result = simulate_arch(cfg, workload)
+        result = simulate(cfg, workload)
         point = roofline_point(workload, cfg, result)
         rows.append([
             f"{sparsity:.0%}",

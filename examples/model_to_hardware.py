@@ -12,7 +12,7 @@ from repro.analysis import render_table
 from repro.analysis.pareto import ParetoPoint, pareto_frontier
 from repro.core.patterns import PatternFamily
 from repro.nn import cluster_dataset, make_mlp, train
-from repro.sim import aggregate, simulate_arch
+from repro.sim import aggregate, simulate
 from repro.sim.baselines import arch_by_name
 from repro.workloads import workloads_from_model
 
@@ -40,7 +40,7 @@ def main() -> None:
         sim_family = family if family is not None else PatternFamily.US
         workloads = workloads_from_model(model, sim_family, batch=BATCH)
         config = arch_by_name(arch_name)
-        sim = aggregate([simulate_arch(config, wl) for wl in workloads])
+        sim = aggregate([simulate(config, wl) for wl in workloads])
 
         achieved = result.sparsity_history[-1] if family else 0.0
         rows.append([

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from ..sim.baselines import ARCH_FAMILY, arch_by_name, simulate_arch
+from ..sim.baselines import ARCH_FAMILY, arch_by_name
+from ..sim.engine import simulate
 from ..sim.metrics import SimResult
 from ..workloads.generator import build_workload
 from ..workloads.layers import LayerSpec
@@ -45,7 +46,7 @@ def compare_energy_breakdown(
     for name in arch_names:
         config = arch_by_name(name)
         workload = build_workload(layer, ARCH_FAMILY[name], sparsity, seed=seed, scale=scale)
-        result = simulate_arch(config, workload)
+        result = simulate(config, workload)
         row = energy_fractions(result)
         row["total_uJ"] = result.energy.total_j * 1e6
         out[name] = row

@@ -46,7 +46,7 @@ from ..nn.layers import Conv2d, Linear
 from ..nn.models import TransformerClassifier, make_cnn, make_mlp, prunable_layers
 from ..nn.quantize import quantize_model
 from ..nn.train import evaluate, one_shot_prune, train
-from ..sim.baselines import ARCH_FAMILY, arch_by_name, simulate_arch
+from ..sim.baselines import ARCH_FAMILY, arch_by_name
 from ..sim.breakdown import codec_overhead_fraction, cycle_breakdown
 from ..sim.engine import simulate
 from ..sim.metrics import SimResult, aggregate, normalized_edp, speedup
@@ -813,7 +813,7 @@ def _fig13_cell(model: str, arch: str, scale: int, seed: int) -> Dict[str, Any]:
     config = arch_by_name(arch)
     family = ARCH_FAMILY[arch]
     bundle = build_model_workload(model, family, m=8, seed=seed, scale=scale)
-    layer_results = [simulate_arch(config, wl) for wl in bundle.layers]
+    layer_results = [simulate(config, wl) for wl in bundle.layers]
     return aggregate(layer_results, bundle.repeats).to_dict()
 
 
@@ -861,7 +861,7 @@ def run_fig14_breakdown(scale: int = 4, seed: int = 0) -> Dict[str, Dict[str, fl
     config = tb_stc()
     for layer in bert_layers():
         workload = build_workload(layer, PatternFamily.TBS, 0.625, seed=seed, scale=scale)
-        result = simulate_arch(config, workload)
+        result = simulate(config, workload)
         shares = cycle_breakdown(result)
         shares["codec_fraction"] = codec_overhead_fraction(result)
         out[layer.name] = shares
@@ -879,9 +879,9 @@ def _fig15_block_cell(m: int, sparsity: float, seed: int, scale: int) -> float:
     its kwargs."""
     layer = resnet50_layers()[8]
     base_workload = build_workload(layer, PatternFamily.US, 0.0, seed=seed, scale=scale)
-    dense = simulate_arch(arch_by_name("TC"), base_workload)
+    dense = simulate(arch_by_name("TC"), base_workload)
     workload = build_workload(layer, PatternFamily.TBS, sparsity, m=m, seed=seed, scale=scale)
-    return speedup(simulate_arch(tb_stc(), workload), dense)
+    return speedup(simulate(tb_stc(), workload), dense)
 
 
 def run_fig15_block_size(
@@ -955,7 +955,7 @@ def _fig15_bandwidth_cell(bw: float, sparsity: float, seed: int, scale: int) -> 
     """One Fig. 15(c) grid point: simulated cycles at one DRAM bandwidth."""
     layer = bert_layers()[2]
     workload = build_workload(layer, PatternFamily.TBS, sparsity, seed=seed, scale=scale)
-    return simulate_arch(tb_stc(dram_bandwidth_gbs=float(bw)), workload).cycles
+    return simulate(tb_stc(dram_bandwidth_gbs=float(bw)), workload).cycles
 
 
 def run_fig15_bandwidth(
@@ -992,8 +992,8 @@ def _fig15_sparsity_cell(sparsity: float, seed: int, scale: int) -> Dict[str, fl
     layer = bert_layers()[2]
     tb_wl = build_workload(layer, PatternFamily.TBS, sparsity, seed=seed, scale=scale)
     us_wl = build_workload(layer, PatternFamily.US, sparsity, seed=seed, scale=scale)
-    tb = simulate_arch(tb_stc(), tb_wl)
-    sg = simulate_arch(arch_by_name("SGCN"), us_wl)
+    tb = simulate(tb_stc(), tb_wl)
+    sg = simulate(arch_by_name("SGCN"), us_wl)
     return {
         "TB-STC_cycles": float(tb.cycles),
         "SGCN_cycles": float(sg.cycles),
@@ -1044,7 +1044,7 @@ def run_fig16_codec_ablation(
         "CSR no codec": tb_stc(storage_format="csr", has_codec=False),
         "Dense stream": tb_stc(storage_format="dense", has_codec=False),
     }
-    results = {name: simulate_arch(cfg, workload) for name, cfg in variants.items()}
+    results = {name: simulate(cfg, workload) for name, cfg in variants.items()}
     base = results["TB-STC (DDC+codec)"].cycles
     return {name: res.cycles / base for name, res in results.items()}
 
@@ -1059,14 +1059,14 @@ def run_fig16_scheduling_ablation(
     """
     layer = resnet50_layers()[8]
     workload = build_workload(layer, PatternFamily.TBS, sparsity, seed=seed, scale=scale)
-    full = simulate_arch(tb_stc(), workload)
+    full = simulate(tb_stc(), workload)
     # The non-scheduled baseline keeps the PE datapath identical and only
     # drops the inter-block scheduler (lockstep direct mapping) and the
     # intra-block packing -- the two halves of the hierarchical strategy.
-    unscheduled = simulate_arch(
+    unscheduled = simulate(
         tb_stc(inter_block_scheduling=False, intra_block_mapping=False), workload
     )
-    fan = simulate_arch(arch_by_name("DVPE+FAN"), workload)
+    fan = simulate(arch_by_name("DVPE+FAN"), workload)
     return {
         "utilization": {
             "scheduled": full.compute_utilization,
@@ -1086,7 +1086,7 @@ def _fig1_edp_cell(arch: str, sparsity: float, seed: int, scale: int) -> float:
     """One Fig. 1 design point's EDP: the BERT layer pruned with the
     architecture's own pattern family, simulated on it."""
     workload = build_workload(bert_layers()[2], ARCH_FAMILY[arch], sparsity, seed=seed, scale=scale)
-    return simulate_arch(arch_by_name(arch), workload).edp
+    return simulate(arch_by_name(arch), workload).edp
 
 
 def run_fig1_pareto(
@@ -1156,7 +1156,7 @@ def _scenario_cell(family: str, pattern: str, scale: int, seed: int) -> Dict[str
 
     bundle = build_scenario(family, pattern, seed=seed, scale=scale)
     config = arch_by_name(SCENARIO_ARCH[pattern])
-    layer_results = [simulate_arch(config, wl) for wl in bundle.layers]
+    layer_results = [simulate(config, wl) for wl in bundle.layers]
     agg = aggregate(layer_results, bundle.repeats)
 
     fmt_wl = bundle.format_workload

@@ -39,16 +39,16 @@ Six commands:
   jobs as resumable.
 
 ``report`` and ``faults`` exit **1** when any cell ends ``failed``,
-``crashed`` or ``timeout`` (usage errors exit 2); ``--allow-partial``
-downgrades cell failures to a stderr warning, prints the partial data,
-and exits 0.
+``crashed`` or ``timeout`` (usage errors exit 2); ``report
+--allow-partial`` downgrades cell failures to a stderr warning, prints
+the partial data, and exits 0.
 
 ``--metrics PATH`` (report/faults) enables the observability layer for
 the run and writes its merged counter/gauge/histogram registry --
 deterministic and byte-identical at any ``--workers N`` -- to ``PATH``
 as JSON.
 
-``--timeout S`` and ``--retries N`` (report/faults/perf/serve) ask for
+``--timeout S`` and ``--retries N`` (report/serve) ask for
 sweep supervision (:mod:`repro.sweep.executors`): a sweep with more
 than one worker, a timeout or retries runs one process per in-flight
 cell, classifies worker death as ``crashed`` and deadline overruns as
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     prune.add_argument(
         "--tsolver", default=None, choices=list(TSOLVER_NAMES),
         help="transposable-mask solver backend for --pattern NMT "
-        "(default: $REPRO_TSOLVER or greedy; other patterns ignore it)",
+        "(default: greedy; other patterns ignore it)",
     )
     prune.add_argument("--out", default=None, help="output mask path (default: <weights>.mask.npy)")
     _add_checks_flags(prune, "validate the generated mask against its pattern family")
@@ -285,28 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit the campaign spec and per-cell counts as JSON",
     )
-    faults.add_argument(
-        "--allow-partial", action="store_true",
-        help="exit 0 even when campaign cells fail: warn on stderr and "
-        "print the table over the cells that settled (default: cell "
-        "failures exit 1)",
-    )
-    _add_supervision_flags(faults)
     _add_metrics_flag(faults)
 
     perf = sub.add_parser("perf", help="run the benchmark suite / regression gate")
     perf.add_argument(
         "--profile", default="full", choices=["smoke", "quick", "full"],
-        help="bench sizes (default: full)",
-    )
-    perf.add_argument(
-        "--quick", action="store_true",
-        help="shorthand for --profile quick (the CI gate profile)",
+        help="bench sizes (quick is the CI gate profile; default: full)",
     )
     perf.add_argument("--name", default="baseline", help="suffix for BENCH_<name>.json")
     perf.add_argument("--out-dir", default=".", help="directory for the BENCH json")
     perf.add_argument("--seed", type=int, default=0)
-    _add_workers_flag(perf)
     perf.add_argument(
         "--compare", default=None, metavar="BASELINE_JSON",
         help="compare against this baseline; fail on a regression or a missing bench",
@@ -326,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the suite N times and keep the per-bench best "
         "(use for committed baselines; default: 1)",
     )
-    _add_supervision_flags(perf)
 
     serve = sub.add_parser(
         "serve", help="run the durable simulation job service (repro.service)"
@@ -425,14 +412,6 @@ def _with_obs(args, body) -> int:
     if metrics:
         print(f"[repro] metrics -> {metrics}", file=sys.stderr)
     return rc
-
-
-def _sweep_options(args, progress=None):
-    """Build the :class:`repro.sweep.SweepOptions` a command's supervision
-    flags describe; raises ``ValueError`` on invalid combinations."""
-    from .sweep import SweepOptions
-
-    return SweepOptions(timeout=args.timeout, retries=args.retries, progress=progress)
 
 
 def _warn_cell_failures(failures) -> None:
@@ -534,7 +513,7 @@ def _run_report(args) -> int:
     import json
 
     from .analysis.experiments import run_experiment
-    from .sweep import SweepError, configured_workers
+    from .sweep import SweepError, SweepOptions, configured_workers
 
     if args.seeds < 1:
         return _fail(f"--seeds must be >= 1, got {args.seeds}")
@@ -543,8 +522,9 @@ def _run_report(args) -> int:
     settled: List[str] = []  # statuses of the current experiment's cells
     try:
         workers = configured_workers(args.workers)
-        options = _sweep_options(
-            args, progress=lambda cell, done, total: settled.append(cell.status)
+        options = SweepOptions(
+            timeout=args.timeout, retries=args.retries,
+            progress=lambda cell, done, total: settled.append(cell.status),
         )
     except (ValueError, SweepError) as exc:
         return _fail(str(exc))
@@ -663,7 +643,8 @@ def _run_prune(args) -> int:
     else:
         mask = make_mask(weights, PatternSpec(family, m=args.m, sparsity=args.sparsity))
         extra = ""
-    out = args.out or args.weights.replace(".npy", "") + ".mask.npy"
+    stem = args.weights[: -len(".npy")] if args.weights.endswith(".npy") else args.weights
+    out = args.out or stem + ".mask.npy"
     try:
         np.save(out, mask)
     except OSError as exc:
@@ -676,8 +657,8 @@ def _run_simulate(args) -> int:
     import json
 
     from .core.patterns import PatternFamily
-    from .sim.baselines import ARCH_FAMILY, arch_by_name, simulate_arch
-    from .sim.options import SimOptions
+    from .sim.baselines import ARCH_FAMILY, arch_by_name
+    from .sim.engine import SimOptions, simulate
     from .workloads.generator import build_workload
     from .workloads.layers import LayerSpec
 
@@ -697,7 +678,7 @@ def _run_simulate(args) -> int:
     family = ARCH_FAMILY.get(args.arch, PatternFamily.TBS)
     layer = LayerSpec("cli", args.rows, args.cols, args.b_cols)
     workload = build_workload(layer, family, args.sparsity, seed=args.seed)
-    result = simulate_arch(config, workload, options=options)
+    result = simulate(config, workload, options=options)
     if args.json:
         print(json.dumps(result.to_dict(), sort_keys=True))
         return 0
@@ -735,15 +716,12 @@ def _run_faults(args) -> int:
             spec_kwargs["models"] = tuple(args.models)
         spec = CampaignSpec(**spec_kwargs)
         workers = configured_workers(args.workers)
-        options = _sweep_options(args)
     except (ValueError, SweepError) as exc:
         return _fail(str(exc))
 
     try:
         result = run_campaign(
-            spec, workers=workers, cache_dir=args.checkpoint_dir,
-            resume=args.resume, options=options,
-            allow_partial=args.allow_partial,
+            spec, workers=workers, cache_dir=args.checkpoint_dir, resume=args.resume
         )
     except SweepCellsFailed as exc:
         _warn_cell_failures(exc.failures)
@@ -751,10 +729,6 @@ def _run_faults(args) -> int:
         return 1
     except SweepError as exc:
         return _fail(str(exc))
-    if result.failed_cells:
-        # Only reachable with --allow-partial (strict raises otherwise).
-        for key in result.failed_cells:
-            print(f"warning: skipped failed cell {key}", file=sys.stderr)
 
     if args.json:
         print(json.dumps(
@@ -792,13 +766,13 @@ def _print_ecc_overheads(spec, ecc) -> None:
     reference TB-STC layer of the campaign's shape."""
     from .core.patterns import PatternFamily
     from .hw.config import tb_stc
-    from .sim.engine import SimOptions, simulate
+    from .sim.engine import simulate
     from .workloads.generator import build_workload
     from .workloads.layers import LayerSpec
 
     layer = LayerSpec("ecc-ref", spec.rows, spec.cols, spec.cols)
     workload = build_workload(layer, PatternFamily.TBS, spec.sparsity, seed=spec.seed, m=spec.m)
-    result = simulate(tb_stc(), workload, options=SimOptions(ecc=ecc))
+    result = simulate(tb_stc(metadata_ecc=ecc.mode), workload)
     meta = result.breakdown["meta_bytes"]
     extra = result.breakdown["ecc_bytes"]
     ecc_pj = result.energy.components.get("ecc", 0.0)
@@ -810,6 +784,7 @@ def _print_ecc_overheads(spec, ecc) -> None:
 
 
 def _run_perf(args) -> int:
+    import errno
     import os
 
     from .perf import bench
@@ -818,21 +793,18 @@ def _run_perf(args) -> int:
         return _fail(f"--tolerance must be >= 0, got {args.tolerance}")
     if args.best_of < 1:
         return _fail(f"--best-of must be >= 1, got {args.best_of}")
-    try:
-        options = _sweep_options(args)
-    except ValueError as exc:
-        return _fail(str(exc))
-    profile = "quick" if args.quick else args.profile
-    data = bench.run_suite_best(
-        profile=profile, seed=args.seed, name=args.name, rounds=args.best_of,
-        workers=args.workers, options=options,
-    )
     out_path = os.path.join(args.out_dir, f"BENCH_{args.name}.json")
+    if not os.path.isdir(args.out_dir):
+        # Fail before the suite runs: after it, the measured run is lost.
+        missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_path)
+        return _fail(f"cannot write {out_path!r}: {missing}")
+    data = bench.run_suite_best(profile=args.profile, seed=args.seed, name=args.name,
+                                rounds=args.best_of)
     try:
         bench.write_bench_json(out_path, data)
     except OSError as exc:
         return _fail(f"cannot write {out_path!r}: {exc}")
-    print(f"bench suite ({profile}, seed {args.seed}): "
+    print(f"bench suite ({args.profile}, seed {args.seed}): "
           f"{len(data['benches'])} benches, {data['total_wall_s']:.2f} s total, "
           f"peak RSS {data['peak_rss_kb'] / 1024:.0f} MB -> {out_path}")
 
@@ -842,7 +814,7 @@ def _run_perf(args) -> int:
         trajectories.append(os.path.join(args.out_dir, "BENCH_trajectory.jsonl"))
     entry = {
         "name": args.name,
-        "profile": profile,
+        "profile": args.profile,
         "total_wall_s": data["total_wall_s"],
         "calibration_s": data["calibration_s"],
         "normalized": {k: v["normalized"] for k, v in data["benches"].items()},
@@ -870,10 +842,7 @@ def _run_perf(args) -> int:
             print("possible regression -- re-running suite once to filter noise")
             data = bench.merge_best(
                 data,
-                bench.run_suite(
-                    profile=profile, seed=args.seed, name=args.name,
-                    workers=args.workers, options=options,
-                ),
+                bench.run_suite(profile=args.profile, seed=args.seed, name=args.name),
             )
             try:
                 bench.write_bench_json(out_path, data)

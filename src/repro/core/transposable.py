@@ -14,9 +14,9 @@ column of the block keeps at most N entries.
 Mask construction is delegated to the pluggable solver backends in
 :mod:`repro.core.tsolvers` -- ``greedy`` (the historical default),
 ``exact`` (min-cost-flow oracle) and ``tsenor`` (batched Sinkhorn/
-Dykstra).  ``backend=`` picks one and falls back to ``$REPRO_TSOLVER``
-and then ``greedy``; the whole block grid goes to the backend in one
-call so vectorized solvers see the batch dimension.
+Dykstra).  ``backend=`` picks one (default ``greedy``); the whole
+block grid goes to the backend in one call so vectorized solvers see
+the batch dimension.
 """
 
 from __future__ import annotations

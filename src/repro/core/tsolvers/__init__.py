@@ -19,12 +19,12 @@ optimality:
   Orders of magnitude faster than ``greedy`` at large M, within ~1% of
   the exact retained score (the CI ``solver`` job gates this).
 
-Backend selection resolves ``explicit argument -> $REPRO_TSOLVER ->
-"greedy"``.  Two entry points choose a backend explicitly: ``repro
+A backend is chosen only by an explicit ``backend=`` argument; without
+one the solver is ``greedy``.  Two entry points choose one: ``repro
 prune --pattern NMT --tsolver`` and the ``wide`` experiment's
 per-cell backend, both through
 :func:`repro.core.transposable.transposable_sparsify`; every other NM-T
-mask resolves through ``$REPRO_TSOLVER`` and then greedy.
+mask is solved by greedy.
 Each solve is timed under a ``tsolver.<backend>`` perf stage
 (:mod:`repro.perf.timers`), so while instrumentation is on
 (:func:`repro.obs.enabled`) backend cost shows up in the metrics
@@ -33,21 +33,16 @@ registry's timer records and in Chrome traces like any other hot path.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_TSOLVER",
-    "TSOLVER_ENV",
     "TSOLVER_NAMES",
     "resolve_tsolver",
     "solve_blocks",
 ]
-
-#: Environment variable overriding the default backend.
-TSOLVER_ENV = "REPRO_TSOLVER"
 
 #: Registered backend names, in documentation order.
 TSOLVER_NAMES = ("greedy", "exact", "tsenor")
@@ -57,8 +52,8 @@ DEFAULT_TSOLVER = "greedy"
 
 
 def resolve_tsolver(backend: Optional[str] = None) -> str:
-    """Resolve a backend name: explicit arg -> $REPRO_TSOLVER -> greedy."""
-    name = backend or os.environ.get(TSOLVER_ENV) or DEFAULT_TSOLVER
+    """Resolve a backend name: the explicit argument, else greedy."""
+    name = backend or DEFAULT_TSOLVER
     if name not in TSOLVER_NAMES:
         raise ValueError(f"unknown tsolver {name!r}; choose from {TSOLVER_NAMES}")
     return name

@@ -149,8 +149,6 @@ class CampaignResult:
     spec: CampaignSpec
     cells: List[CellOutcome] = field(default_factory=list)
     sweep_summary: Optional[str] = None  #: engine stats when run via repro.sweep
-    #: Keys of cells that failed, when run with ``allow_partial=True``.
-    failed_cells: List[str] = field(default_factory=list)
 
 
 def _trial_rng(spec: CampaignSpec, fmt: str, model: str, trial: int) -> np.random.Generator:
@@ -335,24 +333,15 @@ def run_campaign(
     workers: Optional[int] = None,
     cache_dir=None,
     resume: bool = False,
-    options=None,
-    allow_partial: bool = False,
 ) -> CampaignResult:
     """Sweep every (format, model) cell through the sweep engine.
 
-    ``allow_partial=True`` degrades cell failures from an exception to
-    an omission: failed cells are skipped in the aggregated table (and
-    listed in ``result.failed_cells``) instead of raising
-    :class:`repro.sweep.SweepCellsFailed`.
-
-    Cells shard across ``workers`` processes (:mod:`repro.sweep`); every
-    trial seeds from ``(seed, format, model, trial)``, so the table is
-    bit-identical at any worker count.  With ``cache_dir``, finished
+    A failed cell raises :class:`repro.sweep.SweepCellsFailed` once the
+    sweep has run every cell.  Cells shard across ``workers`` processes
+    (:mod:`repro.sweep`); every trial seeds from ``(seed, format, model,
+    trial)``, so the table is bit-identical at any worker count.  With ``cache_dir``, finished
     cells persist on disk and ``resume=True`` replays them, so a killed
-    campaign restarts where it left off.  ``options`` (a
-    :class:`repro.sweep.SweepOptions`) threads the supervised-executor
-    knobs -- per-cell ``timeout``, transient ``retries``, executor
-    choice -- through to :func:`repro.sweep.run_sweep`.
+    campaign restarts where it left off.
     """
     from ..sweep import SweepCell, SweepSpec, configured_workers, run_sweep
 
@@ -370,19 +359,13 @@ def run_campaign(
         workers=configured_workers(workers),
         cache_dir=cache_dir,
         resume=resume,
-        strict=not allow_partial,
-        options=options,
+        strict=True,
     )
     result = CampaignResult(spec)
     result.sweep_summary = sweep.summary()
-    result.failed_cells = [c.key for c in sweep.failures]
-    settled = sweep.values()
     for fmt_name in spec.formats:
         for model in spec.models:
-            key = f"faults-{fmt_name}-{model}"
-            if allow_partial and key not in settled:
-                continue
-            result.cells.append(sweep.value(key))
+            result.cells.append(sweep.value(f"faults-{fmt_name}-{model}"))
     return result
 
 

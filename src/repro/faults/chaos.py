@@ -32,13 +32,12 @@ under an unmodified ``repro report`` invocation:
 
 * ``REPRO_SWEEP_CHAOS`` -- ``"mode[+mode...][:first_n]"``, e.g.
   ``"crash+hang:1"`` (default ``first_n`` 1);
-* ``REPRO_SWEEP_CHAOS_SEED`` -- selector seed (default 0);
-* ``REPRO_SWEEP_CHAOS_FRACTION`` -- fraction of cells afflicted
-  (default 1.0);
 * ``REPRO_SWEEP_CHAOS_HANG_S`` -- hang duration in seconds (default
-  3600; must exceed the sweep's ``--timeout`` to trip it);
-* ``REPRO_SWEEP_CHAOS_DIR`` -- ledger directory (default: a fresh
-  temporary directory per ``run_sweep`` call).
+  3600; must exceed the sweep's ``--timeout`` to trip it).
+
+The ambient drill afflicts every cell, with the ledger in a fresh
+temporary directory per ``run_sweep`` call; the selector seed, the
+afflicted fraction and the ledger directory are set programmatically.
 """
 
 from __future__ import annotations
@@ -120,7 +119,8 @@ class ChaosConfig:
 
 
 def chaos_from_env(environ: Optional[Mapping[str, str]] = None) -> Optional[ChaosConfig]:
-    """Build a :class:`ChaosConfig` from ``REPRO_SWEEP_CHAOS*``, or None."""
+    """Build a :class:`ChaosConfig` from ``REPRO_SWEEP_CHAOS`` and
+    ``REPRO_SWEEP_CHAOS_HANG_S``, or None."""
     env = os.environ if environ is None else environ
     spec = env.get("REPRO_SWEEP_CHAOS", "").strip()
     if not spec:
@@ -132,10 +132,7 @@ def chaos_from_env(environ: Optional[Mapping[str, str]] = None) -> Optional[Chao
         return ChaosConfig(
             modes=modes,
             first_n=first_n,
-            seed=int(env.get("REPRO_SWEEP_CHAOS_SEED", "0")),
-            fraction=float(env.get("REPRO_SWEEP_CHAOS_FRACTION", "1.0")),
             hang_s=float(env.get("REPRO_SWEEP_CHAOS_HANG_S", "3600")),
-            ledger_dir=env.get("REPRO_SWEEP_CHAOS_DIR") or None,
         )
     except ValueError as exc:
         raise ValueError(f"malformed REPRO_SWEEP_CHAOS configuration {spec!r}: {exc}") from exc

@@ -69,6 +69,10 @@ class ArchConfig:
     alternate_buffer_depth: int = 8
     #: Scheduler lookahead (blocks fetched per cycle is 2 per Fig. 11(b)).
     scheduler_window: int = 8
+    #: Cycles each non-empty block row adds to the block's DVPE cost: the
+    #: per-row pipelining of the CSR-style front-ends (SGCN, RM-STC,
+    #: DVPE+FAN); zero for block-native machines.
+    row_overhead_cycles: float = 0.0
     #: Metadata protection: 'none' | 'parity' | 'secded'.  Protected
     #: variants pay check-bit traffic and ECC-logic energy (see
     #: repro.faults.ecc) in exchange for fault-campaign coverage, making
@@ -82,6 +86,8 @@ class ArchConfig:
             raise ValueError("frequency and bandwidth must be positive")
         if self.metadata_ecc not in ("none", "parity", "secded"):
             raise ValueError(f"metadata_ecc must be none/parity/secded, got {self.metadata_ecc!r}")
+        if self.row_overhead_cycles < 0:
+            raise ValueError(f"row_overhead_cycles must be >= 0, got {self.row_overhead_cycles}")
 
     @property
     def num_pes(self) -> int:
@@ -183,6 +189,7 @@ def rm_stc(**overrides) -> ArchConfig:
         has_mbd=True,
         datapath_energy_scale=2.0,
         memory_energy_scale=1.6,
+        row_overhead_cycles=0.05,
     )
     cfg.update(overrides)
     return ArchConfig(name="RM-STC", **cfg)
@@ -208,6 +215,7 @@ def sgcn(**overrides) -> ArchConfig:
         has_mbd=False,
         datapath_energy_scale=1.25,
         memory_energy_scale=1.3,
+        row_overhead_cycles=0.15,
     )
     cfg.update(overrides)
     return ArchConfig(name="SGCN", **cfg)
@@ -230,6 +238,7 @@ def dvpe_fan(**overrides) -> ArchConfig:
         has_mbd=True,
         datapath_energy_scale=2.2,
         memory_energy_scale=1.4,
+        row_overhead_cycles=0.2,
     )
     cfg.update(overrides)
     return ArchConfig(name="DVPE+FAN", **cfg)

@@ -51,12 +51,11 @@ class SimStallError(RuntimeError):
 
     Raised instead of spinning when a malformed block list (corrupted
     descriptor stream, lying length, non-finite costs) would otherwise
-    hang the event loop, or when a simulation blows through its cycle
-    budget.  ``state`` carries a diagnostic snapshot (cursors, pending
+    hang the event loop.  ``state`` carries a diagnostic snapshot (cursors, pending
     blocks, buffer contents) so the stall is debuggable post-mortem.
 
     ``cause`` is a short machine-readable tag (``"fetch_no_progress"``,
-    ``"stream_overrun"``, ``"cycle_budget"``).  When instrumentation is
+    ``"stream_overrun"``).  When instrumentation is
     on (:func:`repro.obs.enabled`), constructing the error also stores
     the installed registry's stage-timer records under ``state["perf"]``,
     bumps the ``stall.<cause>`` counter and emits an instant trace

@@ -31,7 +31,6 @@ import numpy as np
 from ..core.masks import make_mask, unstructured_mask
 from ..core.patterns import PatternFamily, PatternSpec
 from ..core.sparsify import tbs_sparsify
-from ..core.transposable import transposable_sparsify
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
 from ..obs.state import enabled as _obs_enabled
@@ -81,16 +80,12 @@ def _project(
 
     ``ts_cap`` pins the TS family to the STC hardware ratio (4:8 = 50%,
     the paper's Table I footnote); pass ``None`` for an iso-sparsity TS
-    comparison (fixed N = (1-s)*M).  The NMT family solves its blocks
-    with the ``$REPRO_TSOLVER`` backend (default greedy).
+    comparison (fixed N = (1-s)*M).
     """
     sparsity = min(1.0, max(0.0, sparsity))
     if family is PatternFamily.TBS:
         result = tbs_sparsify(scores, m=m, sparsity=sparsity)
         return result.mask, PatternSpec(family, m=m, sparsity=sparsity), result
-    if family is PatternFamily.NMT:
-        mask, _ = transposable_sparsify(scores, m=m, sparsity=sparsity)
-        return mask, PatternSpec(family, m=m, sparsity=sparsity), None
     if family is PatternFamily.TS and ts_cap is not None:
         spec = PatternSpec(family, m=m, sparsity=min(sparsity, ts_cap))
         return make_mask(scores, spec), spec, None

@@ -42,7 +42,7 @@ import platform
 import resource
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -282,8 +282,8 @@ def _tsolver_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, C
 
 def _macro_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, Callable[[], None]]]:
     from ..hw.config import all_baselines
-    from ..sim.baselines import ARCH_FAMILY, simulate_arch
-    from ..sim.engine import clear_cost_memo
+    from ..sim.baselines import ARCH_FAMILY
+    from ..sim.engine import clear_cost_memo, simulate
     from ..workloads.generator import build_workload
     from ..workloads.layers import LayerSpec
 
@@ -304,11 +304,11 @@ def _macro_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, Cal
         for config in configs:
             family = ARCH_FAMILY.get(config.name, PatternFamily.TBS)
             w = build_workload(layer, family, sparsity=0.75, m=_M, seed=seed)
-            simulate_arch(config, w)
+            simulate(config, w)
 
     def _simulate_layer() -> None:
         clear_cost_memo()
-        simulate_arch(configs[0], workload)
+        simulate(configs[0], workload)
 
     return [
         ("simulate_layer", matrix_cells, _simulate_layer),
@@ -391,9 +391,7 @@ def _time_bench(
     """Warm up, autorange, and time one bench callable.
 
     Returns the per-bench record (without ``stages``) plus the total
-    wall time spent (the suite's ``total_wall_s`` contribution).  Shared
-    by the serial suite loop and the per-bench worker cell, so both
-    measure identically.
+    wall time spent (the suite's ``total_wall_s`` contribution).
     """
     # Warm-up excludes one-time allocation/import effects and
     # sizes the autorange: sub-millisecond callables are pure
@@ -434,95 +432,24 @@ def _stage_split(fn: Callable[[], None]) -> Dict[str, Dict[str, float]]:
     return cap.timers
 
 
-def _bench_cell(profile: str, seed: int, bench_name: str) -> Dict:
-    """Run one named bench in this process (the sweep-engine cell body).
-
-    Calibration runs here too: normalization must use a workload timed in
-    the *same* process as the bench, or a loaded sibling worker would
-    skew the ratio.  The calibration and spent-wall figures ride along in
-    the record for the parent to fold into the suite payload.
-    """
-    sizes = PROFILES[profile]
-    calibration_s = calibrate()
-    suite = _all_benches(sizes, seed)
-    for name_, cells, fn in suite:
-        if name_ == bench_name:
-            break
-    else:
-        raise ValueError(f"unknown bench {bench_name!r}")
-    record, spent = _time_bench(fn, cells, sizes["reps"], calibration_s)
-    record["stages"] = _stage_split(fn)
-    record["calibration_s"] = calibration_s
-    record["spent_wall_s"] = spent
-    record["peak_rss_kb"] = peak_rss_kb()
-    return record
-
-
-def run_suite(
-    profile: str = "quick",
-    seed: int = 0,
-    name: str = "baseline",
-    workers: Optional[int] = None,
-    options=None,
-) -> Dict:
-    """Run the full bench suite and return the BENCH json payload.
-
-    ``workers > 1`` shards the benches across a process pool via the
-    sweep engine: each worker calibrates itself and times its benches
-    in-process, so normalized figures stay meaningful; ``workers=1``
-    (the default) is the historical in-process loop, byte-identical in
-    schema and measurement procedure.
-    """
-    from ..sweep import SweepCell, SweepSpec, configured_workers, run_sweep
-
+def run_suite(profile: str = "quick", seed: int = 0, name: str = "baseline") -> Dict:
+    """Run the full bench suite in this process and return the BENCH json
+    payload."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
     sizes = PROFILES[profile]
-    reps = sizes["reps"]
-    n_workers = configured_workers(workers)
-
+    calibration_s = calibrate()
+    suite = _all_benches(sizes, seed)
     benches: Dict[str, Dict] = {}
     total = 0.0
-    if n_workers > 1:
-        bench_names = [b[0] for b in _all_benches(sizes, seed)]
-        sweep = run_sweep(
-            SweepSpec(
-                f"perf-{profile}",
-                tuple(
-                    SweepCell(
-                        key=bench_name,
-                        fn=_bench_cell,
-                        kwargs={"profile": profile, "seed": seed, "bench_name": bench_name},
-                    )
-                    for bench_name in bench_names
-                ),
-            ),
-            workers=n_workers,
-            strict=True,
-            options=options,
-        )
-        calibrations: List[float] = []
-        rss = peak_rss_kb()
-        for bench_name in bench_names:
-            record = dict(sweep.value(bench_name))
-            calibrations.append(record.pop("calibration_s"))
-            total += record.pop("spent_wall_s")
-            rss = max(rss, record.pop("peak_rss_kb"))
-            benches[bench_name] = record
-        calibration_s = min(calibrations)
-        peak_rss = rss
-    else:
-        calibration_s = calibrate()
-        suite = _all_benches(sizes, seed)
-        for bench_name, cells, fn in suite:
-            record, spent = _time_bench(fn, cells, reps, calibration_s)
-            total += spent
-            benches[bench_name] = record
-        # Instrumented calls only after every bench is timed, so none
-        # runs between two timed benches.
-        for bench_name, _, fn in suite:
-            benches[bench_name]["stages"] = _stage_split(fn)
-        peak_rss = peak_rss_kb()
+    for bench_name, cells, fn in suite:
+        record, spent = _time_bench(fn, cells, sizes["reps"], calibration_s)
+        total += spent
+        benches[bench_name] = record
+    # Instrumented calls only after every bench is timed, so none
+    # runs between two timed benches.
+    for bench_name, _, fn in suite:
+        benches[bench_name]["stages"] = _stage_split(fn)
 
     return {
         "schema": SCHEMA_VERSION,
@@ -534,7 +461,7 @@ def run_suite(
         "calibration_s": calibration_s,
         "benches": benches,
         "total_wall_s": total,
-        "peak_rss_kb": peak_rss,
+        "peak_rss_kb": peak_rss_kb(),
     }
 
 
@@ -559,22 +486,12 @@ def merge_best(a: Dict, b: Dict) -> Dict:
 
 
 def run_suite_best(
-    profile: str = "quick",
-    seed: int = 0,
-    name: str = "baseline",
-    rounds: int = 1,
-    workers: Optional[int] = None,
-    options=None,
+    profile: str = "quick", seed: int = 0, name: str = "baseline", rounds: int = 1
 ) -> Dict:
-    """Run the suite ``rounds`` times and keep the per-bench best.
-
-    ``options`` (a :class:`repro.sweep.SweepOptions`) threads the
-    supervised-executor knobs through the sharded (``workers > 1``)
-    path; the serial path has no sweep to configure.
-    """
-    data = run_suite(profile, seed, name, workers=workers, options=options)
+    """Run the suite ``rounds`` times and keep the per-bench best."""
+    data = run_suite(profile, seed, name)
     for _ in range(max(0, rounds - 1)):
-        data = merge_best(data, run_suite(profile, seed, name, workers=workers, options=options))
+        data = merge_best(data, run_suite(profile, seed, name))
     return data
 
 

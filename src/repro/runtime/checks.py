@@ -13,14 +13,14 @@ Strictness levels (global, overridable per call site):
 * ``warn``   -- violations emit a :class:`InvariantWarning` and continue;
 * ``strict`` -- violations raise :class:`InvariantError`.
 
-The level comes from, in priority order: an explicit ``level=`` argument,
-:func:`set_check_level`, or the ``REPRO_CHECKS`` environment variable.
+The level comes from an explicit ``level=`` argument, else the global
+one that :func:`check_level` (``--checks`` on the command line) or
+:func:`set_check_level` pins.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import warnings
 from typing import Dict, Iterator, Optional
 
@@ -45,7 +45,7 @@ __all__ = [
 
 CHECK_LEVELS = ("off", "warn", "strict")
 
-_level: Optional[str] = None  # None -> fall back to the environment
+_level: Optional[str] = None  # None -> "off"
 
 
 class InvariantError(AssertionError):
@@ -63,7 +63,7 @@ def _validate_level(level: str) -> str:
 
 
 def set_check_level(level: Optional[str]) -> None:
-    """Set the global strictness; ``None`` defers to ``$REPRO_CHECKS``.
+    """Set the global strictness; ``None`` restores the default ``off``.
 
     Also resets the warn-mode dedup state: a new strictness regime
     starts with a clean slate of "already warned" call sites.
@@ -76,10 +76,7 @@ def set_check_level(level: Optional[str]) -> None:
 def get_check_level(override: Optional[str] = None) -> str:
     if override is not None:
         return _validate_level(override)
-    if _level is not None:
-        return _level
-    env = os.environ.get("REPRO_CHECKS", "off").strip().lower()
-    return env if env in CHECK_LEVELS else "off"
+    return _level if _level is not None else "off"
 
 
 @contextlib.contextmanager

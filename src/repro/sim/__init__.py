@@ -1,6 +1,6 @@
 """Cycle-level simulators of TB-STC and the baseline architectures."""
 
-from .baselines import ARCH_FAMILY, arch_by_name, simulate_arch, simulate_layer_sweep
+from .baselines import ARCH_FAMILY, arch_by_name, simulate_layer_sweep
 from .breakdown import codec_overhead_fraction, cycle_breakdown
 from .engine import PIPELINE_FILL_CYCLES, block_segments, simulate
 from .functional import functional_block_product, functional_spmm, verify_workload
@@ -22,7 +22,6 @@ __all__ = [
     "functional_spmm",
     "normalized_edp",
     "simulate",
-    "simulate_arch",
     "simulate_layer_sweep",
     "speedup",
     "verify_workload",

@@ -1,29 +1,24 @@
-"""Per-architecture simulation entry points.
+"""The paper's architectures by name, and the Fig. 12 layer sweep.
 
-Thin wrappers around :func:`repro.sim.engine.simulate` that bundle each
-baseline's configuration quirks (SGCN's per-row overhead, STC's 4:8
-pattern pinning handled by the workload generator) and a sweep helper
-that runs one layer across the whole baseline set the way the Fig. 12
-experiments do.
+Each baseline's quirks live in its :class:`~repro.hw.config.ArchConfig`
+(SGCN's per-row overhead among them) or in the workload generator
+(STC's 4:8 pattern pinning), so every architecture simulates through
+:func:`repro.sim.engine.simulate` alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional
 
 from ..core.patterns import PatternFamily
 from ..hw.config import ArchConfig, dvpe_fan, highlight, rm_stc, sgcn, stc, tb_stc, tensor_core, vegeta
-from ..workloads.generator import GEMMWorkload, build_workload
+from ..workloads.generator import build_workload
 from ..workloads.layers import LayerSpec
 from .engine import simulate
 from .metrics import SimResult
-from .options import SimOptions
 
 __all__ = [
     "ARCH_FAMILY",
-    "ARCH_ROW_OVERHEAD",
-    "simulate_arch",
     "simulate_layer_sweep",
     "arch_by_name",
 ]
@@ -60,30 +55,6 @@ def arch_by_name(name: str, **overrides) -> ArchConfig:
         raise ValueError(f"unknown architecture {name!r}; have {sorted(_FACTORIES)}") from None
 
 
-#: Per-non-empty-row cycle overhead each baseline's front-end pays (the
-#: CSR-style row-pipelining model; zero for block-native machines).
-ARCH_ROW_OVERHEAD: Dict[str, float] = {"SGCN": 0.15, "RM-STC": 0.05, "DVPE+FAN": 0.2}
-
-
-def simulate_arch(
-    config: ArchConfig,
-    workload: GEMMWorkload,
-    options: Optional[SimOptions] = None,
-) -> SimResult:
-    """Simulate with the architecture-specific knobs applied.
-
-    ``options`` carries any extra simulation knobs; the baseline's own
-    row-overhead model is layered on top unless the caller already set
-    one explicitly.
-    """
-    opts = options if options is not None else SimOptions()
-    if opts.row_overhead_cycles == 0.0:
-        overhead = ARCH_ROW_OVERHEAD.get(config.name, 0.0)
-        if overhead:
-            opts = replace(opts, row_overhead_cycles=overhead)
-    return simulate(config, workload, options=opts)
-
-
 def simulate_layer_sweep(
     layer: LayerSpec,
     sparsity: float,
@@ -105,5 +76,5 @@ def simulate_layer_sweep(
         config = arch_by_name(name)
         family = ARCH_FAMILY[name]
         workload = build_workload(layer, family, sparsity, m=m, seed=seed, scale=scale)
-        results[name] = simulate_arch(config, workload)
+        results[name] = simulate(config, workload)
     return results

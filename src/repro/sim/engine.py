@@ -39,7 +39,7 @@ from ..hw.config import ArchConfig
 from ..hw.dram import DRAMModel
 from ..hw.dvpe import DVPE
 from ..hw.energy import EnergyModel, EnergyParams
-from ..hw.scheduler import SimStallError, schedule_direct, schedule_sparsity_aware
+from ..hw.scheduler import schedule_direct, schedule_sparsity_aware
 from ..obs import metrics as obs_metrics
 from ..obs.state import enabled as _obs_enabled
 from ..perf import stage, timed
@@ -108,14 +108,14 @@ def block_segments(
     return row_counts, dirs
 
 
-def _block_costs(
-    row_counts: np.ndarray, config: ArchConfig, row_overhead: float = 0.0
-):
-    """DVPE cycle cost of every block (intra-block mapping model).
+def _block_costs(row_counts: np.ndarray, config: ArchConfig):
+    """DVPE cycle cost of every block (intra-block mapping model), plus
+    the architecture's per-row overhead (``config.row_overhead_cycles``).
 
     The vectorized :meth:`~repro.hw.dvpe.DVPE.block_costs_batch` model,
     memoized across sweep cells (see :data:`_COST_MEMO`).
     """
+    row_overhead = config.row_overhead_cycles
     key = (
         row_counts.tobytes(),
         row_counts.shape,
@@ -299,24 +299,21 @@ def simulate(
 ) -> SimResult:
     """Execute one sparse GEMM on one architecture.
 
-    All knobs beyond (architecture, workload) travel in one frozen
+    The architecture carries its own per-row overhead
+    (``config.row_overhead_cycles``, the CSR-style front-ends of SGCN,
+    RM-STC and DVPE+FAN) and its metadata protection
+    (``config.metadata_ecc``, which charges check-bit traffic and ECC
+    energy).  The knobs one call varies travel in one frozen
     :class:`~repro.sim.options.SimOptions` value object:
 
-    * ``options.row_overhead_cycles`` models per-non-empty-row processing
-      overhead of CSR-style machines (used by the SGCN baseline);
     * ``options.weight_bits`` < 16 models quantized weights (Fig. 15(b));
-    * ``options.ecc`` (an :class:`repro.faults.ecc.ECCConfig`) protects
-      the storage format's metadata; when None, ``config.metadata_ecc``
-      decides.  Protection charges check-bit traffic and ECC energy.
     * ``options.fault`` injects one seeded bit flip into the encoded A
       operand (``'values'`` | ``'indices'`` | ``'metadata'``) and
       classifies the outcome under the ambient :mod:`repro.runtime
       .checks` level; the class lands in
       ``SimResult.fault_classification``.  Timing is reported for the
       fault-free execution.  ``options.fault_seed`` seeds the flip.
-    * ``options.cycle_budget`` raises
-      :class:`~repro.hw.scheduler.SimStallError` if the modeled
-      execution exceeds it -- a runaway guard for sweeps.
+    * ``options.orientation`` picks the pass that drains the A operand.
 
     When invariant checking is on (:mod:`repro.runtime.checks`), the
     workload mask is validated against its declared pattern family, and
@@ -354,13 +351,6 @@ def _simulate(
     options: SimOptions,
 ) -> SimResult:
     """Pipeline body of :func:`simulate` (timing-agnostic)."""
-    energy_params = options.energy_params
-    row_overhead_cycles = options.row_overhead_cycles
-    weight_bits = options.weight_bits
-    ecc = options.ecc
-    fault = options.fault
-    fault_seed = options.fault_seed
-    cycle_budget = options.cycle_budget
     level = get_check_level()
     if level != "off":
         check_workload(workload, context=f"simulate:{workload.name}")
@@ -373,15 +363,18 @@ def _simulate(
                 block_size=workload.m,
                 context=f"simulate:{workload.name}",
             )
-    if ecc is None and config.metadata_ecc != "none":
+    ecc = None
+    if config.metadata_ecc != "none":
         from ..faults.ecc import ECCConfig
 
         ecc = ECCConfig(mode=config.metadata_ecc)
-    fault_classification = _classify_fault(config, workload, fault, fault_seed, ecc)
-    params = energy_params or EnergyParams()
+    fault_classification = _classify_fault(
+        config, workload, options.fault, options.fault_seed, ecc
+    )
+    params = EnergyParams()
     row_counts, dirs = block_segments(workload, config)
     with stage("sim.block_costs"):
-        costs = _block_costs(row_counts, config, row_overhead=row_overhead_cycles)
+        costs = _block_costs(row_counts, config)
 
     # Small layers cannot fill the PE array with blocks alone; replicate
     # tasks across B-column tiles so spatial parallelism is preserved.
@@ -412,7 +405,7 @@ def _simulate(
     )
     with stage("sim.memory"):
         memory_cycles, dram_bytes, mem_detail = _memory_cycles_and_bytes(
-            workload, config, dram, weight_bits=weight_bits, ecc=ecc,
+            workload, config, dram, weight_bits=options.weight_bits, ecc=ecc,
             orientation=options.orientation,
         )
 
@@ -425,19 +418,6 @@ def _simulate(
         )
 
     total_cycles = max(compute_cycles, memory_cycles) + codec_visible + PIPELINE_FILL_CYCLES
-    if cycle_budget is not None and total_cycles > cycle_budget:
-        raise SimStallError(
-            f"simulation of {workload.name!r} on {config.name!r} exceeded its cycle budget",
-            cause="cycle_budget",
-            state={
-                "total_cycles": total_cycles,
-                "cycle_budget": cycle_budget,
-                "compute_cycles": compute_cycles,
-                "memory_cycles": memory_cycles,
-                "codec_visible": codec_visible,
-                "n_blocks": n_blocks,
-            },
-        )
 
     # --- energy ---
     if config.storage_format == "dense":
@@ -447,7 +427,7 @@ def _simulate(
     mbd_elements = workload.nnz * k if config.has_mbd else 0
     sram_bytes = 2.0 * dram_bytes  # buffer fill + drain
     n_ecc_words = 0
-    if ecc is not None and getattr(ecc, "enabled", False):
+    if ecc is not None:
         from ..faults.ecc import ecc_words
 
         n_ecc_words = ecc_words(mem_detail["meta_bytes"], ecc)

@@ -1,16 +1,12 @@
-"""The :class:`SimOptions` bundle -- ``simulate()``'s redesigned front door.
+"""The :class:`SimOptions` bundle -- ``simulate()``'s knobs beyond the
+architecture and the workload.
 
-``simulate()`` historically grew one keyword argument per subsystem
-(energy calibration, the SGCN row-overhead model, quantization, ECC,
-fault injection, the stall guard) until every new feature widened a
-nine-parameter signature and every sweep had to plumb loose kwargs
-across call layers.  ``SimOptions`` freezes those knobs into one
-immutable, picklable, hashable value object:
-
-* pass it positionally or as ``options=`` to :func:`repro.sim.engine
-  .simulate` / :func:`repro.sim.baselines.simulate_arch`;
-* ship it across process boundaries inside sweep cells (it pickles);
-* derive variants with :func:`dataclasses.replace` instead of mutating.
+What an architecture is (its fabric, its storage format, its metadata
+ECC, its per-row overhead) lives in :class:`~repro.hw.config.ArchConfig`;
+``SimOptions`` holds only what one call varies on a fixed design: the
+weight precision, an injected fault and the consumption orientation.
+It is immutable, picklable and hashable, so sweep cells ship it across
+process boundaries and derive variants with :func:`dataclasses.replace`.
 
 ``simulate()`` takes no loose knob keywords: every knob is a field here.
 """
@@ -18,9 +14,7 @@ immutable, picklable, hashable value object:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
-
-from ..hw.energy import EnergyParams
+from typing import Optional
 
 __all__ = ["SimOptions"]
 
@@ -33,21 +27,12 @@ class SimOptions:
     ``simulate()``'s docstring for each field's semantics.
     """
 
-    #: Per-operation energy calibration; None means :class:`EnergyParams()`.
-    energy_params: Optional[EnergyParams] = None
-    #: Per-non-empty-row cycle overhead of CSR-style machines (SGCN model).
-    row_overhead_cycles: float = 0.0
     #: Weight payload width; < 16 models quantized weights (Fig. 15(b)).
     weight_bits: int = 16
-    #: Metadata ECC (:class:`repro.faults.ecc.ECCConfig`); None defers to
-    #: ``config.metadata_ecc``.
-    ecc: Optional[Any] = None
     #: Fault-injection target ('values' | 'indices' | 'metadata'), or None.
     fault: Optional[str] = None
     #: Seed for the injected flip (only read when ``fault`` is set).
     fault_seed: int = 0
-    #: Raise ``SimStallError`` when modeled cycles exceed this budget.
-    cycle_budget: Optional[int] = None
     #: Consumption orientation of the A operand ('forward' |
     #: 'transposed').  'transposed' models the backward pass draining
     #: the transpose of the same stored encoding -- the format is never
@@ -60,14 +45,10 @@ class SimOptions:
     def __post_init__(self) -> None:
         if not 2 <= self.weight_bits <= 16:
             raise ValueError(f"weight_bits must be in [2, 16], got {self.weight_bits}")
-        if self.row_overhead_cycles < 0:
-            raise ValueError(f"row_overhead_cycles must be >= 0, got {self.row_overhead_cycles}")
         if self.fault is not None and self.fault not in self._FAULT_TARGETS:
             raise ValueError(
                 f"fault must be one of {self._FAULT_TARGETS} or None, got {self.fault!r}"
             )
-        if self.cycle_budget is not None and self.cycle_budget < 1:
-            raise ValueError(f"cycle_budget must be >= 1, got {self.cycle_budget}")
         from ..formats.base import ORIENTATIONS
 
         if self.orientation not in ORIENTATIONS:

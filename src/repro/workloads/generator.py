@@ -34,7 +34,6 @@ import numpy as np
 from ..core.masks import make_mask
 from ..core.patterns import DEFAULT_M, PatternFamily, PatternSpec
 from ..core.sparsify import TBSResult, tbs_sparsify
-from ..core.transposable import transposable_sparsify
 from ..perf import timed
 from ..perf.memo import ArrayMemo
 from .layers import LayerSpec
@@ -203,9 +202,6 @@ def pattern_mask(
     if family is PatternFamily.TBS:
         tbs = tbs_sparsify(weights, m=m, sparsity=sparsity)
         return tbs.mask, tbs
-    if family is PatternFamily.NMT:
-        mask, _ = transposable_sparsify(weights, m=m, sparsity=sparsity)
-        return mask, None
     if family is PatternFamily.TS:
         # NVIDIA STC supports only the fixed 2:4/4:8 ratio.
         effective = min(sparsity, 0.5)

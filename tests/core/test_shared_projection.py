@@ -60,6 +60,8 @@ def _project(family, scores, m, sparsity):
         return res.mask, res.block_n, res.block_direction
     if family is PatternFamily.NMT:
         mask, block_n = transposable_sparsify(scores, m=m, sparsity=sparsity)
+        # pattern_mask reaches NM-T only through make_mask's dispatch.
+        assert pattern_mask(scores, family, sparsity, m=m)[0].tobytes() == mask.tobytes()
         return mask, block_n, None
     if family is PatternFamily.US:
         return unstructured_mask(scores, sparsity), None, None

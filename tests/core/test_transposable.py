@@ -144,14 +144,6 @@ class TestBackendSelection:
                 block = mask[br * 8 : (br + 1) * 8, bc * 8 : (bc + 1) * 8]
                 assert is_transposable(block, int(block_n[br, bc]))
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        scores = _rand((16, 16), 11)
-        monkeypatch.setenv("REPRO_TSOLVER", "exact")
-        via_env, _ = transposable_sparsify(scores, m=8, sparsity=0.75)
-        monkeypatch.delenv("REPRO_TSOLVER")
-        explicit, _ = transposable_sparsify(scores, m=8, sparsity=0.75, backend="exact")
-        assert np.array_equal(via_env, explicit)
-
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown tsolver"):
             transposable_sparsify(_rand((8, 8), 12), m=8, sparsity=0.75, backend="hungarian")

@@ -58,17 +58,9 @@ class TestRegistry:
     def test_explicit_name_wins(self):
         assert resolve_tsolver("tsenor") == "tsenor"
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TSOLVER", "exact")
-        assert resolve_tsolver(None) == "exact"
-        assert resolve_tsolver("greedy") == "greedy"
-
-    def test_unknown_backend_rejected(self, monkeypatch):
+    def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown tsolver"):
             resolve_tsolver("simplex")
-        monkeypatch.setenv("REPRO_TSOLVER", "simplex")
-        with pytest.raises(ValueError, match="unknown tsolver"):
-            resolve_tsolver(None)
 
     def test_solve_block_validates_shape(self):
         with pytest.raises(ValueError):
@@ -78,12 +70,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             solve_blocks(np.ones((4, 4)), 2)  # needs a batch dim
 
-    def test_env_default_changes_behaviour(self, monkeypatch):
-        scores = _rand_blocks(4, 8, seed=3)
-        monkeypatch.setenv("REPRO_TSOLVER", "exact")
-        via_env = solve_blocks(scores, 2)
-        explicit = solve_blocks(scores, 2, backend="exact")
-        assert np.array_equal(via_env, explicit)
 
 
 class TestSharedContract:

@@ -77,6 +77,12 @@ class TestBaselines:
         names = [cfg.name for cfg in all_baselines()]
         assert len(names) == len(set(names))
 
+    def test_row_overhead_only_on_csr_style_front_ends(self):
+        assert (sgcn().row_overhead_cycles, rm_stc().row_overhead_cycles,
+                dvpe_fan().row_overhead_cycles) == (0.15, 0.05, 0.2)
+        for cfg in (tensor_core(), stc(), vegeta(), highlight(), tb_stc()):
+            assert cfg.row_overhead_cycles == 0.0
+
 
 class TestValidation:
     def test_rejects_zero_pes(self):
@@ -86,3 +92,7 @@ class TestValidation:
     def test_rejects_zero_bandwidth(self):
         with pytest.raises(ValueError):
             ArchConfig(name="bad", dram_bandwidth_gbs=0)
+
+    def test_rejects_negative_row_overhead(self):
+        with pytest.raises(ValueError, match="row_overhead_cycles"):
+            ArchConfig(name="bad", row_overhead_cycles=-1.0)

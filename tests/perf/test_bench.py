@@ -270,7 +270,7 @@ def test_cli_baseline_write_appends_its_trajectory_row(tmp_path, monkeypatch, ca
     any other --name appends nowhere unless asked."""
     from repro.cli import main
 
-    def fake_suite(profile, seed, name, rounds, workers, options):
+    def fake_suite(profile, seed, name, rounds):
         report = _mini_report(a=1.0, b=2.0)
         report.update(name=name, profile=profile, calibration_s=0.1, total_wall_s=1.0)
         report["peak_rss_kb"] = 1
@@ -294,3 +294,20 @@ def test_cli_baseline_write_appends_its_trajectory_row(tmp_path, monkeypatch, ca
         "BENCH_baseline.json", "BENCH_other.json", "BENCH_trajectory.jsonl",
     ]
     assert capsys.readouterr().out.count("appended trajectory entry") == 2
+
+
+def test_cli_perf_missing_out_dir_fails_before_the_suite(tmp_path, monkeypatch, capsys):
+    """A --out-dir that does not exist fails at once (exit 2, one line),
+    instead of after the whole suite has run and its measurements are lost."""
+    from repro.cli import main
+
+    def must_not_run(**kwargs):
+        raise AssertionError("the suite ran before the output directory was checked")
+
+    monkeypatch.setattr(bench, "run_suite_best", must_not_run)
+    out = tmp_path / "no-such-dir"
+    assert main(["perf", "--profile", "smoke", "--name", "probe", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write '{out / 'BENCH_probe.json'}': ")
+    assert "No such file or directory" in err and err.count("\n") == 1
+    assert not out.exists()

@@ -66,13 +66,14 @@ def test_cost_memo_eviction_cannot_split_lookup_and_touch():
     clear_cost_memo()
     row_counts = np.full((4, 8), 3, dtype=np.int64)
     overhead = _RacingFloat(0.0)
-    first = _block_costs(row_counts, tb_stc(), overhead)
+    config = tb_stc(row_overhead_cycles=overhead)
+    first = _block_costs(row_counts, config)
     overhead.arm(at=2)  # hash 1: the lookup; hash 2: the touch
-    hit = _block_costs(row_counts, tb_stc(), overhead)
+    hit = _block_costs(row_counts, config)
     assert _finished(overhead.racer)
     assert hit is first
     # The racing reset did run, after the hit completed.
-    assert _block_costs(row_counts, tb_stc(), overhead) is not first
+    assert _block_costs(row_counts, config) is not first
 
 
 def test_weights_memo_eviction_cannot_split_lookup_and_touch():

@@ -17,7 +17,6 @@ from repro.hw.config import tb_stc
 from repro.hw.scheduler import SimStallError
 from repro.perf import timers
 from repro.sim.engine import simulate
-from repro.sim.options import SimOptions
 from repro.workloads.generator import build_workload
 from repro.workloads.layers import LayerSpec
 
@@ -178,16 +177,38 @@ def test_simulate_attaches_perf_breakdown_only_when_enabled():
     assert on.dram_bytes == off.dram_bytes
 
 
-def test_stall_error_carries_perf_records_only_when_enabled():
-    options = SimOptions(cycle_budget=1)
+class _GrowingStream:
+    """A garbled block stream that always claims one more block than it
+    has served (as in ``tests/hw/test_scheduler.py``)."""
+
+    def __init__(self, real):
+        self.real = real
+        self.reads = 0
+
+    def __len__(self):
+        return self.real + self.reads + 1
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return 1
+
+
+def test_stall_error_carries_perf_records_only_when_enabled(monkeypatch):
+    from repro.hw import scheduler
+    from repro.sim import engine
+
+    def garbled(costs, num_pes, window):
+        return scheduler.schedule_sparsity_aware(_GrowingStream(len(costs)), num_pes, window)
+
+    monkeypatch.setattr(engine, "schedule_sparsity_aware", garbled)
     with pytest.raises(SimStallError) as off:
-        simulate(tb_stc(), _workload(), options=options)
+        simulate(tb_stc(), _workload())
     assert "perf" not in off.value.state
 
     with obs.enabled_scope():
         with pytest.raises(SimStallError) as on:
-            simulate(tb_stc(), _workload(), options=options)
+            simulate(tb_stc(), _workload())
     # The stall is raised inside simulate()'s capture, so the records are
-    # the stages this call finished before its budget check.
-    assert "sim.schedule" in on.value.state["perf"]
+    # the stages this call finished before the scheduler stalled.
+    assert "sim.block_costs" in on.value.state["perf"]
     assert "perf" not in str(on.value)

@@ -27,8 +27,7 @@ SPEC = PatternSpec(PatternFamily.TBS, m=4, sparsity=0.5)
 
 
 @pytest.fixture(autouse=True)
-def _reset_level(monkeypatch):
-    monkeypatch.delenv("REPRO_CHECKS", raising=False)
+def _reset_level():
     set_check_level(None)
     yield
     set_check_level(None)
@@ -45,12 +44,6 @@ class TestLevels:
     def test_explicit_override_wins(self):
         set_check_level("strict")
         assert get_check_level("off") == "off"
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKS", "strict")
-        assert get_check_level() == "strict"
-        monkeypatch.setenv("REPRO_CHECKS", "nonsense")
-        assert get_check_level() == "off"
 
     def test_context_manager_restores(self):
         set_check_level("warn")

@@ -23,8 +23,10 @@ from repro.hw.mapping import BlockWork
 from repro.sim.engine import CODEC_LANES
 
 
-def block_costs_loop(row_counts, config, row_overhead=0.0) -> np.ndarray:
-    """DVPE cycle cost of every block, one :meth:`DVPE.block_cost` each."""
+def block_costs_loop(row_counts, config) -> np.ndarray:
+    """DVPE cycle cost of every block, one :meth:`DVPE.block_cost` each,
+    plus ``config.row_overhead_cycles`` per non-empty row."""
+    row_overhead = config.row_overhead_cycles
     pe = DVPE(
         lanes=config.lanes_per_pe,
         output_port_width=config.output_port_width,

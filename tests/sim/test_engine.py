@@ -7,7 +7,7 @@ from repro.core.patterns import Direction, PatternFamily
 from repro.hw.config import tb_stc, tensor_core
 from repro.sim.engine import PIPELINE_FILL_CYCLES, block_segments, simulate
 from repro.sim.options import SimOptions
-from repro.sim.baselines import arch_by_name, simulate_arch, simulate_layer_sweep
+from repro.sim.baselines import arch_by_name, simulate_layer_sweep
 from repro.sim.metrics import aggregate, normalized_edp, speedup
 from repro.workloads.generator import build_workload
 from repro.workloads.layers import LayerSpec
@@ -88,7 +88,7 @@ class TestSimulate:
 
     def test_row_overhead_slows(self):
         base = simulate(tb_stc(), _wl())
-        loaded = simulate(tb_stc(), _wl(), options=SimOptions(row_overhead_cycles=1.0))
+        loaded = simulate(tb_stc(row_overhead_cycles=1.0), _wl())
         assert loaded.compute_cycles > base.compute_cycles
 
     def test_pipeline_fill_included(self):
@@ -167,6 +167,6 @@ class TestArchLookup:
 
     def test_sgcn_row_overhead_applied(self):
         wl = _wl(PatternFamily.US, 0.5)
-        plain = simulate(arch_by_name("SGCN"), wl)
-        wrapped = simulate_arch(arch_by_name("SGCN"), wl)
-        assert wrapped.compute_cycles > plain.compute_cycles
+        plain = simulate(arch_by_name("SGCN", row_overhead_cycles=0.0), wl)
+        loaded = simulate(arch_by_name("SGCN"), wl)
+        assert loaded.compute_cycles > plain.compute_cycles

@@ -57,7 +57,7 @@ class TestBlockCosts:
         wl = build_workload(LayerSpec("c", 64, 64, 8), PatternFamily.TBS, 0.75, seed=4)
         counts, _ = block_segments(wl, tb_stc())
         plain = sum(_block_costs(counts, tb_stc()))
-        loaded = sum(_block_costs(counts, tb_stc(), row_overhead=0.1))
+        loaded = sum(_block_costs(counts, tb_stc(row_overhead_cycles=0.1)))
         assert loaded > plain
 
     def test_dense_costs_uniform(self):

@@ -1,12 +1,8 @@
-"""Fault injection, ECC overheads and cycle budgets through simulate()."""
-
-import pytest
+"""Fault injection and ECC overheads through simulate()."""
 
 from repro.core.patterns import PatternFamily
 from repro.faults import CLASSES
-from repro.faults.ecc import ECCConfig
 from repro.hw.config import rm_stc, tb_stc, tensor_core
-from repro.hw.scheduler import SimStallError
 from repro.sim.engine import simulate
 from repro.sim.options import SimOptions
 from repro.workloads.generator import build_workload
@@ -72,30 +68,8 @@ class TestECCOverheads:
         secded = simulate(tb_stc(metadata_ecc="secded"), _workload())
         assert parity.breakdown["ecc_bytes"] < secded.breakdown["ecc_bytes"]
 
-    def test_explicit_ecc_argument_overrides_config(self):
-        res = simulate(tb_stc(), _workload(), options=SimOptions(ecc=ECCConfig(mode="parity")))
-        assert res.breakdown["ecc_bytes"] > 0
-
     def test_bitmap_format_also_pays(self):
         # RM-STC's occupancy bitmap is metadata too; SDC is exempt only
         # because its validity flags are folded into the index bytes.
         res = simulate(rm_stc(metadata_ecc="secded"), _workload())
         assert res.breakdown["ecc_bytes"] > 0
-
-
-class TestCycleBudget:
-    def test_generous_budget_passes(self):
-        res = simulate(tb_stc(), _workload(), options=SimOptions(cycle_budget=10**9))
-        assert res.cycles > 0
-
-    def test_tight_budget_raises_with_diagnostics(self):
-        with pytest.raises(SimStallError, match="cycle budget") as excinfo:
-            simulate(tb_stc(), _workload(), options=SimOptions(cycle_budget=1))
-        state = excinfo.value.state
-        assert state["cycle_budget"] == 1
-        assert state["total_cycles"] > 1
-        assert {"compute_cycles", "memory_cycles", "n_blocks"} <= set(state)
-
-    def test_budget_equal_to_cycles_passes(self):
-        cycles = simulate(tb_stc(), _workload()).cycles
-        assert simulate(tb_stc(), _workload(), options=SimOptions(cycle_budget=cycles)).cycles == cycles

@@ -22,13 +22,9 @@ def _wl(sparsity=0.75, seed=0):
 class TestSimOptions:
     def test_defaults(self):
         opts = SimOptions()
-        assert opts.energy_params is None
-        assert opts.row_overhead_cycles == 0.0
         assert opts.weight_bits == 16
-        assert opts.ecc is None
         assert opts.fault is None
         assert opts.fault_seed == 0
-        assert opts.cycle_budget is None
         assert opts.orientation == "forward"
 
     def test_frozen(self):
@@ -45,17 +41,9 @@ class TestSimOptions:
         with pytest.raises(ValueError, match="weight_bits"):
             SimOptions(weight_bits=bits)
 
-    def test_rejects_negative_row_overhead(self):
-        with pytest.raises(ValueError, match="row_overhead_cycles"):
-            SimOptions(row_overhead_cycles=-1.0)
-
     def test_rejects_unknown_fault_target(self):
         with pytest.raises(ValueError, match="fault"):
             SimOptions(fault="everything")
-
-    def test_rejects_bad_cycle_budget(self):
-        with pytest.raises(ValueError, match="cycle_budget"):
-            SimOptions(cycle_budget=0)
 
     def test_rejects_bad_orientation(self):
         with pytest.raises(ValueError, match="orientation"):

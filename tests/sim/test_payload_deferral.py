@@ -26,7 +26,8 @@ from repro.core import tbs_sparsify
 from repro.faults import payload_targets
 from repro.formats import ORIENTATIONS, EncodeSpec, available_formats, format_class, get_format
 from repro.runtime.checks import check_level
-from repro.sim.baselines import ARCH_FAMILY, arch_by_name, simulate_arch
+from repro.sim.baselines import ARCH_FAMILY, arch_by_name
+from repro.sim.engine import simulate
 from repro.sim.options import SimOptions
 from repro.workloads.generator import GEMMWorkload, build_workload
 from repro.workloads.layers import LayerSpec
@@ -80,7 +81,7 @@ def test_fig13_cells_gather_no_payload(model):
 def test_simulate_gathers_no_payload(arch, orientation):
     workload = _workload(arch)
     with counted_gathers() as counts:
-        simulate_arch(arch_by_name(arch), workload, SimOptions(orientation=orientation))
+        simulate(arch_by_name(arch), workload, SimOptions(orientation=orientation))
     assert sum(counts.values()) == 0
 
 
@@ -96,9 +97,9 @@ def test_scenario_cell_gathers_no_payload(family, pattern):
 def test_strict_checks_gather_and_round_trip(arch):
     config = arch_by_name(arch)
     workload = _workload(arch, seed=1)
-    plain = simulate_arch(config, workload)
+    plain = simulate(config, workload)
     with check_level("strict"), counted_gathers() as counts:
-        strict = simulate_arch(config, workload)
+        strict = simulate(config, workload)
     assert counts[config.storage_format] == 1
     assert strict.to_dict() == plain.to_dict()
 
@@ -111,9 +112,9 @@ def test_faults_gather_and_classify_as_the_eager_encode(arch, target):
     for seed in range(4):
         options = SimOptions(fault=target, fault_seed=seed)
         with counted_gathers() as counts:
-            lazy = simulate_arch(config, workload, options)
+            lazy = simulate(config, workload, options)
         with eager_encodes():
-            eager = simulate_arch(config, workload, options)
+            eager = simulate(config, workload, options)
         assert lazy.to_dict() == eager.to_dict()
         applicable = target in payload_targets(config.storage_format)
         assert counts[config.storage_format] == int(applicable)
@@ -170,6 +171,6 @@ def test_timing_ignores_the_stored_values(arch, orientation):
     )
     config = arch_by_name(arch)
     options = SimOptions(orientation=orientation)
-    assert simulate_arch(config, first, options).to_dict() == simulate_arch(
+    assert simulate(config, first, options).to_dict() == simulate(
         config, second, options
     ).to_dict()

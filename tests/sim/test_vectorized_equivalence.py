@@ -109,10 +109,10 @@ def test_block_costs_match_loop_oracle(seed, n_blocks, arch, row_overhead):
     from repro.sim.baselines import arch_by_name
     from repro.sim.engine import _block_costs
 
-    config = arch_by_name(arch)
+    config = arch_by_name(arch, row_overhead_cycles=row_overhead)
     counts = np.random.default_rng(seed).integers(0, 9, size=(n_blocks, 8)).astype(np.int64)
-    fast = _block_costs(counts, config, row_overhead=row_overhead)
-    ref = block_costs_loop(counts, config, row_overhead=row_overhead)
+    fast = _block_costs(counts, config)
+    ref = block_costs_loop(counts, config)
     assert [c.hex() for c in fast.tolist()] == [c.hex() for c in ref.tolist()]
 
 
@@ -273,8 +273,8 @@ def test_codec_counts_match_loop_oracle(seed, sparsity):
     installed.  Both machines with a codec, each at M = 4, 8 and 16."""
     from repro.core.patterns import PatternFamily
     from repro.sim import engine
-    from repro.sim.baselines import arch_by_name, simulate_arch
-    from repro.sim.engine import _codec_visible_and_elements, block_segments
+    from repro.sim.baselines import arch_by_name
+    from repro.sim.engine import _codec_visible_and_elements, block_segments, simulate
     from repro.workloads.generator import build_workload
     from repro.workloads.layers import LayerSpec
 
@@ -289,12 +289,12 @@ def test_codec_counts_match_loop_oracle(seed, sparsity):
             ref = codec_visible_and_elements_loop(workload, config, dirs, overlap_cycles=0.0)
             assert fast == ref, (arch, m)
 
-            whole = simulate_arch(config, workload)
+            whole = simulate(config, workload)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(
                     engine, "_codec_visible_and_elements", codec_visible_and_elements_loop
                 )
-                whole_ref = simulate_arch(config, workload)
+                whole_ref = simulate(config, workload)
             assert _result_fingerprint(whole) == _result_fingerprint(whole_ref), (arch, m)
 
 
@@ -329,7 +329,8 @@ def _result_fingerprint(res):
 )
 def test_simulate_bit_exact_vs_reference(seed, arch, sparsity):
     from repro.core.patterns import PatternFamily
-    from repro.sim.baselines import ARCH_FAMILY, arch_by_name, simulate_arch
+    from repro.sim.baselines import ARCH_FAMILY, arch_by_name
+    from repro.sim.engine import simulate
     from repro.workloads.generator import build_workload
     from repro.workloads.layers import LayerSpec
 
@@ -338,7 +339,7 @@ def test_simulate_bit_exact_vs_reference(seed, arch, sparsity):
     layer = LayerSpec("equiv", 32, 32, 16)
     workload = build_workload(layer, family, sparsity, m=8, seed=seed)
 
-    fast = simulate_arch(config, workload)
+    fast = simulate(config, workload)
     with loop_oracles():
-        ref = simulate_arch(config, workload)
+        ref = simulate(config, workload)
     assert _result_fingerprint(fast) == _result_fingerprint(ref)
