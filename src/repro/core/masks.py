@@ -322,8 +322,10 @@ def highlight_mask(
     ]
     combos.append((0, 0, 0.0))
 
+    # A zero-width pad would only copy |W| into the same layout, so the
+    # tile sums below read the same values in the same order without it.
     pad_c = (-cols) % (m * super_group)
-    padded = np.pad(magnitudes, ((0, 0), (0, pad_c)), constant_values=0.0)
+    padded = np.pad(magnitudes, ((0, 0), (0, pad_c))) if pad_c else magnitudes
     n_tiles = padded.shape[1] // m
     tiles = padded.reshape(rows, n_tiles, m)
 

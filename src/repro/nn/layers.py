@@ -19,6 +19,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..perf import timed
+
 __all__ = [
     "Module",
     "Linear",
@@ -146,25 +148,30 @@ class Linear(Module, MaskableMixin):
         return grad @ self.effective_weight()
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """(N, C, H, W) -> (N, out_h, out_w, C*kh*kw) patch matrix."""
+def _patch_index(c: int, h: int, w: int, k: int, stride: int, pad: int):
+    """Where each patch element of one sample comes from.
+
+    A flat index over one sample's patch matrix, in im2col's
+    ``(out_h, out_w, C, kh, kw)`` column order: each entry is that
+    element's offset in the padded ``(C, H+2p, W+2p)`` sample.
+    """
+    hp, wp = h + 2 * pad, w + 2 * pad
+    out_h = (hp - k) // stride + 1
+    out_w = (wp - k) // stride + 1
+    taps = (np.arange(c)[:, None, None] * hp + np.arange(k)[:, None]) * wp + np.arange(k)
+    starts = (np.arange(out_h)[:, None] * wp + np.arange(out_w)) * stride
+    return (starts[:, :, None, None, None] + taps).ravel(), out_h, out_w
+
+
+@timed("nn.conv.im2col")
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
+    """(N, C, H, W) -> (N, out_h, out_w, C*k*k) patch matrix, one gather."""
     n, c, h, w = x.shape
+    index, out_h, out_w = _patch_index(c, h, w, k, stride, pad)
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (w + 2 * pad - kw) // stride + 1
-    shape = (n, c, out_h, out_w, kh, kw)
-    strides = (
-        x.strides[0],
-        x.strides[1],
-        x.strides[2] * stride,
-        x.strides[3] * stride,
-        x.strides[2],
-        x.strides[3],
-    )
-    patches = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
-    cols = patches.transpose(0, 2, 3, 1, 4, 5).reshape(n, out_h, out_w, c * kh * kw)
-    return np.ascontiguousarray(cols), out_h, out_w
+    cols = np.take(x.reshape(n, -1), index, axis=1)
+    return cols.reshape(n, out_h, out_w, -1), out_h, out_w
 
 
 class Conv2d(Module, MaskableMixin):
@@ -196,7 +203,7 @@ class Conv2d(Module, MaskableMixin):
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        cols, out_h, out_w = _im2col(x, self.kernel_size, self.kernel_size, self.stride, self.padding)
+        cols, out_h, out_w = _im2col(x, self.kernel_size, self.stride, self.padding)
         w2d = self.effective_weight().reshape(self.out_channels, -1)
         y = cols @ w2d.T  # (N, oh, ow, C_out)
         if "bias" in self.params:
@@ -218,25 +225,25 @@ class Conv2d(Module, MaskableMixin):
         gcols = (g @ w2d).reshape(n, out_h, out_w, -1)
         return self._col2im(gcols, x_shape)
 
+    @timed("nn.conv.col2im")
     def _col2im(self, gcols: np.ndarray, x_shape) -> np.ndarray:
         """Scatter-add patch gradients back onto the (N, C, H, W) input.
 
-        One strided add per kernel tap, taps in descending order.  Output
-        position i covers padded row ``i*s + ki``, so a per-position loop
-        (i ascending) meets a pixel's taps with ki descending, and likewise
-        j with kj: every pixel sums its terms in that loop's order, bit for
-        bit.  ``gx`` stays a view of the padded buffer with the loop's
-        strides, because later reductions sum in memory order (DESIGN §4b).
+        The adjoint of ``_im2col``'s gather: one ``bincount`` of each
+        sample's patch gradients over the same patch index.  ``bincount``
+        adds in memory order from +0.0, and a pixel's terms sit in
+        ``gcols`` with output position (i, j) ascending, so every pixel
+        sums its terms in a per-position loop's order, bit for bit.
+        ``gx`` stays a view of the padded buffer with that loop's strides,
+        because later reductions sum in memory order (DESIGN §4b).
         """
         n, c, h, w = x_shape
         k, s, p = self.kernel_size, self.stride, self.padding
-        out_h, out_w = gcols.shape[1], gcols.shape[2]
-        gx = np.zeros((n, c, h + 2 * p, w + 2 * p))
-        taps = gcols.reshape(n, out_h, out_w, c, k, k).transpose(0, 3, 4, 5, 1, 2)
-        for ki in range(k - 1, -1, -1):
-            rows = slice(ki, ki + s * (out_h - 1) + 1, s)
-            for kj in range(k - 1, -1, -1):
-                gx[:, :, rows, kj : kj + s * (out_w - 1) + 1 : s] += taps[:, :, ki, kj]
+        index, _, _ = _patch_index(c, h, w, k, s, p)
+        gx = np.empty((n, c, h + 2 * p, w + 2 * p))
+        sums, terms = gx.reshape(n, -1), gcols.reshape(n, -1)
+        for b in range(n):
+            sums[b] = np.bincount(index, weights=terms[b], minlength=sums.shape[1])
         if p:
             gx = gx[:, :, p:-p, p:-p]
         return gx

@@ -59,6 +59,11 @@ class QueueFull(Exception):
         self.retry_after_s = retry_after_s
 
 
+def _check_rate(rate: float, burst: float) -> None:
+    if rate <= 0 or burst < 1:
+        raise ValueError(f"need rate > 0 and burst >= 1, got {rate}/{burst}")
+
+
 class TokenBucket:
     """``burst``-deep bucket refilling at ``rate`` tokens per second."""
 
@@ -68,8 +73,7 @@ class TokenBucket:
         burst: float,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if rate <= 0 or burst < 1:
-            raise ValueError(f"need rate > 0 and burst >= 1, got {rate}/{burst}")
+        _check_rate(rate, burst)
         self.rate = float(rate)
         self.burst = float(burst)
         self._clock = clock
@@ -109,6 +113,10 @@ class AdmissionQueue:
         self.maxsize = maxsize
         self._rate = rate
         self._burst = burst if burst is not None else (rate or 0) * 2
+        if rate is not None:
+            # Every client's bucket is built from these two values; check
+            # them now rather than at the first submission.
+            _check_rate(rate, self._burst)
         self._clock = clock
         self._max_clients = max_clients
         self._buckets: "OrderedDict[str, TokenBucket]" = OrderedDict()

@@ -102,12 +102,22 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.job_workers < 1:
             raise ValueError(f"job_workers must be >= 1, got {self.job_workers}")
+        if self.sweep_workers is not None and self.sweep_workers < 1:
+            raise ValueError(f"sweep_workers must be >= 1, got {self.sweep_workers}")
         if self.queue_size < 1:
             raise ValueError(f"queue_size must be >= 1, got {self.queue_size}")
         if self.drain_timeout_s <= 0:
             raise ValueError(
                 f"drain_timeout_s must be > 0, got {self.drain_timeout_s}"
             )
+        # Build what every job and the service build from these values,
+        # so a value that would fail each job fails here, before the bind.
+        self.sweep_options()
+        AdmissionQueue(maxsize=self.queue_size, rate=self.rate, burst=self.burst)
+
+    def sweep_options(self, **hooks: Any) -> SweepOptions:
+        """The supervision options each job's sweep runs with."""
+        return SweepOptions(timeout=self.timeout, retries=self.retries, **hooks)
 
 
 def _experiment_names() -> Tuple[str, ...]:
@@ -499,12 +509,7 @@ class SimService:
                 run_id, cell.key, cell.status, cell.elapsed_s, cell.attempts
             )
 
-        options = SweepOptions(
-            timeout=self.config.timeout,
-            retries=self.config.retries,
-            progress=progress,
-            cancel=token,
-        )
+        options = self.config.sweep_options(progress=progress, cancel=token)
         if payload["kind"] == "experiment":
             from ..analysis.experiments import run_experiment
 

@@ -1,15 +1,39 @@
-"""The loops that ``Conv2d._col2im`` and ``BatchNorm2d.forward`` replaced.
+"""The code that ``Conv2d``'s lowering and ``BatchNorm2d.forward`` replaced.
 
-:func:`col2im_loop` scatters patch gradients back with one add per
-output position, and :func:`batchnorm_forward_two_pass` takes the batch
-mean and ``x.var`` as two separate passes, centring ``x`` once for each.
-Their results define what the ``src/`` versions must return bit for bit,
-strides included (DESIGN §4b).  They live here only as test oracles;
-nothing in ``src/`` calls them.  Both take the layer as ``self``, so a
-test can install them with ``monkeypatch.setattr`` on the class.
+:func:`im2col_strided` builds the patch matrix as a copy of a 6-D
+strided view of the padded input.  :func:`col2im_loop` scatters patch
+gradients back with one add per output position, and
+:func:`batchnorm_forward_two_pass` takes the batch mean and ``x.var``
+as two separate passes, centring ``x`` once for each.  Their results
+define what the ``src/`` versions must return bit for bit, strides
+included (DESIGN §4b).  They live here only as test oracles; nothing in
+``src/`` calls them.  :func:`im2col_strided` has ``_im2col``'s signature
+and the other two take the layer as ``self``, so a test can install
+them with ``monkeypatch.setattr`` on the module or the class.
 """
 
 import numpy as np
+
+
+def im2col_strided(x: np.ndarray, k: int, stride: int, pad: int):
+    """``_im2col`` as a contiguous copy of a strided patch view."""
+    n, c, h, w = x.shape
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out_h = (h + 2 * pad - k) // stride + 1
+    out_w = (w + 2 * pad - k) // stride + 1
+    shape = (n, c, out_h, out_w, k, k)
+    strides = (
+        x.strides[0],
+        x.strides[1],
+        x.strides[2] * stride,
+        x.strides[3] * stride,
+        x.strides[2],
+        x.strides[3],
+    )
+    patches = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
+    cols = patches.transpose(0, 2, 3, 1, 4, 5).reshape(n, out_h, out_w, c * k * k)
+    return np.ascontiguousarray(cols), out_h, out_w
 
 
 def col2im_loop(self, gcols: np.ndarray, x_shape) -> np.ndarray:

@@ -1,13 +1,14 @@
-"""Conv2d's tap-wise col2im and BatchNorm's one-centring forward match their loops.
+"""Conv2d's patch-index lowering and BatchNorm's one-centring forward match their oracles.
 
-``Conv2d._col2im`` scatters by kernel tap and ``BatchNorm2d.forward``
-centres the batch once; the loops they replaced live in
-:mod:`tests.nn.conv_oracle` (DESIGN §4b).  An nn perf change must be
-bit-exact, so every comparison here is ``np.array_equal`` on values plus
-equal strides (BatchNorm's reductions sum in memory order, so a layout
-change alone would move rounding), and loss histories go through
-``float.hex``.  Both sides run in this process, so the suite holds on
-any BLAS build without a committed golden.
+``_im2col`` gathers through one patch index, ``Conv2d._col2im``
+scatters back over the same index with ``bincount``, and
+``BatchNorm2d.forward`` centres the batch once; the code they replaced
+lives in :mod:`tests.nn.conv_oracle` (DESIGN §4b).  An nn perf change
+must be bit-exact, so every comparison here is ``np.array_equal`` on
+values plus equal strides (BatchNorm's reductions sum in memory order,
+so a layout change alone would move rounding), and loss histories go
+through ``float.hex``.  Both sides run in this process, so the suite
+holds on any BLAS build without a committed golden.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.patterns import PatternFamily
+from repro.nn import layers
 from repro.nn.data import image_dataset
 from repro.nn.layers import BatchNorm2d, Conv2d
 from repro.nn.models import make_cnn
 from repro.nn.train import train
 
-from .conv_oracle import batchnorm_forward_two_pass, col2im_loop
+from .conv_oracle import batchnorm_forward_two_pass, col2im_loop, im2col_strided
 
 
 def _values(rng, shape):
@@ -39,29 +41,62 @@ def _assert_bit_equal(fast, ref):
 
 
 # ---------------------------------------------------------------------------
-# col2im
+# im2col and col2im
 # ---------------------------------------------------------------------------
 
+#: Pinned cases: stride 2 with a ragged edge, an even kernel without
+#: padding, and the widest kernel and padding.
+_PINNED_CASES = [
+    dict(kernel=3, stride=2, padding=1, n=2, channels=2, extra_h=0, extra_w=1, seed=0),
+    dict(kernel=4, stride=2, padding=0, n=1, channels=1, extra_h=3, extra_w=5, seed=1),
+    dict(kernel=5, stride=1, padding=2, n=2, channels=3, extra_h=6, extra_w=2, seed=2),
+]
 
-@settings(max_examples=120, deadline=None)
-@given(
-    kernel=st.integers(1, 5),
-    stride=st.integers(1, 2),
-    padding=st.integers(0, 2),
-    n=st.integers(1, 3),
-    channels=st.integers(1, 3),
-    extra_h=st.integers(0, 7),
-    extra_w=st.integers(0, 7),
-    seed=st.integers(0, 2**16),
-)
-@example(kernel=3, stride=2, padding=1, n=2, channels=2, extra_h=0, extra_w=1, seed=0)
-@example(kernel=4, stride=2, padding=0, n=1, channels=1, extra_h=3, extra_w=5, seed=1)
-@example(kernel=5, stride=1, padding=2, n=2, channels=3, extra_h=6, extra_w=2, seed=2)
+
+def _conv_cases(test):
+    """Hypothesis over kernel 1-5, stride 1-2, padding 0-2, n 1-3,
+    channels 1-3 and ragged heights and widths, plus the pinned cases."""
+    for case in _PINNED_CASES:
+        test = example(**case)(test)
+    test = given(
+        kernel=st.integers(1, 5),
+        stride=st.integers(1, 2),
+        padding=st.integers(0, 2),
+        n=st.integers(1, 3),
+        channels=st.integers(1, 3),
+        extra_h=st.integers(0, 7),
+        extra_w=st.integers(0, 7),
+        seed=st.integers(0, 2**16),
+    )(test)
+    return settings(max_examples=120, deadline=None)(test)
+
+
+def _input_size(kernel, padding, extra):
+    # extra sets h + 2p - k, so odd values under stride 2 leave a ragged
+    # last row/column that no patch covers.
+    return max(1, kernel - 2 * padding + extra)
+
+
+@pytest.mark.parametrize("layout", ["nchw", "conv"])
+@_conv_cases
+def test_im2col_matches_strided_view(layout, kernel, stride, padding, n, channels, extra_h, extra_w, seed):
+    h = _input_size(kernel, padding, extra_h)
+    w = _input_size(kernel, padding, extra_w)
+    rng = np.random.default_rng(seed)
+    if layout == "conv":  # the NHWC memory every conv but the stem receives
+        x = _values(rng, (n, h, w, channels)).transpose(0, 3, 1, 2)
+    else:
+        x = _values(rng, (n, channels, h, w))
+    cols, out_h, out_w = layers._im2col(x, kernel, stride, padding)
+    ref, ref_h, ref_w = im2col_strided(x, kernel, stride, padding)
+    assert (out_h, out_w) == (ref_h, ref_w)
+    _assert_bit_equal(cols, ref)
+
+
+@_conv_cases
 def test_col2im_matches_per_position_loop(kernel, stride, padding, n, channels, extra_h, extra_w, seed):
-    # extra_h/extra_w set h + 2p - k, so odd values under stride 2 leave
-    # a ragged last row/column the scatter must not cover.
-    h = max(1, kernel - 2 * padding + extra_h)
-    w = max(1, kernel - 2 * padding + extra_w)
+    h = _input_size(kernel, padding, extra_h)
+    w = _input_size(kernel, padding, extra_w)
     conv = Conv2d(channels, 2, kernel_size=kernel, stride=stride, padding=padding)
     out_h = (h + 2 * padding - kernel) // stride + 1
     out_w = (w + 2 * padding - kernel) // stride + 1
@@ -146,9 +181,10 @@ def _train_cnn(family):
 
 @pytest.mark.parametrize("family", [None, PatternFamily.TBS], ids=["dense", "TBS"])
 def test_training_matches_with_loop_oracles(monkeypatch, family):
-    """One CNN epoch is bit-identical with both loops installed."""
+    """One CNN epoch is bit-identical with all three oracles installed."""
     model, result = _train_cnn(family)
     with monkeypatch.context() as mp:
+        mp.setattr(layers, "_im2col", im2col_strided)
         mp.setattr(Conv2d, "_col2im", col2im_loop)
         mp.setattr(BatchNorm2d, "forward", batchnorm_forward_two_pass)
         ref_model, ref_result = _train_cnn(family)

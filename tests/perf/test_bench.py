@@ -68,6 +68,14 @@ def test_fig13_mini_attributes_workload_and_mask_time(smoke_run):
     assert 0 < stages["core.mask.make_mask"]["seconds"] <= stages["workloads.build"]["seconds"]
 
 
+def test_nn_train_step_splits_the_conv_lowering(smoke_run):
+    """The CNN proxy's six convs each gather patches forward and scatter
+    their gradients back once per train step."""
+    stages = smoke_run["benches"]["nn_train_step_cnn"]["stages"]
+    assert stages["nn.conv.im2col"]["calls"] == 6
+    assert stages["nn.conv.col2im"]["calls"] == 6
+
+
 def test_stages_come_from_one_instrumented_call(smoke_run):
     from repro import obs
 

@@ -56,6 +56,16 @@ def service(tmp_path):
     thread.join(timeout=5)
 
 
+class TestServiceConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("retries", -1), ("timeout", -5.0), ("sweep_workers", 0), ("rate", -1.0)],
+    )
+    def test_rejects_a_value_that_would_fail_every_job(self, tmp_path, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(data_dir=str(tmp_path / "svc"), **{field: value})
+
+
 class TestNormalizePayload:
     def test_experiment_defaults_fill_in(self):
         assert normalize_payload({"experiment": "fig17"}) == {

@@ -615,3 +615,11 @@ class TestServeParser:
             "serve", "--data-dir", "/tmp/x", "--job-workers", "0",
         ]) == 2
         assert "job_workers" in capsys.readouterr().err
+
+    def test_value_that_would_fail_every_job_exits_2_before_binding(self, tmp_path, capsys):
+        data_dir = tmp_path / "svc"
+        assert main(["serve", "--data-dir", str(data_dir), "--retries", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "retries" in err
+        assert err.count("\n") == 1
+        assert not data_dir.exists()
