@@ -10,17 +10,13 @@ Run:  python examples/oneshot_llm_pruning.py
 
 import numpy as np
 
-from repro.analysis import (
-    capture_layer_inputs,
-    render_table,
-    restore_params,
-    snapshot_params,
-)
+from repro.analysis import capture_layer_inputs, render_table
 from repro.core.criteria import sparsegpt_prune, sparsegpt_scores, wanda_scores
 from repro.core.patterns import PatternFamily
 from repro.core.sparsify import tbs_sparsify
 from repro.nn import TransformerClassifier, evaluate, one_shot_prune, sequence_dataset, train
 from repro.nn.models import prunable_layers
+from repro.runtime.state import capture_masks, capture_model, restore_masks, restore_model
 
 SPARSITY = 0.5
 FAMILIES = [
@@ -39,7 +35,8 @@ def main() -> None:
     dense_acc = evaluate(model, data[2], data[3])
     print(f"dense accuracy: {dense_acc:.3f}\n")
 
-    snapshot = snapshot_params(model)
+    layers = prunable_layers(model)
+    snapshot = {**capture_model(model), **capture_masks(layers)}
     activations = capture_layer_inputs(model, data[0][:64])
 
     rows = []
@@ -55,7 +52,8 @@ def main() -> None:
             return sparsegpt_scores(w2d, acts)
 
         for family in FAMILIES:
-            restore_params(model, snapshot)
+            restore_model(model, snapshot)
+            restore_masks(layers, snapshot)
             one_shot_prune(model, family, SPARSITY, score_fn=score_fn, ts_cap=None)
             acc = evaluate(model, data[2], data[3])
             rows.append([criterion, family.name, f"{acc:.3f}", f"{dense_acc - acc:+.3f}"])
@@ -68,8 +66,9 @@ def main() -> None:
 
     # Bonus: the full SparseGPT OBS update on one layer, showing the
     # reconstruction-error benefit over plain masking.
-    restore_params(model, snapshot)
-    layer = prunable_layers(model)[0]
+    restore_model(model, snapshot)
+    restore_masks(layers, snapshot)
+    layer = layers[0]
     weights = layer.weight_matrix()
     acts = activations[id(layer)]
     pruned, mask = sparsegpt_prune(

@@ -12,17 +12,18 @@ call into the sweep engine (:mod:`repro.sweep`): ``workers=N`` shards
 the grid across processes, ``workers=1`` (the default) runs the same
 cell bodies inline, and aggregation always folds cell values in grid
 order -- never in completion order -- so results are bit-identical at
-any worker count.  The single-shot drivers (Table III, Fig. 4/6/7/12/14,
-Fig. 15(b) and both Fig. 16 ablations) run as one-cell sweeps.
+any worker count.  The single-shot drivers (Table III, Fig. 4/6/12/14
+and both Fig. 16 ablations) run as one-cell sweeps.
 
-Every model trained with the paper's sparse-training protocol -- Table
-I, Fig. 1's accuracy axis, Fig. 15(a)'s accuracy and Fig. 18's loss
-curves -- is one :func:`_train_cell`, built by :func:`_training` with
-its kwargs normalized to the work ``train()`` does.  The same model is
-therefore the same cell, and one cell cache trains it once whichever
-experiment asks first.  Cell functions are module-level (and so
-picklable); simulator cells ship their results across the process
-boundary as versioned ``SimResult.to_dict()`` payloads.
+Every proxy model is trained in one place, :func:`_model_cell`, built by
+:func:`_training` with its kwargs normalized to the work ``train()``
+does; its value holds the trained model beside its accuracy and curves,
+and Table II and Fig. 15(b) prune or quantize that model in a second
+sweep of :func:`_on_model` cells.  The same model is therefore the same
+cell, and one cell cache trains it once whichever experiment asks first.
+Cell functions are module-level (and so picklable); simulator cells ship
+their results across the process boundary as versioned
+``SimResult.to_dict()`` payloads.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from ..core.patterns import PatternFamily
 from ..core.similarity import pattern_similarity_sweep
 from ..core.sparsify import tbs_sparsify
 from ..core.transposable import transposable_sparsify
-from ..formats.memory_model import compare_formats
 from ..hw.area import a100_overhead_percent, area_breakdown
 from ..hw.config import tb_stc
 from ..hw.energy import EnergyModel
@@ -46,6 +46,7 @@ from ..nn.layers import Conv2d, Linear
 from ..nn.models import TransformerClassifier, make_cnn, make_mlp, prunable_layers
 from ..nn.quantize import quantize_model
 from ..nn.train import evaluate, one_shot_prune, train
+from ..runtime.state import capture_masks, capture_model, restore_masks, restore_model
 from ..sim.baselines import ARCH_FAMILY, arch_by_name
 from ..sim.breakdown import codec_overhead_fraction, cycle_breakdown
 from ..sim.engine import simulate
@@ -67,8 +68,6 @@ __all__ = [
     "ACCURACY_FAMILIES",
     "EXPERIMENTS",
     "run_experiment",
-    "snapshot_params",
-    "restore_params",
     "capture_layer_inputs",
     "run_table1",
     "run_table2",
@@ -76,7 +75,6 @@ __all__ = [
     "run_fig1_pareto",
     "run_fig4_maskspace",
     "run_fig6_datapath_power",
-    "run_fig7_bandwidth",
     "run_fig7_both_passes",
     "run_fig12_layerwise",
     "run_fig13_end2end",
@@ -125,17 +123,13 @@ EXPERIMENTS: Dict[str, Callable[[_Knobs, Dict[str, Any]], Any]] = {
     ),
     "fig4": lambda k, sweep: _one_cell("fig4", run_fig4_maskspace, {}, sweep),
     "fig6": lambda k, sweep: _one_cell("fig6", run_fig6_datapath_power, {}, sweep),
-    "fig7": lambda k, sweep: _one_cell("fig7", run_fig7_bandwidth, {}, sweep),
     "fig7both": lambda k, sweep: run_fig7_both_passes(**sweep),
     "fig12": lambda k, sweep: _one_cell("fig12", run_fig12_layerwise, {"scale": k.scale}, sweep),
     "fig13": lambda k, sweep: run_fig13_end2end(scale=max(k.scale, 8), **sweep),
     "fig14": lambda k, sweep: _one_cell("fig14", run_fig14_breakdown, {"scale": k.scale}, sweep),
     "fig15": lambda k, sweep: {
         "block_size": run_fig15_block_size(scale=k.scale, epochs=k.epochs, **sweep),
-        "quantization": _one_cell(
-            "fig15-quantization", run_fig15_quantization,
-            {"epochs": k.epochs, "scale": k.scale}, sweep,
-        ),
+        "quantization": run_fig15_quantization(epochs=k.epochs, scale=k.scale, **sweep),
         "bandwidth": run_fig15_bandwidth(scale=k.scale, **sweep),
         "sparsity_sweep": run_fig15_sparsity_sweep(scale=k.scale, **sweep),
     },
@@ -218,21 +212,6 @@ def _one_cell(key: str, driver: Callable[..., Any], kwargs: Dict[str, Any], swee
 # ---------------------------------------------------------------------------
 
 
-def snapshot_params(model) -> Dict[int, Dict[str, np.ndarray]]:
-    """Deep copy of every parameter, keyed by module identity."""
-    return {id(m): {k: v.copy() for k, v in m.params.items()} for m in model.modules()}
-
-
-def restore_params(model, snapshot: Dict[int, Dict[str, np.ndarray]]) -> None:
-    for mod in model.modules():
-        saved = snapshot.get(id(mod))
-        if saved:
-            for key, value in saved.items():
-                mod.params[key] = value.copy()
-        if hasattr(mod, "set_mask"):
-            mod.set_mask(None)
-
-
 def capture_layer_inputs(model, x: np.ndarray) -> Dict[int, np.ndarray]:
     """Calibration activations per prunable layer (for Wanda/SparseGPT).
 
@@ -281,13 +260,15 @@ def _family_by_name(name: str) -> Optional[PatternFamily]:
     return None if name == "Dense" else PatternFamily[name]
 
 
-def _train_cell(
+def _model_cell(
     task: str, family: str, sparsity: float, m: int, seed: int, epochs: int
 ) -> Dict[str, Any]:
     """Train one proxy model with the paper's sparse-training protocol.
 
-    The one training cell of Table I, Fig. 1, Fig. 15(a) and Fig. 18;
-    build it with :func:`_training`, which normalizes its kwargs.
+    The one place a proxy model is trained; build it with
+    :func:`_training`, which normalizes its kwargs.  The value holds the
+    trained model under ``"model"`` (:mod:`repro.runtime.state` arrays)
+    for :func:`_on_model` cells to restore.
     """
     model, data = _proxy(task, seed)
     res = train(
@@ -304,6 +285,7 @@ def _train_cell(
         "test_accuracy": res.test_accuracy,
         "loss_history": res.loss_history,
         "sparsity_history": res.sparsity_history,
+        "model": {**capture_model(model), **capture_masks(prunable_layers(model))},
     }
 
 
@@ -316,7 +298,7 @@ def _training(
     m: int = 8,
     ts_cap: Optional[float] = None,
 ) -> SweepCell:
-    """The :func:`_train_cell` for one model, its kwargs and key
+    """The :func:`_model_cell` for one model, its kwargs and key
     normalized to the work ``train()`` does, so every experiment builds
     the same cell (and cache entry) for the same model:
 
@@ -331,7 +313,7 @@ def _training(
         sparsity = min(sparsity, ts_cap)
     return SweepCell(
         key=f"{task}@{sparsity}/m={m}/seed{seed}/{family}",
-        fn=_train_cell,
+        fn=_model_cell,
         kwargs={
             "task": task,
             "family": family,
@@ -341,6 +323,31 @@ def _training(
             "epochs": epochs,
         },
     )
+
+
+def _on_model(
+    key: str, fn: Callable[..., Any], trained: SweepCell, models: SweepResult, **kwargs: Any
+) -> SweepCell:
+    """Second-stage cell ``fn(trained=..., model=..., **kwargs)`` on the
+    model of the training cell ``trained`` in ``models``.  The training
+    kwargs ride beside the arrays because the cell cache hashes an array
+    by its ``repr``, which numpy elides past 1,000 elements.
+    """
+    model = models.value(trained.key)["model"]
+    return SweepCell(key, fn, {"trained": trained.kwargs, "model": model, **kwargs})
+
+
+def _load(net, model: Dict[str, np.ndarray]) -> None:
+    """Put the trained parameters and masks ``model`` into ``net``."""
+    restore_model(net, model)
+    restore_masks(prunable_layers(net), model)
+
+
+def _restored(trained: Dict[str, Any], model: Dict[str, np.ndarray]):
+    """(net, data): the proxy of training cell kwargs ``trained``, holding ``model``."""
+    net, data = _proxy(trained["task"], trained["seed"])
+    _load(net, model)
+    return net, data
 
 
 def _mean_accuracy(sweep: SweepResult, cells: Iterable[SweepCell]) -> float:
@@ -387,22 +394,15 @@ def run_table1(
     }
 
 
-def _table2_cell(
-    task: str,
-    sparsity: float,
-    criteria: Sequence[str],
-    seed: int,
-    epochs: int,
-) -> Dict[str, Any]:
-    """One Table II grid point: dense-train one (task, seed) model, then
-    one-shot prune it with every criterion x family from the same
-    snapshot (the expensive dense training is shared inside the cell).
+def _prune_cell(
+    trained: Dict[str, Any], model: Dict[str, np.ndarray], sparsity: float, criteria: Sequence[str]
+) -> Dict[str, Dict[str, float]]:
+    """One Table II grid point: one-shot prune the dense model of the
+    training cell ``trained`` with every criterion x family, each from
+    the trained weights.  Returns ``{criterion: {family: accuracy}}``.
     """
-    model, data = _proxy(task, seed)
-    dense_acc = train(model, data, family=None, epochs=epochs, seed=seed).test_accuracy
-    snap = snapshot_params(model)
-    calib = data[0][:64]
-    acts = capture_layer_inputs(model, calib)
+    net, data = _restored(trained, model)
+    acts = capture_layer_inputs(net, data[0][:64])
 
     per_criterion: Dict[str, Dict[str, float]] = {}
     for criterion in criteria:
@@ -420,12 +420,11 @@ def _table2_cell(
 
         accs: Dict[str, float] = {}
         for family in ACCURACY_FAMILIES:
-            restore_params(model, snap)
-            one_shot_prune(model, family, sparsity, score_fn=score_fn, ts_cap=None)
-            accs[family.name] = evaluate(model, data[2], data[3])
+            _load(net, model)
+            one_shot_prune(net, family, sparsity, score_fn=score_fn, ts_cap=None)
+            accs[family.name] = evaluate(net, data[2], data[3])
         per_criterion[criterion] = accs
-    restore_params(model, snap)
-    return {"dense": dense_acc, "criteria": per_criterion}
+    return per_criterion
 
 
 def run_table2(
@@ -445,37 +444,37 @@ def run_table2(
     evaluated without retraining.  Returns
     ``{f"{task}/{criterion}": {family_or_Dense: mean accuracy}}``.
 
-    Cells are (task, seed) pairs -- the dense training dominates, so the
-    criterion x family pruning rides inside each cell; aggregation folds
-    accuracies in seed order for bit-identical means at any worker count.
+    Two sweeps: the Dense training cells (Table I's, for the same task
+    and seed), then one prune cell per (task, sparsity, seed) on each
+    trained model; aggregation folds accuracies in seed order for
+    bit-identical means at any worker count.
     """
     criteria = tuple(criteria)
-    cells = [
-        SweepCell(
-            key=f"{task}@{sparsity}/seed{seed}",
-            fn=_table2_cell,
-            kwargs={
-                "task": task,
-                "sparsity": sparsity,
-                "criteria": criteria,
-                "seed": seed,
-                "epochs": epochs,
-            },
+    trained = {
+        (task, seed): _training(task, "Dense", 0.0, seed, epochs)
+        for task, _ in tasks
+        for seed in seeds
+    }
+    models = _sweep("table2", trained.values(), workers, cache_dir, resume, options)
+    pruned = {
+        (task, sparsity, seed): _on_model(
+            f"{task}@{sparsity}/seed{seed}", _prune_cell, trained[task, seed], models,
+            sparsity=sparsity, criteria=criteria,
         )
         for task, sparsity in tasks
         for seed in seeds
-    ]
-    sweep = _sweep("table2", cells, workers, cache_dir, resume, options)
+    }
+    sweep = _sweep("table2-prune", pruned.values(), workers, cache_dir, resume, options)
     results: Dict[str, Dict[str, List[float]]] = {}
     for task, sparsity in tasks:
         for seed in seeds:
-            cell = sweep.value(f"{task}@{sparsity}/seed{seed}")
+            dense = models.value(trained[task, seed].key)["test_accuracy"]
+            accs = sweep.value(pruned[task, sparsity, seed].key)
             for criterion in criteria:
-                key = f"{task}/{criterion}"
-                bucket = results.setdefault(key, {})
-                bucket.setdefault("Dense", []).append(cell["dense"])
+                bucket = results.setdefault(f"{task}/{criterion}", {})
+                bucket.setdefault("Dense", []).append(dense)
                 for family in ACCURACY_FAMILIES:
-                    bucket.setdefault(family.name, []).append(cell["criteria"][criterion][family.name])
+                    bucket.setdefault(family.name, []).append(accs[criterion][family.name])
     return {key: {n: float(np.mean(v)) for n, v in bucket.items()} for key, bucket in results.items()}
 
 
@@ -689,21 +688,6 @@ def run_fig6_datapath_power() -> Dict[str, float]:
     ours = EnergyModel(tb_stc()).peak_dynamic_power_mw()["Total"]
     theirs = EnergyModel(arch_by_name("RM-STC")).peak_dynamic_power_mw()["Total"]
     return {"TB-STC_mw": ours, "RM-STC_mw": theirs, "ratio": theirs / ours}
-
-
-def run_fig7_bandwidth(
-    sparsities: Sequence[float] = (0.5, 0.75, 0.875), seed: int = 0, size: int = 256
-) -> Dict[str, Dict[str, float]]:
-    """Sec. V / Fig. 7 -- per-format bandwidth utilization on TBS matrices."""
-    out: Dict[str, Dict[str, float]] = {}
-    for sparsity in sparsities:
-        weights = synthetic_weights(size, size, seed=seed)
-        res = tbs_sparsify(weights, m=8, sparsity=sparsity)
-        reports = compare_formats(weights * res.mask, tbs=res)
-        out[f"sparsity={sparsity:.0%}"] = {
-            name: rep.bandwidth_utilization for name, rep in reports.items()
-        }
-    return out
 
 
 def _fig7both_cell(sparsity: float, seed: int, size: int) -> Dict[str, Dict[str, float]]:
@@ -924,30 +908,55 @@ def run_fig15_block_size(
     return out
 
 
-def run_fig15_quantization(
-    task: str = "mlp", sparsity: float = 0.75, epochs: int = 10, seed: int = 0, scale: int = 4
-) -> Dict[str, float]:
-    """Fig. 15(b) -- weight-8-bit quantization on TBS-pruned models.
+def _quantize_cell(trained: Dict[str, Any], model: Dict[str, np.ndarray]) -> float:
+    """Fig. 15(b)'s accuracy side: the test accuracy of the training
+    cell ``trained``'s model with its weights fake-quantized to 8 bits."""
+    net, data = _restored(trained, model)
+    quantize_model(net, bits=8)
+    return evaluate(net, data[2], data[3])
 
-    Returns the extra speedup from INT8 weights and the accuracy delta.
-    """
-    # Accuracy side: train sparse, then fake-quantize the weights.
-    model, data = _proxy(task, seed)
-    res = train(model, data, family=PatternFamily.TBS, sparsity=sparsity, epochs=epochs, seed=seed)
-    sparse_acc = res.test_accuracy
-    quantize_model(model, bits=8)
-    quant_acc = evaluate(model, data[2], data[3])
 
-    # Performance side: halved weight traffic.
+def _int8_speedup_cell(sparsity: float, seed: int, scale: int) -> float:
+    """Fig. 15(b)'s performance side: INT8 over FP16 weights (halved
+    weight traffic) on the TBS-pruned ResNet-50 layer."""
     layer = resnet50_layers()[8]
     workload = build_workload(layer, PatternFamily.TBS, sparsity, seed=seed, scale=scale)
     fp16 = simulate(tb_stc(), workload)
     int8 = simulate(tb_stc(), workload, options=SimOptions(weight_bits=8))
+    return speedup(int8, fp16)
+
+
+def run_fig15_quantization(
+    task: str = "mlp",
+    sparsity: float = 0.75,
+    epochs: int = 10,
+    seed: int = 0,
+    scale: int = 4,
+    workers: Optional[int] = None,
+    cache_dir: Optional[str] = None,
+    resume: bool = False,
+    options: Optional[SweepOptions] = None,
+) -> Dict[str, float]:
+    """Fig. 15(b) -- weight-8-bit quantization on TBS-pruned models.
+
+    Returns the extra speedup from INT8 weights and the accuracy delta.
+    Two sweeps: the TBS training cell (Table I's model at M=8) beside
+    the speedup cell, then one cell that quantizes the trained model.
+    """
+    trained = _training(task, "TBS", sparsity, seed, epochs)
+    perf = SweepCell(
+        "int8-speedup", _int8_speedup_cell, {"sparsity": sparsity, "seed": seed, "scale": scale}
+    )
+    models = _sweep("fig15-quantization", (trained, perf), workers, cache_dir, resume, options)
+    quantized = _on_model("int8-accuracy", _quantize_cell, trained, models)
+    sweep = _sweep("fig15-quantized", (quantized,), workers, cache_dir, resume, options)
+    sparse_acc = models.value(trained.key)["test_accuracy"]
+    quant_acc = sweep.value(quantized.key)
     return {
         "sparse_accuracy": sparse_acc,
         "quantized_accuracy": quant_acc,
         "accuracy_drop": sparse_acc - quant_acc,
-        "extra_speedup": speedup(int8, fp16),
+        "extra_speedup": models.value(perf.key),
     }
 
 

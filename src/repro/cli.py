@@ -86,7 +86,6 @@ _EXPERIMENTS = (
     "fig1",
     "fig4",
     "fig6",
-    "fig7",
     "fig7both",
     "fig12",
     "fig13",
@@ -457,8 +456,6 @@ def _render_report(experiment: str, res) -> None:
         ))
     elif experiment == "fig6":
         print(res)
-    elif experiment == "fig7":
-        print(render_dict_table(res, key_header="workload"))
     elif experiment == "fig7both":
         print(render_dict_table(res, key_header="sparsity/format"))
     elif experiment == "fig12":
@@ -515,8 +512,9 @@ def _run_report(args) -> int:
     from .analysis.experiments import run_experiment
     from .sweep import SweepError, SweepOptions, configured_workers
 
-    if args.seeds < 1:
-        return _fail(f"--seeds must be >= 1, got {args.seeds}")
+    for flag in ("seeds", "epochs", "scale"):
+        if getattr(args, flag) < 1:
+            return _fail(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     if args.resume and not args.checkpoint_dir:
         return _fail("--resume requires --checkpoint-dir")
     settled: List[str] = []  # statuses of the current experiment's cells
@@ -564,18 +562,24 @@ def _run_report(args) -> int:
         if args.json:
             payload[name] = value
         elif error is not None:
-            print(json.dumps(value, sort_keys=True, default=repr))
+            print(json.dumps(value, sort_keys=True, default=_json_default))
         else:
             _render_report(name, value)
     if args.json:
         print(json.dumps(
             payload[names[0]] if len(names) == 1 and names[0] in payload else payload,
-            sort_keys=True, default=repr,
+            sort_keys=True, default=_json_default,
         ))
     if len(names) > 1:
         summary = ", ".join(f"{n} {what}" for what, n in counts.items())
         print(f"\n[repro] {summary}", file=out)
     return rc
+
+
+def _json_default(obj) -> str:
+    """An array as its dtype and shape (a settled training cell holds its
+    model's arrays), any other value JSON cannot encode as its repr."""
+    return f"<{obj.dtype} array {obj.shape}>" if isinstance(obj, np.ndarray) else repr(obj)
 
 
 def _report_failure(name: str, exc: Exception, allow_partial: bool):

@@ -40,7 +40,7 @@ import numpy as np
 from ..core.patterns import PatternFamily, PatternSpec
 from ..core.sparsify import tbs_sparsify
 from ..formats.base import EncodedMatrix, EncodeSpec, SparseFormat
-from ..formats.registry import available_formats, format_index, get_format
+from ..formats.registry import available_formats, format_index, hardware_format
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
 from ..obs.state import enabled as _obs_enabled
@@ -240,20 +240,13 @@ def _classified(outcome: str) -> str:
     return outcome
 
 
-def _make_format(name: str, m: int) -> SparseFormat:
-    if name == "sdc":
-        return get_format("sdc", group_rows=m)  # the hardware row-group variant
-    return get_format(name)
-
-
 def run_trial(spec: CampaignSpec, fmt_name: str, model: str, trial: int) -> Optional[str]:
     """One injection trial; returns a class or None when not applicable."""
     rng = _trial_rng(spec, fmt_name, model, trial)
     values, tbs, expected = _build_case(spec, rng)
-    fmt = _make_format(fmt_name, spec.m)
+    fmt = hardware_format(fmt_name, spec.m)
     pattern_spec = PatternSpec(PatternFamily.TBS, m=spec.m, sparsity=spec.sparsity)
-    tbs_arg = tbs if fmt_name in ("ddc", "bcsrcoo") else None
-    enc_spec = EncodeSpec(tbs=tbs_arg, block_size=spec.m)
+    enc_spec = EncodeSpec(tbs=tbs, block_size=spec.m)
 
     if model in _MODEL_TARGET:
         target = _MODEL_TARGET[model]

@@ -29,6 +29,7 @@ __all__ = [
     "format_class",
     "format_index",
     "get_format",
+    "hardware_format",
     "register_format",
 ]
 
@@ -73,6 +74,16 @@ def get_format(name: str, **kwargs) -> SparseFormat:
     ``get_format('sdc', group_rows=m)`` hardware row-group variant).
     """
     return format_class(name)(**kwargs)
+
+
+def hardware_format(name: str, m: int) -> SparseFormat:
+    """The instance of format ``name`` that an M-row-block accelerator
+    streams (the simulator's and the fault campaign's): SDC is the
+    row-group variant, since VEGETA/STC align within M-row groups
+    rather than the whole matrix (see the SDCFormat docstring)."""
+    if name == "sdc":
+        return get_format("sdc", group_rows=m)
+    return get_format(name)
 
 
 def format_index(name: str) -> int:

@@ -15,26 +15,20 @@ All generators are deterministic given their seed and return
 the paper requires ("a test dataset independent of the training
 dataset").
 
-Every generator draws exclusively from an explicit
-:class:`numpy.random.Generator` -- either the ``rng`` argument or a
-fresh ``default_rng(seed)`` -- never from numpy's global RNG, so runs
-are reproducible and checkpoints can restore stream positions exactly.
+Every generator draws exclusively from a fresh
+``numpy.random.default_rng(seed)`` -- never from numpy's global RNG,
+so runs are reproducible.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 __all__ = ["cluster_dataset", "image_dataset", "sequence_dataset"]
 
 Dataset = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _rng_for(seed: int, rng: Optional[np.random.Generator]) -> np.random.Generator:
-    """The generator a dataset draws from; ``rng`` wins over ``seed``."""
-    return rng if rng is not None else np.random.default_rng(seed)
 
 
 def _split(x: np.ndarray, y: np.ndarray, test_fraction: float, rng: np.random.Generator) -> Dataset:
@@ -52,12 +46,11 @@ def cluster_dataset(
     seed: int = 0,
     test_fraction: float = 0.25,
     noise: float = 0.6,
-    rng: Optional[np.random.Generator] = None,
 ) -> Dataset:
     """Gaussian clusters warped by a random 2-layer map."""
     if n_samples < n_classes:
         raise ValueError("need at least one sample per class")
-    rng = _rng_for(seed, rng)
+    rng = np.random.default_rng(seed)
     centers = rng.normal(0, 2.0, size=(n_classes, n_features))
     labels = rng.integers(0, n_classes, size=n_samples)
     x = centers[labels] + rng.normal(0, noise, size=(n_samples, n_features))
@@ -75,10 +68,9 @@ def image_dataset(
     seed: int = 0,
     test_fraction: float = 0.25,
     noise: float = 0.45,
-    rng: Optional[np.random.Generator] = None,
 ) -> Dataset:
     """Class-template images with per-sample noise and random shifts."""
-    rng = _rng_for(seed, rng)
+    rng = np.random.default_rng(seed)
     templates = rng.normal(0, 1.0, size=(n_classes, channels, size, size))
     # Smooth the templates so classes have spatial structure.
     for axis in (2, 3):
@@ -100,7 +92,6 @@ def sequence_dataset(
     n_classes: int = 4,
     seed: int = 0,
     test_fraction: float = 0.25,
-    rng: Optional[np.random.Generator] = None,
 ) -> Dataset:
     """Token sequences classified by which class motif they contain.
 
@@ -108,7 +99,7 @@ def sequence_dataset(
     its class's motif planted at a random position -- attention must
     locate it, which is the GLUE-like structure the encoder needs.
     """
-    rng = _rng_for(seed, rng)
+    rng = np.random.default_rng(seed)
     motifs = rng.integers(0, vocab, size=(n_classes, 3))
     labels = rng.integers(0, n_classes, size=n_samples)
     x = rng.integers(0, vocab, size=(n_samples, seq_len))

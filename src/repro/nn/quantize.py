@@ -13,7 +13,7 @@ from typing import List
 
 import numpy as np
 
-from .layers import Conv2d, Linear, Module
+from .layers import Module
 from .models import prunable_layers
 
 __all__ = ["quantize_weights", "quantize_model"]
@@ -32,18 +32,13 @@ def quantize_weights(weights: np.ndarray, bits: int = 8) -> np.ndarray:
     return (q * scale).reshape(w.shape)
 
 
-def quantize_model(model: Module, bits: int = 8, include_stem_head: bool = False) -> List[str]:
-    """Fake-quantize the weights of the model's (prunable) layers in place.
+def quantize_model(model: Module, bits: int = 8) -> List[str]:
+    """Fake-quantize the weights of the model's prunable layers in place.
 
     Returns the list of touched parameter descriptions.
     """
-    layers = (
-        [m for m in model.modules() if isinstance(m, (Linear, Conv2d))]
-        if include_stem_head
-        else prunable_layers(model)
-    )
     touched = []
-    for i, layer in enumerate(layers):
+    for i, layer in enumerate(prunable_layers(model)):
         layer.params["weight"] = quantize_weights(layer.params["weight"], bits=bits)
         touched.append(f"{type(layer).__name__}[{i}].weight")
     return touched

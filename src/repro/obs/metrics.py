@@ -164,7 +164,7 @@ class MetricsRegistry:
 
     # -- merging ------------------------------------------------------------
 
-    def merge(self, other: "MetricsRegistry", include_timers: bool = True) -> "MetricsRegistry":
+    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold ``other`` into ``self`` (associative, order-insensitive
         for the deterministic kinds); returns ``self`` for chaining."""
         for name, value in other.counters.items():
@@ -178,14 +178,13 @@ class MetricsRegistry:
             if mine is None:
                 mine = self.histograms[name] = _Histogram()
             mine.merge(hist)
-        if include_timers:
-            for name, (calls, ns) in other.timers.items():
-                rec = self.timers.get(name)
-                if rec is None:
-                    self.timers[name] = [calls, ns]
-                else:
-                    rec[0] += calls
-                    rec[1] += ns
+        for name, (calls, ns) in other.timers.items():
+            rec = self.timers.get(name)
+            if rec is None:
+                self.timers[name] = [calls, ns]
+            else:
+                rec[0] += calls
+                rec[1] += ns
         return self
 
     def merge_payload(self, data: Dict[str, Any]) -> "MetricsRegistry":

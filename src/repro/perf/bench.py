@@ -188,16 +188,13 @@ def _micro_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, Cal
     ]
     # Each encode bench reads the payload too, so it times the layout and
     # the gather together, as the decode and fault paths pay them.
+    tbs_spec = EncodeSpec(tbs=workload.tbs, block_size=_M)
     for fmt in (DDCFormat(), SDCFormat(group_rows=_M), CSRFormat(), BitmapFormat(), BCSRCOOFormat()):
-        spec = EncodeSpec(
-            tbs=workload.tbs if fmt.name in ("ddc", "bcsrcoo") else None,
-            block_size=_M,
-        )
         benches.append(
             (
                 f"encode_{fmt.name}",
                 matrix_cells,
-                lambda fmt=fmt, spec=spec: fmt.encode(sparse, spec).arrays,
+                lambda fmt=fmt: fmt.encode(sparse, tbs_spec).arrays,
             )
         )
 
@@ -205,7 +202,6 @@ def _micro_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, Cal
     # path (built lazily per encoding, once per orientation flip), so pin
     # its cost per format.  Each bench owns its encoding and clears the
     # cache first so every call measures a full derivation, not a hit.
-    tbs_spec = EncodeSpec(tbs=workload.tbs, block_size=_M)
     plain_spec = EncodeSpec(block_size=_M)
     traced = {
         "csr": CSRFormat().encode(sparse, plain_spec),

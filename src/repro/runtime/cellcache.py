@@ -45,9 +45,8 @@ __all__ = ["CellCache", "cache_key"]
 
 #: Tag of the ``(tag, value)`` envelope every entry is pickled inside.
 #: The envelope is what makes a cached ``None`` distinguishable from a
-#: miss (``read_hit`` returns an explicit hit flag); entries written
-#: before the envelope existed unpickle as their bare value and are
-#: still served (legacy hit).
+#: miss (``read_hit`` returns an explicit hit flag); a pickle without it
+#: reads as a miss, like a corrupt entry.
 _ENVELOPE_TAG = "repro.cellcache.envelope/1"
 
 
@@ -91,8 +90,8 @@ class CellCache:
         between cache and recompute: a cell whose legitimate result *is*
         ``None`` reads back as ``(True, None)``, not as a miss --
         without the flag such cells were recomputed on every resume.
-        Corrupt entries read as ``(False, None)``, never as an
-        exception.
+        Corrupt entries, and pickles without the envelope, read as
+        ``(False, None)``, never as an exception.
         """
         if path is None or not path.exists():
             if _obs_enabled():
@@ -102,14 +101,14 @@ class CellCache:
             with open(path, "rb") as fh:
                 obj = pickle.load(fh)
         except Exception:  # corrupt cache entry: recompute, don't crash
+            obj = None
+        if not (isinstance(obj, tuple) and len(obj) == 2 and obj[0] == _ENVELOPE_TAG):
             if _obs_enabled():
                 obs_metrics.counter_add("cellcache.corrupt")
             return False, None
         if _obs_enabled():
             obs_metrics.counter_add("cellcache.hits")
-        if isinstance(obj, tuple) and len(obj) == 2 and obj[0] == _ENVELOPE_TAG:
-            return True, obj[1]
-        return True, obj  # legacy pre-envelope entry: the pickle IS the value
+        return True, obj[1]
 
     @contextlib.contextmanager
     def write_lock(self, path: Path) -> Iterator[None]:

@@ -102,8 +102,8 @@ class CheckpointStore:
                 found.append((int(match.group(1)), path.name, path))
         return [p for _, _, p in sorted(found)]
 
-    def load(self, path: Union[str, Path], verify: bool = True) -> TrainState:
-        """Load one checkpoint; ``verify`` re-checks the content digest."""
+    def load(self, path: Union[str, Path]) -> TrainState:
+        """Load one checkpoint, re-checking its content digest."""
         path = Path(path)
         match = _NAME_RE.match(path.name)
         try:
@@ -121,7 +121,7 @@ class CheckpointStore:
         except Exception as exc:  # noqa: BLE001
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
         state = TrainState(epoch=int(meta["epoch"]), arrays=arrays, meta=meta)
-        if verify and match:
+        if match:
             digest = _payload_digest(state, json.dumps(meta, sort_keys=True))[:12]
             if digest != match.group(2):
                 raise CheckpointError(

@@ -1,10 +1,11 @@
 """Bit-exact capture/restore of everything a training run mutates.
 
 Checkpointing (and watchdog rollback) must reproduce a run *exactly*:
-the same parameter bytes, the same optimizer slots, the same RNG stream
-position.  This module captures all of that into plain
-``Dict[str, np.ndarray]`` / JSON-able structures so the checkpoint layer
-can persist them and the watchdog can hold them in memory.
+the same parameter bytes and BatchNorm running statistics, the same
+optimizer slots, the same RNG stream position.  This module captures
+all of that into plain ``Dict[str, np.ndarray]`` / JSON-able structures
+so the checkpoint layer can persist them and the watchdog can hold them
+in memory.
 
 Everything is duck-typed against the :mod:`repro.nn` conventions
 (``model.modules()``, ``module.params``, maskable layers with ``mask``,
@@ -34,6 +35,10 @@ __all__ = [
     "restore_train_state",
 ]
 
+#: Module state outside ``params`` that a forward pass reads (the
+#: running statistics BatchNorm evaluates with).
+_BUFFERS = ("running_mean", "running_var")
+
 #: Optimizer slot attributes we know how to snapshot (SGD with momentum).
 _OPT_ARRAY_SLOTS = ("_velocity",)
 _OPT_SCALAR_SLOTS = ("lr", "momentum", "weight_decay")
@@ -58,29 +63,35 @@ class TrainState:
 
 
 def capture_model(model) -> Dict[str, np.ndarray]:
-    """``param.{module_index}.{name}`` -> copied parameter array."""
+    """``param.{module_index}.{name}`` -> copied parameter array, and
+    ``buffer.{module_index}.{name}`` -> copied running statistic."""
     out: Dict[str, np.ndarray] = {}
     for i, mod in enumerate(model.modules()):
         for name, value in mod.params.items():
             out[f"param.{i}.{name}"] = np.array(value, copy=True)
+        for name in _BUFFERS:
+            if hasattr(mod, name):
+                out[f"buffer.{i}.{name}"] = np.array(getattr(mod, name), copy=True)
     return out
 
 
 def restore_model(model, arrays: Dict[str, np.ndarray]) -> None:
     modules = model.modules()
     for key, value in arrays.items():
-        if not key.startswith("param."):
+        kind = key.split(".", 1)[0]
+        if kind not in ("param", "buffer"):
             continue
         _, idx, name = key.split(".", 2)
         mod = modules[int(idx)]
-        if name not in mod.params:
-            raise KeyError(f"checkpoint parameter {key!r} unknown to the model")
-        if mod.params[name].shape != value.shape:
+        held = mod.params if kind == "param" else vars(mod)
+        if name not in held:
+            raise KeyError(f"checkpoint {kind} {key!r} unknown to the model")
+        if held[name].shape != value.shape:
             raise ValueError(
-                f"checkpoint parameter {key!r} shape {value.shape} != "
-                f"model shape {mod.params[name].shape}"
+                f"checkpoint {kind} {key!r} shape {value.shape} != "
+                f"model shape {held[name].shape}"
             )
-        mod.params[name] = np.array(value, copy=True)
+        held[name] = np.array(value, copy=True)
 
 
 def capture_masks(layers) -> Dict[str, np.ndarray]:

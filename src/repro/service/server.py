@@ -221,7 +221,9 @@ def result_json(value: Any) -> str:
     (minus the trailing newline) -- the crash-recovery invariant is
     asserted by ``cmp``-ing this against a clean serial run's output.
     """
-    return json.dumps(value, sort_keys=True, default=repr)
+    from ..cli import _json_default
+
+    return json.dumps(value, sort_keys=True, default=_json_default)
 
 
 class _CancelToken:

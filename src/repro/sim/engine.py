@@ -34,7 +34,7 @@ from ..core.patterns import Direction, PatternFamily
 from ..formats.base import DEFAULT_ORIENTATION, VALUE_BYTES, EncodeSpec
 from ..formats.conversion import batch_conversion_cycles
 from ..formats.memory_model import traffic_report
-from ..formats.registry import available_formats, format_index, get_format
+from ..formats.registry import available_formats, format_index, hardware_format
 from ..hw.config import ArchConfig
 from ..hw.dram import DRAMModel
 from ..hw.dvpe import DVPE
@@ -53,17 +53,6 @@ __all__ = ["SimOptions", "simulate", "block_segments", "PIPELINE_FILL_CYCLES"]
 
 #: Fixed pipeline fill/drain cost per layer launch.
 PIPELINE_FILL_CYCLES = 64
-
-def _storage_format(name: str, m: int):
-    """The simulator's instance of storage format ``name``.
-
-    Resolves through :mod:`repro.formats.registry`; SDC is special-cased
-    to the hardware row-group variant (VEGETA/STC align within M-row
-    groups rather than the whole matrix -- see the SDCFormat docstring).
-    """
-    if name == "sdc":
-        return get_format("sdc", group_rows=m)
-    return get_format(name)
 
 
 @timed("sim.block_segments")
@@ -239,13 +228,13 @@ def _memory_cycles_and_bytes(
     ``orientation`` selects which consumption pass of the *same*
     encoding is traced (forward or transposed -- the backward pass).
     """
-    fmt = _storage_format(config.storage_format, workload.m)
+    fmt = hardware_format(config.storage_format, workload.m)
     # Only the layout is read here; the payload is never gathered.
     encoded = fmt.encode(
         workload.values,
         EncodeSpec(
             mask=workload.mask,
-            tbs=workload.tbs if config.storage_format in ("ddc", "bcsrcoo") else None,
+            tbs=workload.tbs,
             block_size=workload.m,
             orientation=orientation,
         ),
@@ -253,8 +242,6 @@ def _memory_cycles_and_bytes(
     report = traffic_report(encoded, burst_bytes=config.burst_bytes, m=workload.m, ecc=ecc)
     a_res = dram.transfer_report(report)
     if weight_bits != 16:
-        if not 2 <= weight_bits <= 16:
-            raise ValueError(f"weight_bits must be in [2, 16], got {weight_bits}")
         # Values shrink; indices and the Info table stay as-is.
         quant_factor = (
             encoded.value_bytes * (weight_bits / 16.0) + encoded.index_bytes + encoded.meta_bytes
@@ -356,7 +343,7 @@ def _simulate(
         check_workload(workload, context=f"simulate:{workload.name}")
         if level == "strict" and config.storage_format in available_formats():
             check_format_roundtrip(
-                get_format(config.storage_format),
+                hardware_format(config.storage_format, workload.m),
                 workload.values,
                 mask=workload.mask,
                 tbs=workload.tbs,
@@ -494,12 +481,12 @@ def _classify_fault(
     fmt_name = config.storage_format
     if fmt_name not in available_formats() or fault not in payload_targets(fmt_name):
         return None
-    fmt = _storage_format(fmt_name, workload.m)
+    fmt = hardware_format(fmt_name, workload.m)
     encoded = fmt.encode(
         workload.values,
         EncodeSpec(
             mask=workload.mask,
-            tbs=workload.tbs if fmt_name in ("ddc", "bcsrcoo") else None,
+            tbs=workload.tbs,
             block_size=workload.m,
         ),
     )

@@ -259,13 +259,12 @@ class SupervisedProcessExecutor(Executor):
         self,
         max_workers: int,
         timeout_s: Optional[float] = None,
-        mp_context: Optional[multiprocessing.context.BaseContext] = None,
     ):
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
-        self._ctx = mp_context or multiprocessing.get_context()
+        self._ctx = multiprocessing.get_context()
         self._max = max_workers
         self._timeout = timeout_s
         self._inflight: List[_Inflight] = []

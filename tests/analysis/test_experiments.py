@@ -11,11 +11,10 @@ import pytest
 from repro.analysis.experiments import (
     ACCURACY_FAMILIES,
     capture_layer_inputs,
-    restore_params,
     run_fig1_pareto,
     run_fig4_maskspace,
     run_fig6_datapath_power,
-    run_fig7_bandwidth,
+    run_fig7_both_passes,
     run_fig12_layerwise,
     run_fig13_end2end,
     run_fig14_breakdown,
@@ -30,22 +29,34 @@ from repro.analysis.experiments import (
     run_table1,
     run_table2,
     run_table3,
-    snapshot_params,
 )
-from repro.nn.models import make_mlp, prunable_layers
+from repro.nn.models import make_cnn, make_mlp, prunable_layers
+from repro.runtime.state import capture_masks, capture_model, restore_masks, restore_model
 from repro.workloads.layers import LayerSpec
 
 
 class TestStateHelpers:
-    def test_snapshot_restore_roundtrip(self):
-        model = make_mlp(8, 16, 4, depth=2, seed=0)
-        snap = snapshot_params(model)
-        for layer in prunable_layers(model):
-            layer.params["weight"] += 1.0
-        restore_params(model, snap)
-        for mod in model.modules():
-            for name, value in mod.params.items():
-                np.testing.assert_array_equal(value, snap[id(mod)][name])
+    def test_capture_restore_roundtrip(self):
+        """A CNN's parameters, BatchNorm running statistics and masks come
+        back from the arrays a training cell holds, into a fresh model."""
+        x = np.random.default_rng(0).normal(size=(8, 3, 8, 8))
+        model = make_cnn(channels=3, width=4, n_classes=4, seed=0)
+        model(x)  # a train-mode pass moves the running statistics
+        layers = prunable_layers(model)
+        layers[0].set_mask(np.abs(layers[0].weight_matrix()) > 0.1)
+        model.eval()
+        expected = model(x)
+        arrays = {**capture_model(model), **capture_masks(layers)}
+        assert any(key.startswith("buffer.") for key in arrays)
+
+        fresh = make_cnn(channels=3, width=4, n_classes=4, seed=1)
+        restore_model(fresh, arrays)
+        restore_masks(prunable_layers(fresh), arrays)
+        fresh.eval()
+        np.testing.assert_array_equal(fresh(x), expected)
+        assert capture_model(fresh).keys() == capture_model(model).keys()
+        for key, value in capture_model(fresh).items():
+            np.testing.assert_array_equal(value, arrays[key])
 
     def test_capture_layer_inputs(self):
         model = make_mlp(8, 16, 4, depth=3, seed=1)
@@ -102,8 +113,8 @@ class TestHardwareDrivers:
         assert res["ratio"] > 1.5
 
     def test_fig7(self):
-        res = run_fig7_bandwidth(sparsities=(0.75,), size=64)
-        row = res["sparsity=75%"]
+        res = run_fig7_both_passes(sparsities=(0.75,), size=64)
+        row = {fmt: res[f"sparsity=75% {fmt}"]["forward_util"] for fmt in ("ddc", "sdc", "csr")}
         assert row["ddc"] > row["sdc"] and row["ddc"] > row["csr"]
 
     def test_fig12_structure(self):

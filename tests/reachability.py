@@ -338,6 +338,7 @@ def _drive_report(tmp: Path) -> None:
     _cli("report", "fig13", *flags, "--checks", "strict",
          "--metrics", str(tmp / "m.json"), "--trace", str(tmp / "t.json"))
     _cli("report", "fig13", *flags, "--resume", "--json")
+    _cli("report", "fig1", *flags, "--json")  # its Pareto points reach the JSON default
     _cli("report", "scenarios", "--scale", "16", "--families", "stencil", "--allow-partial")
 
 

@@ -29,11 +29,11 @@ class TestReadHit:
         cache.write(path, {"answer": 42})
         assert cache.read_hit(path) == (True, {"answer": 42})
 
-    def test_legacy_raw_pickle_still_reads_as_hit(self, tmp_path):
+    def test_legacy_raw_pickle_reads_as_miss(self, tmp_path):
         cache = CellCache(tmp_path)
         path = cache.path("cell", {"x": 3})
         path.write_bytes(pickle.dumps({"pre": "envelope"}))
-        assert cache.read_hit(path) == (True, {"pre": "envelope"})
+        assert cache.read_hit(path) == (False, None)
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = CellCache(tmp_path)

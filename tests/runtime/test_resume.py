@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.patterns import PatternFamily
-from repro.nn.data import cluster_dataset
-from repro.nn.models import make_mlp
+from repro.nn.data import cluster_dataset, image_dataset
+from repro.nn.models import make_cnn, make_mlp
 from repro.nn.optim import SGD
 from repro.nn.train import train
 
@@ -65,6 +65,29 @@ class TestInProcessResume:
         assert resumed.loss_history == baseline.loss_history
         assert resumed.sparsity_history == baseline.sparsity_history
         _assert_same_params(resumed_model, baseline_model)
+        assert resumed.test_accuracy == baseline.test_accuracy
+
+    def test_resume_restores_batchnorm_statistics(self, tmp_path):
+        """A CNN evaluates with BatchNorm's running statistics, which the
+        checkpoint holds beside the parameters: without them a resumed
+        run trains the same weights but evaluates differently."""
+        data = image_dataset(n_samples=96, channels=3, size=8, n_classes=4, seed=SEED)
+
+        def cnn():
+            return make_cnn(channels=3, width=4, n_classes=4, seed=SEED)
+
+        baseline_model = cnn()
+        baseline = _run(baseline_model, data, epochs=2)
+        _run(cnn(), data, epochs=1, checkpoint_dir=tmp_path)
+        resumed_model = cnn()
+        resumed = _run(resumed_model, data, epochs=2, checkpoint_dir=tmp_path, resume=True)
+
+        assert resumed.resumed_from == 0
+        assert resumed.loss_history == baseline.loss_history
+        for mod, ref in zip(resumed_model.modules(), baseline_model.modules()):
+            for name in ("running_mean", "running_var"):
+                if hasattr(ref, name):
+                    assert getattr(mod, name).tobytes() == getattr(ref, name).tobytes()
         assert resumed.test_accuracy == baseline.test_accuracy
 
     def test_resume_with_explicit_sgd_momentum(self, tmp_path):

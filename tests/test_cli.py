@@ -104,6 +104,20 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "seeds" in err
 
+    @pytest.mark.parametrize(
+        "experiment, flag, value",
+        [("table1", "--epochs", "0"), ("fig18", "--epochs", "0"),
+         ("fig14", "--scale", "0"), ("fig14", "--scale", "-2")],
+    )
+    def test_rejects_epochs_and_scale_below_one(self, experiment, flag, value, capsys):
+        """Rejected before any experiment runs: at 0 epochs the accuracy
+        tables would print untrained models, and ``build_workload`` leaves
+        the layers at full size for any scale below 1."""
+        assert main(["report", experiment, "--seeds", "1", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} must be >= 1, got {value}\n"
+        assert captured.out == ""
+
     def test_rejects_negative_retries(self, capsys):
         assert main(["report", "table3", "--retries", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -582,6 +596,25 @@ class TestCellFailureExitCodes:
         captured = capsys.readouterr()
         assert "--allow-partial" in captured.err
         assert json.loads(captured.out.splitlines()[-1]) == {}
+
+    def test_partial_table1_prints_no_array_reprs(self, monkeypatch, capsys):
+        """Settled training cells hold their models; --allow-partial
+        prints each array as its dtype and shape, not its repr."""
+        from repro.analysis import experiments
+
+        real_train = experiments.train
+
+        def train_all_but_us(model, data, family=None, **kwargs):
+            if family is not None and family.name == "US":
+                raise RuntimeError("no US today")
+            return real_train(model, data, family=family, **kwargs)
+
+        monkeypatch.setattr(experiments, "train", train_all_but_us)
+        argv = ["report", "table1", "--seeds", "1", "--epochs", "1", "--allow-partial"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "array(" not in out
+        assert "<bool array (48, 48)>" in out and "test_accuracy" in out
 
     def test_sweep_usage_error_still_exits_2(self, capsys):
         assert main(["report", "fig17", "--resume"]) == 2
