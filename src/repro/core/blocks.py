@@ -9,6 +9,7 @@ logical extent so that callers never see phantom elements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
@@ -89,3 +90,48 @@ def merge_from_blocks(blocks: np.ndarray, rows: int, cols: int) -> np.ndarray:
         raise ValueError(f"blocks must be square, got {m}x{m2}")
     merged = blocks.swapaxes(1, 2).reshape(n_br * m, n_bc * m)
     return merged[:rows, :cols]
+
+
+#: Unsigned word of each byte width a run of flags is counted in.
+_WORDS = {8: np.uint64, 4: np.uint32, 2: np.uint16, 1: np.uint8}
+
+
+def count_trailing(flags: np.ndarray, ndim: int = 1) -> np.ndarray:
+    """Number of ``True`` entries over the last ``ndim`` axes of ``flags``.
+
+    A bool is one byte holding 0 or 1, so a word's popcount is the number
+    of ``True`` bytes in it: each run of ``k`` consecutive flags is read
+    as ``k / w`` machine words of the widest ``w`` (8, 4, 2 or 1 bytes)
+    that divides ``k``, and each word is popcounted.  ``flags`` is read in
+    place when it is a C-ordered bool array.  The counts come in the
+    smallest unsigned dtype that holds ``k``.
+    """
+    flags = np.ascontiguousarray(flags, dtype=bool)
+    lead = flags.shape[: flags.ndim - ndim]
+    run = math.prod(flags.shape[flags.ndim - ndim :])
+    word = next(w for w in (8, 4, 2, 1) if run % w == 0)
+    counts = np.bitwise_count(flags.reshape(math.prod(lead), run).view(_WORDS[word]))
+    if run != word:
+        counts = counts.sum(axis=1, dtype=np.min_scalar_type(run))
+    return counts.reshape(lead)
+
+
+def block_row_counts(mask: np.ndarray, m: int) -> np.ndarray:
+    """Non-zeros of every block row segment, shape ``(n_br, n_bc, m)``.
+
+    Entry ``[br, bc, i]`` counts the non-zeros of matrix row ``br*m + i``
+    in columns ``bc*m`` to ``bc*m + m - 1``; padding at a ragged edge
+    counts as zero.  Each segment is ``m`` contiguous bytes of the packed
+    bool mask (:func:`count_trailing`); the result is a view of the
+    ``(rows, n_bc)`` counts.  Column segments are the row segments of
+    ``mask.T``.
+    """
+    padded = pad_to_blocks(np.asarray(mask, dtype=bool), m)
+    rows, cols = padded.shape
+    counts = count_trailing(padded.reshape(rows, cols // m, m))
+    return counts.reshape(rows // m, m, cols // m).swapaxes(1, 2)
+
+
+def block_nnz(mask: np.ndarray, m: int) -> np.ndarray:
+    """Non-zeros of every ``m x m`` block, shape ``(n_br, n_bc)``, int64."""
+    return block_row_counts(mask, m).sum(axis=2, dtype=np.int64)

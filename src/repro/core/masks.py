@@ -143,16 +143,22 @@ def _count_ranks(groups: np.ndarray) -> np.ndarray:
     smallest unsigned dtype that holds M (``uint8`` up to M = 255).
     """
     # |scores| as an M-first C-ordered copy, so each pass below is one flat
-    # compare of a group slot against all slots.  NaN moves below every
+    # compare of a group slot against the later slots.  NaN moves below every
     # magnitude: a stable descending sort puts it last.
     mags = np.abs(groups, order="C")
     np.fmax(mags, -1.0, out=mags)
     m = len(mags)
+    dtype = np.min_scalar_type(m)
     # rank_i = #{j : s_j > s_i} + #{j < i : s_j == s_i}
-    ranks = np.zeros(mags.shape, dtype=np.min_scalar_type(m))
-    for j in range(m):
-        ranks[: j + 1] += mags[j] > mags[: j + 1]
-        ranks[j + 1 :] += mags[j] >= mags[j + 1 :]
+    #        = i + #{j > i : s_j > s_i} - #{j < i : s_i > s_j},
+    # so one compare per pair i < j moves both ranks.  Before pass i a
+    # later rank_j has lost at most i of its j, so no unsigned rank wraps.
+    ranks = np.empty(mags.shape, dtype=dtype)
+    ranks[...] = np.arange(m, dtype=dtype).reshape((m,) + (1,) * (mags.ndim - 1))
+    for i in range(m - 1):
+        beaten = mags[i + 1 :] > mags[i]
+        ranks[i] += beaten.sum(axis=0, dtype=dtype)
+        ranks[i + 1 :] -= beaten
     return ranks
 
 

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..perf import timed
-from .blocks import merge_from_blocks, split_into_blocks
+from .blocks import count_trailing, merge_from_blocks, split_into_blocks
 from .masks import _col_ranks, _row_ranks, _top_k, _top_n
 from .patterns import (
     DEFAULT_M,
@@ -122,6 +122,21 @@ def _directional_masks(
     return row_masks, col_masks
 
 
+def _tied_mass(
+    score_blocks: np.ndarray, row_masks: np.ndarray, col_masks: np.ndarray, tied: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Kept score mass of every tied block under its row and column mask.
+
+    ``tied`` selects blocks of the ``(n_br, n_bc, m, m)`` arrays.  Each
+    product is C-ordered ``(k, m, m)``, as the product over every block
+    is ``(n_br, n_bc, m, m)``, so a block's mass is the sum of its M*M
+    contiguous terms either way: summing only the tied blocks gives the
+    bits a sum over every block gives them.
+    """
+    scores = score_blocks[tied]
+    return (scores * row_masks[tied]).sum(axis=(1, 2)), (scores * col_masks[tied]).sum(axis=(1, 2))
+
+
 @timed("core.mask.tbs_sparsify")
 def tbs_sparsify(
     scores: np.ndarray,
@@ -167,21 +182,25 @@ def tbs_sparsify(
 
     rows, cols = magnitudes.shape
     score_blocks = split_into_blocks(magnitudes, m)
-    us_blocks = split_into_blocks(np.asarray(us_mask, dtype=bool), m)
+    # Block-major C copy of the unstructured mask: each block's M*M flags
+    # are contiguous, so every per-block count below is a popcount.
+    us_blocks = np.ascontiguousarray(split_into_blocks(np.asarray(us_mask, dtype=bool), m))
 
     # Step 2: per-block N from the unstructured density.  Padding at the
     # ragged edge counts as zeros, exactly as the padded hardware tile does.
-    block_density = np.count_nonzero(us_blocks, axis=(2, 3)) / (m * m)
+    block_density = count_trailing(us_blocks, 2) / (m * m)
     block_n = nearest_candidates_grid(block_density, m, spec.candidates)
 
     # Step 3: per-block direction by L1 distance to the unstructured pattern.
     row_masks, col_masks = _directional_masks(scores, magnitudes, block_n, m)
-    dist_row = np.count_nonzero(row_masks ^ us_blocks, axis=(2, 3))
-    dist_col = np.count_nonzero(col_masks ^ us_blocks, axis=(2, 3))
-    # Tie-break toward the direction keeping more total score mass, then ROW.
-    mass_row = (score_blocks * row_masks).sum(axis=(2, 3))
-    mass_col = (score_blocks * col_masks).sum(axis=(2, 3))
-    choose_col = (dist_col < dist_row) | ((dist_col == dist_row) & (mass_col > mass_row))
+    dist_row = count_trailing(row_masks ^ us_blocks, 2)
+    dist_col = count_trailing(col_masks ^ us_blocks, 2)
+    # Tie-break toward the direction keeping more total score mass, then
+    # ROW; only tied blocks read the mass.
+    choose_col = dist_col < dist_row
+    tied = dist_col == dist_row
+    mass_row, mass_col = _tied_mass(score_blocks, row_masks, col_masks, tied)
+    choose_col[tied] = mass_col > mass_row
 
     direction = np.where(choose_col, Direction.COL.value, Direction.ROW.value).astype(np.int64)
     chosen = np.where(choose_col[:, :, None, None], col_masks, row_masks)

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..perf import timed
-from .blocks import merge_from_blocks, split_into_blocks
+from .blocks import block_nnz, merge_from_blocks, split_into_blocks
 from .masks import _as_scores, _top_k
 from .patterns import (
     DEFAULT_M,
@@ -59,7 +59,8 @@ def transposable_sparsify(
     magnitudes = _as_scores(scores)
     us = _top_k(scores, sparsity, magnitudes)
     score_blocks = split_into_blocks(magnitudes, m)
-    density = split_into_blocks(us.astype(np.float64), m).mean(axis=(2, 3))
+    # The mean of a block's 0/1 flags is exactly its count over M*M.
+    density = block_nnz(us, m) / (m * m)
     block_n = nearest_candidates_grid(density, m, spec.candidates)
     n_br, n_bc = block_n.shape
     masks = solve_blocks(

@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .blocks import split_into_blocks
+from .blocks import block_row_counts, count_trailing
 from .patterns import Direction, PatternFamily, PatternSpec
 from .sparsify import TBSResult
 
@@ -64,7 +64,7 @@ def _check_groups(report, mask: np.ndarray, m: int, max_n=None, uniform_rows: bo
     rows, cols = mask.shape
     pad = (-cols) % m
     padded = np.pad(mask, ((0, 0), (0, pad)))
-    groups = padded.reshape(rows, -1, m).sum(axis=2)
+    groups = count_trailing(padded.reshape(rows, -1, m))
     for r in range(rows):
         row_counts = groups[r]
         if uniform_rows:
@@ -117,14 +117,15 @@ def validate_mask(
     if spec.family is PatternFamily.RS_H:
         _check_groups(report, mask, m, max_n=m)
         return report
+    # Per-block lane occupancy: row segments of the mask and of its transpose.
+    block_rows = block_row_counts(mask, m)
+    block_cols = block_row_counts(mask.T, m).swapaxes(0, 1)
+    n_br, n_bc = block_rows.shape[:2]
     if spec.family is PatternFamily.TBS:
-        blocks = split_into_blocks(mask.astype(np.int64), m)
-        n_br, n_bc = blocks.shape[:2]
         for br in range(n_br):
             for bc in range(n_bc):
-                block = blocks[br, bc]
-                row_counts = block.sum(axis=1)
-                col_counts = block.sum(axis=0)
+                row_counts = block_rows[br, bc]
+                col_counts = block_cols[br, bc]
                 if tbs is not None:
                     n = int(tbs.block_n[br, bc])
                     direction = Direction(int(tbs.block_direction[br, bc]))
@@ -150,15 +151,12 @@ def validate_mask(
                     )
         return report
     if spec.family is PatternFamily.NMT:
-        blocks = split_into_blocks(mask.astype(np.int64), m)
-        n_br, n_bc = blocks.shape[:2]
         max_candidate = max(spec.candidates)
         for br in range(n_br):
             for bc in range(n_bc):
-                block = blocks[br, bc]
                 occ = max(
-                    int(block.sum(axis=1).max(initial=0)),
-                    int(block.sum(axis=0).max(initial=0)),
+                    int(block_rows[br, bc].max(initial=0)),
+                    int(block_cols[br, bc].max(initial=0)),
                 )
                 # Strictly transposable: some candidate N must bound the
                 # occupancy of every row AND every column of the block.

@@ -25,7 +25,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..core.blocks import block_grid_shape, split_into_blocks
+from ..core.blocks import block_grid_shape, block_nnz, split_into_blocks
 from ..perf import timed
 from .base import (
     CSR_PTR_BYTES,
@@ -67,19 +67,18 @@ class BCSRCOOFormat(SparseFormat):
         m = spec.effective_block_size
         n_block_rows, _ = block_grid_shape(rows, cols, m)
 
-        occ = split_into_blocks(occupancy, m)
-        block_nnz = np.count_nonzero(occ, axis=(2, 3))
-        stored = block_nnz > 0
+        nnz_grid = block_nnz(occupancy, m)
+        stored = nnz_grid > 0
         # Stored blocks in block-row-major order, each payload row-major
         # within its block (ragged-edge padding is never occupied).
         row_idx, col_idx = np.nonzero(stored)
         row_ptr = np.zeros(n_block_rows + 1, dtype=np.int64)
         np.cumsum(np.count_nonzero(stored, axis=1), out=row_ptr[1:])
-        nnz_arr = block_nnz[stored]
+        nnz_arr = nnz_grid[stored]
         nblk = nnz_arr.size
         block_ptr = np.zeros(nblk + 1, dtype=np.int64)
         np.cumsum(nnz_arr, out=block_ptr[1:])
-        bitmaps = occ[stored]
+        bitmaps = split_into_blocks(occupancy, m)[stored]
         # The COO transpose permutation: stored blocks reordered by
         # (block column, block row).  Built once, here; the transposed
         # trace and decode walk it without ever re-encoding.

@@ -138,19 +138,20 @@ def convert_block(
 
 @timed("hw.codec")
 def batch_conversion_cycles(
-    blocks: np.ndarray,
+    block_nnz: np.ndarray,
     in_width: int = 2,
     out_width: int = 2,
     threshold: int = 2,
 ) -> np.ndarray:
     """Conversion cycle counts of many COL-direction blocks at once.
 
-    ``blocks`` has shape ``(n_blocks, m, m)``; each block's count is
-    :func:`convert_block`'s ``cycles`` on its column-major storage
-    stream, which is ``max(ceil(nnz / in_width), ceil(nnz / out_width))``
-    in closed form.  It needs ``threshold >= out_width``: a ready queue
-    then holds at least ``out_width`` elements, so every beat emitted
-    while the stream feeds in is full, and the flush adds the remaining
+    ``block_nnz`` holds one non-zero count per block, shape
+    ``(n_blocks,)``; each block's count is :func:`convert_block`'s
+    ``cycles`` on its column-major storage stream, which is
+    ``max(ceil(nnz / in_width), ceil(nnz / out_width))`` in closed form.
+    It needs ``threshold >= out_width``: a ready queue then holds at
+    least ``out_width`` elements, so every beat emitted while the stream
+    feeds in is full, and the flush adds the remaining
     ``ceil(nnz / out_width) - beats`` beats whatever the arbitration
     order or the number of queues.  Only the non-zero count of each
     block matters.  ``convert_block`` is the oracle
@@ -163,8 +164,9 @@ def batch_conversion_cycles(
             f"threshold ({threshold}) below out_width ({out_width}) emits partial "
             "beats, which the closed-form cycle count does not model"
         )
-    blocks = np.asarray(blocks)
-    if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
-        raise ValueError(f"expected (n_blocks, m, m) blocks, got {blocks.shape}")
-    nnz = np.count_nonzero(blocks, axis=(1, 2)).astype(np.int64)
+    nnz = np.asarray(block_nnz, dtype=np.int64)
+    if nnz.ndim != 1:
+        raise ValueError(f"expected (n_blocks,) non-zero counts, got shape {nnz.shape}")
+    if (nnz < 0).any():
+        raise ValueError("non-zero counts must not be negative")
     return np.maximum(-(-nnz // in_width), -(-nnz // out_width))

@@ -23,7 +23,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..core.blocks import block_grid_shape, merge_from_blocks, split_into_blocks
+from ..core.blocks import block_grid_shape, block_row_counts, merge_from_blocks, split_into_blocks
 from ..core.patterns import Direction
 from ..perf import timed
 from .base import (
@@ -116,9 +116,8 @@ class DDCFormat(SparseFormat):
             info["n"] = tbs.block_n.reshape(-1)
             info["direction"] = tbs.block_direction.reshape(-1)
         else:
-            flat = split_into_blocks(occupancy, m).reshape(-1, m, m)
-            row_counts = np.count_nonzero(flat, axis=2)
-            col_counts = np.count_nonzero(flat, axis=1)
+            row_counts = block_row_counts(occupancy, m).reshape(-1, m)
+            col_counts = block_row_counts(occupancy.T, m).swapaxes(0, 1).reshape(-1, m)
             row_max = row_counts.max(axis=1)
             col_max = col_counts.max(axis=1)
             row_uniform = ((row_counts == 0) | (row_counts == row_max[:, None])).all(axis=1)

@@ -52,6 +52,15 @@ class Module:
     def backward(self, grad: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
 
+    def backward_params(self, grad: np.ndarray) -> None:
+        """Accumulate every parameter gradient of ``grad``, nothing more.
+
+        ``backward`` without its return value: a training step never reads
+        the gradient of the model's input, so a layer whose input gradient
+        costs real work (a GEMM, a scatter) skips it here.
+        """
+        self.backward(grad)
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
@@ -137,6 +146,10 @@ class Linear(Module, MaskableMixin):
         return y
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        self.backward_params(grad)
+        return grad @ self.effective_weight()
+
+    def backward_params(self, grad: np.ndarray) -> None:
         x = self._x
         flat_g = grad.reshape(-1, self.out_features)
         flat_x = x.reshape(-1, self.in_features)
@@ -145,7 +158,6 @@ class Linear(Module, MaskableMixin):
         self.grads["weight"] = self.grads.get("weight", 0) + gw
         if "bias" in self.params:
             self.grads["bias"] = self.grads.get("bias", 0) + flat_g.sum(axis=0)
-        return grad @ self.effective_weight()
 
 
 def _patch_index(c: int, h: int, w: int, k: int, stride: int, pad: int):
@@ -212,18 +224,27 @@ class Conv2d(Module, MaskableMixin):
         return y.transpose(0, 3, 1, 2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        x_shape, cols = self._cache
+        x_shape, _ = self._cache
         n, _, out_h, out_w = grad.shape
+        g = self._param_grads(grad)
+        w2d = self.effective_weight().reshape(self.out_channels, -1)
+        gcols = (g @ w2d).reshape(n, out_h, out_w, -1)
+        return self._col2im(gcols, x_shape)
+
+    def backward_params(self, grad: np.ndarray) -> None:
+        self._param_grads(grad)
+
+    def _param_grads(self, grad: np.ndarray) -> np.ndarray:
+        """Accumulate the weight and bias gradients; return ``grad`` as
+        the ``(N*oh*ow, C_out)`` matrix both GEMMs read."""
+        _, cols = self._cache
         g = grad.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
         flat_cols = cols.reshape(-1, cols.shape[-1])
         gw = (g.T @ flat_cols).reshape(self.params["weight"].shape)
         self.grads["weight"] = self.grads.get("weight", 0) + gw
         if "bias" in self.params:
             self.grads["bias"] = self.grads.get("bias", 0) + g.sum(axis=0)
-
-        w2d = self.effective_weight().reshape(self.out_channels, -1)
-        gcols = (g @ w2d).reshape(n, out_h, out_w, -1)
-        return self._col2im(gcols, x_shape)
+        return g
 
     @timed("nn.conv.col2im")
     def _col2im(self, gcols: np.ndarray, x_shape) -> np.ndarray:
@@ -401,6 +422,12 @@ class Sequential(Module):
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
+
+    def backward_params(self, grad: np.ndarray) -> None:
+        for layer in reversed(self.layers[1:]):
+            grad = layer.backward(grad)
+        if self.layers:
+            self.layers[0].backward_params(grad)
 
 
 class Residual(Module):

@@ -277,7 +277,7 @@ def train(
                 if wd.config.enabled and not np.isfinite(loss):
                     diverged = "nan"
                     break
-                model.backward(dlogits)
+                model.backward_params(dlogits)
                 opt.step()
                 epoch_loss += loss
                 steps += 1

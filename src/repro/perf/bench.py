@@ -158,11 +158,6 @@ def _micro_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, Cal
 
     benches: List[Tuple[str, int, Callable[[], None]]] = [
         (
-            "block_segments",
-            matrix_cells,
-            lambda: block_segments(workload, config),
-        ),
-        (
             "dvpe_costs",
             n_blocks * _M,
             lambda: pe.block_costs_batch(row_counts),
@@ -361,7 +356,7 @@ def _nn_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, Callab
     def _train_step() -> None:
         opt.zero_grad()
         _, dlogits = softmax_cross_entropy(model(x), y)
-        model.backward(dlogits)
+        model.backward_params(dlogits)
         opt.step()
 
     return [

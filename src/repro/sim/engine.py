@@ -29,7 +29,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.blocks import split_into_blocks
+from ..core.blocks import block_nnz, block_row_counts
 from ..core.patterns import Direction, PatternFamily
 from ..formats.base import DEFAULT_ORIENTATION, VALUE_BYTES, EncodeSpec
 from ..formats.conversion import batch_conversion_cycles
@@ -75,13 +75,13 @@ def block_segments(
     if config.storage_format == "dense":
         n_br = -(-workload.shape[0] // m)
         n_bc = -(-workload.shape[1] // m)
-        counts = np.full((n_br * n_bc, m), m, dtype=np.int64)
+        counts = np.full((n_br * n_bc, m), m, dtype=np.min_scalar_type(m))
         dirs = np.full(n_br * n_bc, Direction.ROW.value, dtype=np.int64)
         return counts, dirs
 
-    blocks = split_into_blocks(workload.mask.astype(np.int64), m)
-    n_br, n_bc = blocks.shape[:2]
-    row_counts = blocks.sum(axis=3).reshape(-1, m)
+    counts = block_row_counts(workload.mask, m)
+    n_br, n_bc = counts.shape[:2]
+    row_counts = counts.reshape(-1, m)
 
     if workload.tbs is not None:
         dirs = workload.tbs.block_direction.reshape(-1).copy()
@@ -129,13 +129,35 @@ def _block_costs(row_counts: np.ndarray, config: ArchConfig):
         alternate_buffer_depth=config.alternate_buffer_depth,
         intra_block_mapping=config.intra_block_mapping,
     )
-    costs = pe.block_costs_batch(row_counts).astype(np.float64)
+    # A block's cost depends on its segment vector alone, and a masked
+    # layer repeats few of them: price each distinct vector once.
+    distinct, inverse = _distinct_rows(row_counts)
+    costs = pe.block_costs_batch(distinct).astype(np.float64)
     if row_overhead:
         # Fractional per-row overhead (pipelined row processing of the
         # CSR-style machines); it aggregates across blocks rather than
         # rounding up per block.
-        costs = costs + row_overhead * (row_counts > 0).sum(axis=1)
-    return _COST_MEMO.put(key, costs)
+        costs = costs + row_overhead * (distinct > 0).sum(axis=1)
+    return _COST_MEMO.put(key, costs[inverse])
+
+
+def _distinct_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array and, per row, the index of its own.
+
+    A row of at most 8 bytes is one ``uint64`` key (zero-padded), sorted
+    as an integer; wider rows go through ``np.unique(axis=0)``.
+    """
+    n, width = rows.shape
+    row_bytes = width * rows.dtype.itemsize
+    if row_bytes > 8:
+        distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+        return distinct, inverse.reshape(n)
+    packed = np.zeros((n, 8), dtype=np.uint8)
+    packed[:, :row_bytes] = np.ascontiguousarray(rows).view(np.uint8).reshape(n, row_bytes)
+    _, first, inverse = np.unique(
+        packed.view(np.uint64).reshape(n), return_index=True, return_inverse=True
+    )
+    return rows[first], inverse
 
 
 #: LRU memo for block-cost vectors, keyed on the mask-derived segment
@@ -192,18 +214,15 @@ def _codec_visible_and_elements(
         return 0, 0
     m = workload.m
     # A block's conversion cycles depend only on how many non-zeros it
-    # holds, so the codec reads the boolean occupancy, never the values.
+    # holds, so the codec reads the counts of the boolean occupancy.
     occupancy = workload.mask & (workload.values != 0.0)
-    flat_blocks = split_into_blocks(occupancy, m).reshape(-1, m, m)
     # Only COL-direction blocks with payload convert (closed-form cycle
     # count per block); empty ones pass through contributing nothing.
-    col_sel = dirs == Direction.COL.value
-    col_blocks = flat_blocks[col_sel]
-    block_nnz = np.count_nonzero(col_blocks, axis=(1, 2))
-    elements = int(block_nnz.sum())
-    conv_blocks = col_blocks[block_nnz > 0]
-    converted = int(conv_blocks.shape[0])
-    conversion_cycles = int(batch_conversion_cycles(conv_blocks).sum()) if converted else 0
+    col_nnz = block_nnz(occupancy, m).reshape(-1)[dirs == Direction.COL.value]
+    elements = int(col_nnz.sum())
+    converted_nnz = col_nnz[col_nnz > 0]
+    converted = int(converted_nnz.shape[0])
+    conversion_cycles = int(batch_conversion_cycles(converted_nnz).sum()) if converted else 0
     parallel_conversion = conversion_cycles / CODEC_LANES
     visible = int(math.ceil(max(0.0, parallel_conversion - overlap_cycles)))
     if converted:

@@ -9,7 +9,9 @@ equal :func:`tests.core.topn_oracle.topn_argsort` in value, dtype, shape
 and C-contiguity.  Every generator reads its ranks from the one rank
 count, ``repro.core.masks._count_ranks``, and must give the same masks
 with the sort's ranks (:func:`tests.core.topn_oracle.ranks_argsort`)
-swapped in there.
+swapped in there.  The pairwise count itself must equal the M^2-compare
+loop it replaced (:func:`tests.core.topn_oracle.ranks_count_loop`) in
+value, dtype and layout, up to M = 300.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ from repro.core.masks import highlight_mask, tile_mask, topn_along_last, vegeta_
 from repro.core.patterns import NMConfig, nearest_candidates_grid
 from repro.core.sparsify import tbs_sparsify
 
-from .topn_oracle import nearest_candidate, ranks_argsort, topn_argsort
+from .topn_oracle import nearest_candidate, ranks_argsort, ranks_count_loop, topn_argsort
 
 _SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
 
@@ -86,6 +88,38 @@ def test_counted_ranks_match_argsort(seed, lead, m, layout, ties, specials, n_ki
     rng = np.random.default_rng(seed)
     scores = _view(rng, lead + (m,), layout, ties, specials)
     _assert_same(scores, _n(rng, lead, m, n_kind))
+
+
+def _assert_same_ranks(groups):
+    got = masks_mod._count_ranks(groups)
+    want = ranks_count_loop(groups)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    lead=st.lists(st.integers(0, 6), min_size=1, max_size=3).map(tuple),
+    m=st.sampled_from([0, 1, 2, 3, 4, 5, 8, 16, 32]),
+    layout=st.sampled_from(["c", "fortran", "swapped", "strided"]),
+    ties=st.booleans(),
+    specials=st.integers(0, 6),
+)
+def test_pairwise_ranks_match_the_m2_loop(seed, lead, m, layout, ties, specials):
+    """Groups along axis 0, in every layout the generators pass."""
+    rng = np.random.default_rng(seed)
+    _assert_same_ranks(np.moveaxis(_view(rng, lead + (m,), layout, ties, specials), -1, 0))
+
+
+@pytest.mark.parametrize("m", [255, 256, 300])
+def test_pairwise_ranks_in_wide_groups(m):
+    """The ranks reach M - 1 in the smallest dtype that holds M."""
+    rng = np.random.default_rng(m)
+    _assert_same_ranks(_values(rng, (m, 3), ties=True, specials=4))
+    _assert_same_ranks(np.arange(m, dtype=np.float64)[:, None])
 
 
 @pytest.mark.parametrize("m", [255, 256, 300])

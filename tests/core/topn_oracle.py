@@ -7,10 +7,12 @@ descending ``argsort`` of ``|scores|`` scattered back into ranks with
 to the lower index, ``inf`` first, NaN last, a C-contiguous mask).
 :func:`ranks_argsort` gives the same ranks in the M-first form of
 ``repro.core.masks._count_ranks``, the one rank count every generator
-reads, so a test can swap it in there.  :func:`nearest_candidate` is the
-scalar form of Algorithm 1 step 2 that
-``repro.core.patterns.nearest_candidates_grid`` vectorizes.  All three
-live here only as test oracles; nothing in ``src/`` calls them.
+reads, so a test can swap it in there.  :func:`ranks_count_loop` is the
+count ``_count_ranks`` ran before it compared each pair once: M
+compare-and-add passes, M^2 slot comparisons per group, in the same
+dtype.  :func:`nearest_candidate` is the scalar form of Algorithm 1
+step 2 that ``repro.core.patterns.nearest_candidates_grid`` vectorizes.
+All four live here only as test oracles; nothing in ``src/`` calls them.
 """
 
 from typing import Sequence
@@ -42,6 +44,23 @@ def ranks_argsort(groups: np.ndarray) -> np.ndarray:
     """Ranks of every group along axis 0, M-first and C-ordered."""
     ranks = _ranks_last(np.moveaxis(np.asarray(groups, dtype=np.float64), 0, -1))
     return np.ascontiguousarray(np.moveaxis(ranks, -1, 0))
+
+
+def ranks_count_loop(groups: np.ndarray) -> np.ndarray:
+    """``_count_ranks`` with M^2 slot comparisons per group.
+
+    ``rank_i = #{j : s_j > s_i} + #{j < i : s_j == s_i}`` over
+    ``s = |groups|`` with NaN mapped below every magnitude, one
+    compare-and-add pass per slot ``j``.
+    """
+    mags = np.abs(groups, order="C")
+    np.fmax(mags, -1.0, out=mags)
+    m = len(mags)
+    ranks = np.zeros(mags.shape, dtype=np.min_scalar_type(m))
+    for j in range(m):
+        ranks[: j + 1] += mags[j] > mags[: j + 1]
+        ranks[j + 1 :] += mags[j] >= mags[j + 1 :]
+    return ranks
 
 
 def nearest_candidate(density: float, m: int, candidates: Sequence[int]) -> int:

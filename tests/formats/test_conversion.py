@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.blocks import block_nnz
 from repro.core.patterns import Direction
 from repro.formats.conversion import (
     StorageElement,
@@ -151,6 +152,11 @@ def _streams(blocks):
     return [block_storage_stream(block, Direction.COL) for block in blocks]
 
 
+def _nnz(blocks):
+    """The per-block non-zero counts the engine passes for ``blocks``."""
+    return np.count_nonzero(blocks, axis=(1, 2))
+
+
 class TestBatchConversionCycles:
     """The closed-form batch count against the queue-group emulation."""
 
@@ -174,7 +180,7 @@ class TestBatchConversionCycles:
         n_queues = max(1, int(m * queues_per_m))
         for in_width, out_width, threshold in _WIDTHS:
             batch = batch_conversion_cycles(
-                blocks, in_width=in_width, out_width=out_width, threshold=threshold
+                _nnz(blocks), in_width=in_width, out_width=out_width, threshold=threshold
             )
             ref = _oracle_cycles(streams, n_queues, in_width, out_width, threshold)
             assert batch.tolist() == ref, (in_width, out_width, threshold)
@@ -185,22 +191,24 @@ class TestBatchConversionCycles:
             streams = _streams(blocks)
             for in_width, out_width, threshold in _WIDTHS:
                 batch = batch_conversion_cycles(
-                    blocks, in_width=in_width, out_width=out_width, threshold=threshold
+                    _nnz(blocks), in_width=in_width, out_width=out_width, threshold=threshold
                 )
                 ref = _oracle_cycles(streams, m, in_width, out_width, threshold)
                 assert batch.tolist() == ref, (m, in_width, out_width, threshold)
                 assert batch[0] == 0
 
     def test_boolean_occupancy_counts_like_values(self):
-        """The engine passes the boolean occupancy, not the values."""
+        """The engine counts the boolean occupancy of a matrix of blocks
+        (``core.blocks.block_nnz``), not the values."""
         blocks = _random_blocks(np.random.default_rng(0), 8, [0.3, 0.7, 1.0])
+        occupancy = np.hstack(list(blocks)) != 0
         assert (
-            batch_conversion_cycles(blocks != 0).tolist()
-            == batch_conversion_cycles(blocks).tolist()
+            batch_conversion_cycles(block_nnz(occupancy, 8).reshape(-1)).tolist()
+            == batch_conversion_cycles(_nnz(blocks)).tolist()
         )
 
     def test_no_blocks(self):
-        out = batch_conversion_cycles(np.zeros((0, 8, 8)))
+        out = batch_conversion_cycles(_nnz(np.zeros((0, 8, 8))))
         assert out.shape == (0,) and out.dtype == np.int64
 
     def test_threshold_below_out_width_rejected(self):
@@ -209,7 +217,7 @@ class TestBatchConversionCycles:
                 for threshold in range(1, out_width):
                     with pytest.raises(ValueError, match="threshold"):
                         batch_conversion_cycles(
-                            np.ones((1, 4, 4)),
+                            _nnz(np.ones((1, 4, 4))),
                             in_width=in_width,
                             out_width=out_width,
                             threshold=threshold,
@@ -224,9 +232,12 @@ class TestBatchConversionCycles:
         assert schedule.cycles == 2  # closed form: max(1, 1) = 1
 
     def test_rejects_bad_shapes_and_widths(self):
+        """One count per block: blocks themselves are not counts."""
         with pytest.raises(ValueError):
             batch_conversion_cycles(np.ones((4, 4)))
         with pytest.raises(ValueError):
             batch_conversion_cycles(np.ones((1, 4, 2)))
         with pytest.raises(ValueError):
-            batch_conversion_cycles(np.ones((1, 4, 4)), in_width=0)
+            batch_conversion_cycles(_nnz(np.ones((1, 4, 4))), in_width=0)
+        with pytest.raises(ValueError):
+            batch_conversion_cycles(np.array([3, -1]))

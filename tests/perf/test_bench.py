@@ -22,7 +22,6 @@ def test_unknown_profile_rejected():
 def test_suite_covers_micro_and_macro(smoke_run):
     names = set(smoke_run["benches"])
     assert {
-        "block_segments",
         "dvpe_costs",
         "schedule_direct",
         "schedule_sparsity_aware",
@@ -69,11 +68,12 @@ def test_fig13_mini_attributes_workload_and_mask_time(smoke_run):
 
 
 def test_nn_train_step_splits_the_conv_lowering(smoke_run):
-    """The CNN proxy's six convs each gather patches forward and scatter
-    their gradients back once per train step."""
+    """The CNN proxy's six convs each gather patches forward once per
+    train step; all but the stem scatter their input gradients back (a
+    train step never reads the gradient of the model's input)."""
     stages = smoke_run["benches"]["nn_train_step_cnn"]["stages"]
     assert stages["nn.conv.im2col"]["calls"] == 6
-    assert stages["nn.conv.col2im"]["calls"] == 6
+    assert stages["nn.conv.col2im"]["calls"] == 5
 
 
 def test_stages_come_from_one_instrumented_call(smoke_run):

@@ -400,11 +400,13 @@ def _drive_perf(tmp: Path) -> None:
 
 
 def _drive_serve(tmp: Path) -> None:
-    """``repro serve`` in this thread; a second thread submits a job,
-    cancels a second one while it waits in the queue and submits it
-    again, cancels a third one while it runs, reads /jobs, /healthz and
-    /metrics, then sends SIGTERM so the server drains and ``main``
-    returns."""
+    """``repro serve`` in this thread; a second thread submits a table1
+    job and waits until it runs, cancels a second job while it waits in
+    the queue behind it (the service runs one job worker, and table1
+    outlasts the cancel by seconds), cancels the running table1 job,
+    submits a fig17 job and the cancelled one again, reads /jobs,
+    /healthz and /metrics, then sends SIGTERM so the server drains and
+    ``main`` returns."""
     from repro.service import ServiceClient
 
     data_dir = tmp / "service"
@@ -419,18 +421,18 @@ def _drive_serve(tmp: Path) -> None:
                     raise TimeoutError("service never advertised its endpoint")
                 time.sleep(0.05)
             svc = ServiceClient(endpoint.read_text().strip(), client_id="probe")
-            first = svc.submit({"experiment": "fig17", "epochs": 1, "scale": 16})
+            running = svc.submit({"experiment": "table1", "epochs": 1})["run_id"]
+            while svc.job(running)["state"] == "queued":
+                time.sleep(0.02)
             queued = {"experiment": "fig4", "epochs": 1, "scale": 16}
             svc.cancel(svc.submit(queued)["run_id"])
+            svc.cancel(running)
+            svc.wait(running, timeout=120)
+            first = svc.submit({"experiment": "fig17", "epochs": 1, "scale": 16})
             again = svc.submit(queued)
             for job in (first, again):
                 svc.wait(job["run_id"], timeout=120)
                 svc.result(job["run_id"])
-            running = svc.submit({"experiment": "table1", "epochs": 1})["run_id"]
-            while svc.job(running)["state"] == "queued":
-                time.sleep(0.02)
-            svc.cancel(running)
-            svc.wait(running, timeout=120)
             svc.jobs()
             svc.healthz()
             svc.metrics()

@@ -23,7 +23,7 @@ from repro.formats.base import EncodeSpec
 from ..formats.eager_encode_oracle import as_encode
 from ..formats.encode_oracle import ENCODE_ORACLES, ddc_encode_loop
 from ..hw.scheduler_oracle import CostStream, schedule_sparsity_aware_sort
-from .engine_oracle import block_costs_loop, codec_visible_and_elements_loop
+from .engine_oracle import block_costs_loop, block_segments_sum, codec_visible_and_elements_loop
 
 
 @contextmanager
@@ -43,6 +43,7 @@ def loop_oracles():
     from repro.sim import engine
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "block_segments", block_segments_sum)
         mp.setattr(engine, "_block_costs", block_costs_loop)
         mp.setattr(engine, "_codec_visible_and_elements", codec_visible_and_elements_loop)
         mp.setattr(engine, "schedule_direct", _schedule_direct_reference)
